@@ -2,7 +2,7 @@
 """Survey the whole family over the feasible lattice n <= 4, N <= 6.
 
 For every bouquet the h-vector is computed by the closed form and
-cross-checked against the facet route, then the Gorenstein and almost
+cross-checked against the shelling route, then the Gorenstein and almost
 Gorenstein flags are tabulated.  The boundary is easy to see in the
 output: symmetric h-vectors stop after n = 2, and almost Gorenstein
 survives for n >= 3 only on the all-triangle diagonal N = n.
@@ -10,8 +10,8 @@ survives for n >= 3 only on the all-triangle diagonal N = n.
 Run:  python demos/family_survey.py
 """
 
-from oddbouquet import classify, h_closed_form
-from oddbouquet.cli import h_by_complex, sweep_compositions
+from oddbouquet import classify, h_by_complex, h_closed_form
+from oddbouquet.cli import sweep_compositions
 
 
 def main():

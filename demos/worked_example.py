@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Walk one bouquet end to end: three odd cycles of lengths 7, 5, 3 glued
 at a hub.  Shows the toric ideal generators, the facets of the initial
-complex, the h-vector computed three independent ways, and the
-classification of the edge ring.
+complex, the h-vector computed three independent ways (the third from the
+shelling order in which the facets are emitted), and the classification of
+the edge ring.
 
 Run:  python demos/worked_example.py
 """
@@ -10,14 +11,15 @@ Run:  python demos/worked_example.py
 from oddbouquet import (
     build_from_k,
     classify,
+    f_from_h,
     f_vector,
     facets_closed_form,
     generators,
     h_closed_form,
-    h_from_f,
     h_recursive,
     labeled_graph,
     kernel_check,
+    shelling_h_vector,
 )
 
 
@@ -49,11 +51,19 @@ def main():
     routes = {
         "closed form": h_closed_form(c),
         "recursion": h_recursive(c),
-        "facet enumeration": h_from_f(f_vector(cx), c.vertex_count),
+        "shelling": shelling_h_vector(cx.masks),
     }
     for name, h in routes.items():
         print(f"  {name:<18} {h.coeffs}")
     assert len({h.coeffs for h in routes.values()}) == 1
+    print("  (shelling: facets in emitted order; h_i counts the facets whose")
+    print("   restriction, the smallest new face the facet adds, has i elements)")
+
+    banner("f-vector from the shelling intervals")
+    fv = f_from_h(routes["shelling"], c.vertex_count)
+    print(f"  {fv.counts}")
+    assert fv == f_vector(cx)
+    print("  equal to the face counts from enumerating every facet subset")
 
     banner("classification of the edge ring")
     rep = classify(c)

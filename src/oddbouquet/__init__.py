@@ -25,10 +25,13 @@ from .srcomplex import (
     DecompositionReport,
     FVector,
     SimplicialComplex,
+    f_from_h,
     f_vector,
     facets_brute_force,
     facets_closed_form,
+    h_by_complex,
     h_from_f,
+    shelling_h_vector,
     verify_decomposition,
 )
 from .toric import (

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .composition import OddCycleComposition, build_from_k, build_from_r, labeled_graph
-from .polyarith import IntPoly
 from .ringinv import (
     classify,
     cm_type,
@@ -32,10 +31,12 @@ from .ringinv import (
     multiplicity,
 )
 from .srcomplex import (
-    f_vector,
+    f_from_h,
     facets_brute_force,
     facets_closed_form,
+    h_by_complex,
     h_from_f,
+    shelling_h_vector,
     verify_decomposition,
 )
 from .toric import (
@@ -119,11 +120,6 @@ def canonical_json(payload) -> str:
 
 def _fmt_ints(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
-
-
-def h_by_complex(c: OddCycleComposition) -> IntPoly:
-    """h-polynomial via facet enumeration, face counts and the f-to-h transform."""
-    return h_from_f(f_vector(facets_closed_form(c)), c.vertex_count)
 
 
 _METHODS = {
@@ -220,7 +216,10 @@ def _facet_line(c: OddCycleComposition, facet: frozenset[int]) -> str:
 def cmd_facets(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
     if args.method == "brute":
-        cx = facets_brute_force(initial_monomials(c), c.edge_count)
+        try:
+            cx = facets_brute_force(initial_monomials(c), c.edge_count)
+        except ValueError as exc:
+            raise UsageError(f"{exc} ({c.edge_count} edges)") from None
     else:
         cx = facets_closed_form(c)
     lines = sorted(_facet_line(c, f) for f in cx.facets)
@@ -272,7 +271,7 @@ def cmd_gens(args: argparse.Namespace) -> int:
 
 
 CHECK_NAMES = [
-    "h3way", "facets", "fvec", "initial", "kernel",
+    "h3way", "shelling", "facets", "fvec", "initial", "kernel",
     "buchberger", "hilbert", "decompose", "classify", "brutefacets",
 ]
 
@@ -284,15 +283,23 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
     h_formula = h_closed_form(c)
     h_rec = h_recursive(c)
     cx = facets_closed_form(c)
-    fv = f_vector(cx)
-    h_cx = h_from_f(fv, c.vertex_count)
+    try:
+        h_cx = shelling_h_vector(cx.masks)
+    except ValueError:
+        h_cx = None
     out["h3way"] = "ok" if h_formula == h_rec == h_cx else "FAIL"
+    out["shelling"] = "ok" if h_cx is not None else "FAIL"
 
     count_ok = len(cx.facets) == multiplicity(c) == h_formula.evaluate(1)
     size_ok = all(len(f) == c.vertex_count for f in cx.facets)
     out["facets"] = "ok" if count_ok and size_ok else "FAIL"
 
-    out["fvec"] = "ok" if fv.counts[0] == 1 and fv.counts[1] == c.edge_count else "FAIL"
+    if h_cx is None:
+        out["fvec"] = "FAIL"
+    else:
+        fv = f_from_h(h_cx, c.vertex_count)
+        fvec_ok = fv.counts[0] == 1 and fv.counts[1] == c.edge_count
+        out["fvec"] = "ok" if fvec_ok and h_from_f(fv, c.vertex_count) == h_cx else "FAIL"
 
     gens = generators(c)
     inits = initial_monomials(c)

@@ -9,16 +9,22 @@ squarefree monomials outside the initial ideal.  Facets come in two ways:
 * a brute-force search straight from the monomial generators, kept cheap
   enough for ground sets up to ~18 so it can serve as an oracle.
 
-The f-vector, the f-to-h transform (the Hilbert series numerator of the
-face ring over (1-t)^d), and a structural decomposition check for growing
-one cycle by two edges complete the module.
+The h-vector comes from the order in which the closed form emits the
+facets: that order is checked to be a shelling on every call, and h_i
+counts the facets whose restriction has i elements.  Each restriction
+U_j <= F_j spans the interval of faces that F_j adds, which gives the
+f-vector back without listing faces.  The f-vector by subset enumeration
+and the f-to-h transform (the Hilbert series numerator of the face ring
+over (1-t)^d) are kept as the independent reference for that route.  A
+structural decomposition check for growing one cycle by two edges
+completes the module.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .composition import OddCycleComposition, build_from_k, cycle_parts
 from .polyarith import IntPoly, ONE_MINUS_T, T
@@ -45,6 +51,11 @@ class SimplicialComplex:
     def facet_sets(self) -> set[frozenset[int]]:
         return set(self.facets)
 
+    @property
+    def masks(self) -> list[int]:
+        """The facets as bitmasks (bit v set iff v is in the facet), in order."""
+        return [sum(1 << v for v in f) for f in self.facets]
+
 
 @dataclass(frozen=True)
 class FVector:
@@ -68,13 +79,13 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
 
     where zeta_i runs over the odd part of cycle i minus one edge and
     omega_i over the even part of cycle i minus one edge (empty for a
-    triangle).  The last line is shared by every facet.  Duplicates across
-    families are not expected; they are removed and flagged if ever seen.
+    triangle).  The last line is shared by every facet.  Facets are emitted
+    pivot by pivot, in that order, which is a shelling (see
+    shelling_h_vector).  Two families that share a facet raise ValueError.
     """
     n = c.n
     parts = [cycle_parts(c, i) for i in range(1, n + 1)]
-    seen: dict[frozenset[int], None] = {}
-    raw = 0
+    facets: list[frozenset[int]] = []
     for j in range(1, n + 1):
         fixed: set[int] = set(parts[0].even) | set(parts[n - 1].odd)
         for i in range(2, j + 1):
@@ -89,12 +100,10 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
             ki = c.k[i - 1]
             choice_lists.append([frozenset(w) for w in combinations(sorted(parts[i - 1].even), ki - 1)])
         for combo in product(*choice_lists):
-            facet = frozenset(fixed.union(*combo)) if combo else frozenset(fixed)
-            raw += 1
-            seen.setdefault(facet, None)
-    if len(seen) != raw:
-        warnings.warn("closed-form facet families overlapped; result deduplicated")
-    return SimplicialComplex(ground_size=c.edge_count, facets=tuple(seen))
+            facets.append(frozenset(fixed.union(*combo)) if combo else frozenset(fixed))
+    if len(set(facets)) != len(facets):
+        raise ValueError("closed-form facet families overlap")
+    return SimplicialComplex(ground_size=c.edge_count, facets=tuple(facets))
 
 
 def facets_brute_force(
@@ -136,13 +145,64 @@ def facets_brute_force(
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facets))
 
 
+def shelling_h_vector(masks: list[int]) -> IntPoly:
+    """h-polynomial of a pure complex from a shelling order of its facets.
+
+    masks are the facets F_1..F_m as bitmasks, in shelling order.  For each
+    F_j the restriction U_j is the union of the one-element differences
+    F_j - G over the earlier facets G that meet F_j in codimension one.
+    The order is a shelling iff every earlier G satisfies
+    (F_j - G) & U_j != 0, i.e. F_j & G lies in some codimension-one face
+    F_j & G' with G' earlier.  That is checked for every pair, O(m^2) mask
+    operations in all; then h_i = #{j : |U_j| = i}.  Facets of different
+    sizes, repeated facets and orders that are not a shelling raise
+    ValueError.
+    """
+    if len({m.bit_count() for m in masks}) > 1:
+        raise ValueError("facets of different sizes: complex is not pure")
+    counts: list[int] = []
+    for j, f in enumerate(masks):
+        diffs = [f & ~g for g in masks[:j]]
+        restriction = 0
+        for diff in diffs:
+            if not diff:
+                raise ValueError("repeated facet")
+            if diff & (diff - 1) == 0:
+                restriction |= diff
+        if not all(diff & restriction for diff in diffs):
+            raise ValueError(f"facet order is not a shelling at facet {j + 1}")
+        size = restriction.bit_count()
+        counts.extend([0] * (size + 1 - len(counts)))
+        counts[size] += 1
+    return IntPoly(tuple(counts))
+
+
+def h_by_complex(c: OddCycleComposition) -> IntPoly:
+    """h-polynomial of the initial complex from the closed-form shelling."""
+    return shelling_h_vector(facets_closed_form(c).masks)
+
+
+def f_from_h(h: IntPoly, d: int) -> FVector:
+    """Face counts of a shellable complex with facets of size d, from h.
+
+    A facet whose restriction has r elements adds the C(d - r, i - r) faces
+    of cardinality i between the restriction and the facet, and h_r counts
+    those facets, so f_i = sum_r h_r * C(d - r, i - r).
+    """
+    return FVector(counts=tuple(
+        sum(h.coeff(r) * comb(d - r, i - r) for r in range(i + 1))
+        for i in range(d + 1)
+    ))
+
+
 def f_vector(cx: SimplicialComplex) -> FVector:
-    """Count faces of each cardinality by enumerating facet subsets, deduplicated."""
+    """Count faces of each cardinality by enumerating facet subsets, deduplicated.
+
+    Exponential in the facet size; the reference that the shelling route is
+    tested against, not a route of its own.
+    """
     seen: set[int] = set()
-    for facet in cx.facets:
-        mask = 0
-        for v in facet:
-            mask |= 1 << v
+    for mask in cx.masks:
         sub = mask
         while True:
             seen.add(sub)

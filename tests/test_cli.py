@@ -1,7 +1,10 @@
 import json
+from itertools import combinations
 
+from oddbouquet import cli
 from oddbouquet.cli import canonical_json, main, sweep_compositions, _METHODS
 from oddbouquet.polyarith import IntPoly
+from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
 
 
 def run(capsys, *argv):
@@ -134,6 +137,14 @@ def test_facets_brute_matches_closed(capsys):
     assert out_a == out_b
 
 
+def test_facets_brute_over_cap_is_usage_error(capsys):
+    # 22 edges is above the oracle's ground-set cap: exit 2, not a traceback
+    code, out, err = run(capsys, "facets", "--k", "9,1", "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
 def test_gens_output(capsys):
     code, out, _ = run(capsys, "gens", "--k", "1,1")
     assert code == 0
@@ -171,6 +182,46 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "FAILURES:" in out
     assert "k=(1,): h3way" in out
     assert "k=(2,): h3way" in out
+
+
+def test_verify_reports_non_shelling_order(capsys, monkeypatch):
+    # same facets, but two that differ in more than one element come first,
+    # so the emitted order is no shelling: a FAIL row, never a traceback
+    def badly_ordered(c):
+        cx = facets_closed_form(c)
+        masks = cx.masks
+        for i, j in combinations(range(len(masks)), 2):
+            if (masks[i] & ~masks[j]).bit_count() > 1:
+                first = [cx.facets[i], cx.facets[j]]
+                rest = [f for f in cx.facets if f not in first]
+                return SimplicialComplex(cx.ground_size, tuple(first + rest))
+        return cx
+
+    monkeypatch.setattr(cli, "facets_closed_form", badly_ordered)
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-N", "3")
+    assert code == 1
+    row = next(line.split() for line in out.splitlines() if line.startswith("(1, 1, 1)"))
+    statuses = dict(zip(cli.CHECK_NAMES, row[3:]))
+    assert statuses["shelling"] == statuses["h3way"] == statuses["fvec"] == "FAIL"
+    assert statuses["facets"] == statuses["brutefacets"] == "ok"
+    assert "k=(1, 1, 1): shelling" in out
+    assert "k=(1,): shelling" not in out  # one facet: nothing to reorder
+
+
+def test_hvec_large_single_cycle(capsys):
+    # one 25-cycle: a single facet of 25 elements, h = 1
+    code, out, _ = run(capsys, "hvec", "--k", "12")
+    assert code == 0
+    assert "h[complex] = (1)" in out
+    assert "agree = true" in out
+
+
+def test_hvec_all_routes_many_cycles(capsys):
+    # nine cycles, 1021 facets of 23 elements
+    code, out, _ = run(capsys, "hvec", "--method", "all", "--k", "3,1,1,1,1,1,1,1,1")
+    assert code == 0
+    assert "h[complex] = (1, 8, 36, 92, 162, 210, 210, 162, 93, 37, 9, 1)" in out
+    assert "agree = true" in out
 
 
 def test_verify_hilbert_degree_flag(capsys):

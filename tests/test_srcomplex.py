@@ -1,18 +1,22 @@
-import warnings
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from oddbouquet import srcomplex
+from oddbouquet.cli import sweep_compositions
 from oddbouquet.composition import build_from_k, cycle_parts
 from oddbouquet.polyarith import ONE
 from oddbouquet.ringinv import h_closed_form, multiplicity
 from oddbouquet.srcomplex import (
     FVector,
     SimplicialComplex,
+    f_from_h,
     f_vector,
     facets_brute_force,
     facets_closed_form,
+    h_by_complex,
     h_from_f,
+    shelling_h_vector,
     verify_decomposition,
 )
 from oddbouquet.toric import Monomial, initial_monomials
@@ -91,10 +95,17 @@ def test_closed_form_counts_and_sizes():
 
 
 def test_closed_form_families_never_overlap():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for k in SWEEP_KS:
-            facets_closed_form(build_from_k(k))
+    # an overlap raises ValueError, so building every sweep complex is the check
+    for k in SWEEP_KS:
+        cx = facets_closed_form(build_from_k(k))
+        assert len(set(cx.facets)) == len(cx.facets), k
+
+
+def test_closed_form_overlap_raises(monkeypatch):
+    # emit every facet twice, as two overlapping families would
+    monkeypatch.setattr(srcomplex, "product", lambda *lists: list(product(*lists)) * 2)
+    with pytest.raises(ValueError, match="overlap"):
+        facets_closed_form(build_from_k([2, 1]))
 
 
 def test_brute_force_no_generators():
@@ -214,3 +225,44 @@ def test_decomposition_requires_long_first_cycle():
         verify_decomposition(build_from_k([1, 1]))
     with pytest.raises(ValueError, match="not extendable"):
         verify_decomposition(build_from_k([1, 2]))
+
+
+def test_shelling_matches_f_vector_reference_every_order():
+    # every cycle order of every bouquet with at most 16 edges (64 orders)
+    orders = {
+        order
+        for c in sweep_compositions(5, 7)
+        if c.edge_count <= 16
+        for order in permutations(c.k)
+    }
+    assert len(orders) == 64
+    for order in orders:
+        c = build_from_k(order)
+        cx = facets_closed_form(c)
+        assert shelling_h_vector(cx.masks) == h_from_f(f_vector(cx), c.vertex_count), order
+
+
+def test_shelling_full_simplex_and_path():
+    assert shelling_h_vector([0b111]) == ONE
+    # path 0-1-2-3 in its natural order: restrictions {}, {2}, {3}
+    assert shelling_h_vector([0b0011, 0b0110, 0b1100]).coeffs == (1, 2)
+
+
+def test_shelling_rejects_non_shelling_order():
+    # the same path with the two end edges first: {0,1} and {2,3} are disjoint
+    with pytest.raises(ValueError, match="not a shelling at facet 2"):
+        shelling_h_vector([0b0011, 0b1100, 0b0110])
+
+
+def test_shelling_rejects_repeated_and_impure_facets():
+    with pytest.raises(ValueError, match="repeated"):
+        shelling_h_vector([0b011, 0b110, 0b011])
+    with pytest.raises(ValueError, match="not pure"):
+        shelling_h_vector([0b011, 0b100])
+
+
+def test_f_from_h_matches_enumeration():
+    for k in SWEEP_KS:
+        c = build_from_k(k)
+        cx = facets_closed_form(c)
+        assert f_from_h(h_by_complex(c), c.vertex_count) == f_vector(cx), k
