@@ -31,6 +31,7 @@ from .srcomplex import (
     facets_closed_form,
     h_by_complex,
     h_from_f,
+    hilbert_from_h,
     shelling_h_vector,
     verify_decomposition,
 )

@@ -36,6 +36,7 @@ from .srcomplex import (
     facets_closed_form,
     h_by_complex,
     h_from_f,
+    hilbert_from_h,
     shelling_h_vector,
     verify_decomposition,
 )
@@ -327,6 +328,7 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
 
     hilbert_ok = all(
         standard_monomial_count(c, d) == edge_subring_hilbert(c, d)
+        == hilbert_from_h(h_formula, c.vertex_count, d)
         for d in range(rng.hilbert_degree + 1)
     )
     out["hilbert"] = "ok" if hilbert_ok else "FAIL"
@@ -445,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("verify", help="run all consistency checks over a sweep")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--max-N", type=int, default=6, dest="max_N")
+    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    p.add_argument("--max-N", type=int, default=8, dest="max_N")
     p.add_argument("--hilbert-degree", type=int, default=4, dest="hilbert_degree")
     p.add_argument("--no-buchberger", action="store_true")
     p.add_argument("--no-bruteforce", action="store_true")

@@ -79,9 +79,6 @@ class OddCycleComposition:
             (i, j) for i in range(1, self.n + 1) for j in range(1, 2 * self.k[i - 1] + 2)
         )
 
-    def edge_label(self, flat: int) -> tuple[int, int]:
-        return self.edge_labels[flat]
-
     def edge_name(self, flat: int) -> str:
         i, j = self.edge_labels[flat]
         return f"x{i},{j}"

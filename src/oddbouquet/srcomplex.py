@@ -6,8 +6,10 @@ squarefree monomials outside the initial ideal.  Facets come in two ways:
 * a closed-form enumeration: for a pivot cycle j the facet keeps cycle j
   whole, drops exactly one odd-position edge from every earlier cycle and
   exactly one even-position edge from every later cycle;
-* a brute-force search straight from the monomial generators, kept cheap
-  enough for ground sets up to ~18 so it can serve as an oracle.
+* a brute-force search straight from the monomial generators: a depth-first
+  include/exclude search over the ground set that uses only the supports,
+  prunes branches that cannot end in a facet, and serves as an oracle for
+  ground sets up to 18.
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
@@ -15,7 +17,8 @@ counts the facets whose restriction has i elements.  Each restriction
 U_j <= F_j spans the interval of faces that F_j adds, which gives the
 f-vector back without listing faces.  The f-vector by subset enumeration
 and the f-to-h transform (the Hilbert series numerator of the face ring
-over (1-t)^d) are kept as the independent reference for that route.  A
+over (1-t)^d) are kept as the independent reference for that route; the
+Hilbert function read off h ties h to the ring's two Hilbert counters.  A
 structural decomposition check for growing one cycle by two edges
 completes the module.
 """
@@ -42,10 +45,13 @@ class SimplicialComplex:
         for f in self.facets:
             if any(v < 0 or v >= self.ground_size for v in f):
                 raise ValueError("facet element outside ground set")
-        for a in self.facets:
-            for b in self.facets:
-                if a is not b and a <= b:
-                    raise ValueError("facet contained in another facet")
+        # facets of one size contain each other only if equal, so a duplicate
+        # check covers them; proper containment needs facets of two sizes
+        mixed = len({len(f) for f in self.facets}) > 1
+        if len(set(self.facets)) != len(self.facets) or (
+            mixed and any(a < b for a in self.facets for b in self.facets)
+        ):
+            raise ValueError("facet contained in another facet")
 
     @property
     def facet_sets(self) -> set[frozenset[int]]:
@@ -113,34 +119,44 @@ def facets_brute_force(
 ) -> SimplicialComplex:
     """Maximal subsets of the ground set containing no monomial's support.
 
-    Exhaustive scan of all subsets as bitmasks; a set is a face iff it fully
-    contains no support, and a face is a facet iff no one-element extension
-    is again a face.  Only feasible for small ground sets, hence the cap.
+    Exhaustive depth-first include/exclude search over the ground set, with
+    the supports as bitmasks.  Vertex v is included unless that completes a
+    support through v, and excluded only while some support through v has
+    no excluded element, since otherwise nothing could block v.  A leaf is a
+    face by construction and a facet iff every vertex outside it is blocked,
+    i.e. some support lies in the leaf plus that vertex.  Each facet is
+    reached by exactly one path.  Only meant for small ground sets, hence
+    the cap.
     """
     if ground_size > cap:
         raise ValueError("instance too large for oracle")
     for m in monomials:
         if not m.is_squarefree():
             raise ValueError("oracle needs squarefree monomials")
-    support_masks = []
-    for m in monomials:
-        mask = 0
-        for v in m.support:
-            mask |= 1 << v
-        support_masks.append(mask)
-    faces = set()
-    for mask in range(1 << ground_size):
-        if all(mask & s != s for s in support_masks):
-            faces.add(mask)
-    facets = []
-    for mask in faces:
-        maximal = True
-        for v in range(ground_size):
-            if not mask & (1 << v) and (mask | (1 << v)) in faces:
-                maximal = False
-                break
-        if maximal:
-            facets.append(frozenset(v for v in range(ground_size) if mask & (1 << v)))
+    support_masks = [sum(1 << v for v in m.support) for m in monomials]
+    if 0 in support_masks:
+        # the monomial 1 lies in every set: no faces at all
+        return SimplicialComplex(ground_size=ground_size, facets=())
+    through = [[s for s in support_masks if s >> v & 1] for v in range(ground_size)]
+    facet_masks: list[int] = []
+
+    def search(v: int, inside: int, outside: int) -> None:
+        if v == ground_size:
+            if all(
+                any(s & ~inside == 1 << u for s in through[u])
+                for u in range(ground_size) if outside >> u & 1
+            ):
+                facet_masks.append(inside)
+            return
+        bit = 1 << v
+        grown = inside | bit
+        if not any(s & ~grown == 0 for s in through[v]):
+            search(v + 1, grown, outside)
+        if any(s & outside == 0 for s in through[v]):
+            search(v + 1, inside, outside | bit)
+
+    search(0, 0, 0)
+    facets = [frozenset(v for v in range(ground_size) if mask >> v & 1) for mask in facet_masks]
     facets.sort(key=lambda f: sorted(f))
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facets))
 
@@ -193,6 +209,17 @@ def f_from_h(h: IntPoly, d: int) -> FVector:
         sum(h.coeff(r) * comb(d - r, i - r) for r in range(i + 1))
         for i in range(d + 1)
     ))
+
+
+def hilbert_from_h(h: IntPoly, dim: int, d: int) -> int:
+    """Degree-d Hilbert function of a ring with Hilbert series h(t) / (1-t)^dim.
+
+    The coefficient of t^d in h(t) / (1-t)^dim is
+    sum_i h_i * C(d - i + dim - 1, dim - 1); terms with i > d vanish.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    return sum(h.coeff(i) * comb(d - i + dim - 1, dim - 1) for i in range(d + 1))
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
@@ -290,10 +317,12 @@ def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
     rest_of_cycle1 = (cycle1.odd - {x}) | cycle1.even
     join_family = {f | rest_of_cycle1 for f in dropped_facets}
 
-    union_ok = _maximal(cone_family | join_family) == target
     if n >= 2:
         # both families consist of full-size facets, so demand exact equality
-        union_ok = union_ok and (cone_family | join_family) == target
+        union_ok = (cone_family | join_family) == target
+    else:
+        # the join facet is cycle 1 minus x, inside the cone facet
+        union_ok = _maximal(cone_family | join_family) == target
 
     expected_intersection = {f - {x} for f in cone_family}
     pairwise = {a & b for a in cone_family for b in join_family}

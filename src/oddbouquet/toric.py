@@ -13,8 +13,9 @@ closed-form facet enumeration, certify that claim at desk scale:
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert counters, one counting monomials outside the
-  monomial ideal, the other counting distinct vertex exponent vectors in
-  the edge subring, degree by degree.
+  monomial ideal by a pruned recursion, the other counting distinct vertex
+  exponent vectors in the edge subring by a breadth-first search over
+  vectors packed into ints, degree by degree.
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class Monomial:
     @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.exps)
-
-    def exponent(self, idx: int) -> int:
-        for i, e in self.exps:
-            if i == idx:
-                return e
-        return 0
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
@@ -284,16 +279,16 @@ def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:
 
     Breadth-first closure with deduplication: the level-d set collects every
     vertex exponent vector reachable as (level d-1 vector) + (edge image).
+    Each vector is packed into one int with w = bit_length(max(d, 1)) bits
+    per vertex; no coordinate exceeds d < 2^w, so sums never carry and the
+    packing is injective.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     g = labeled_graph(c)
-    edge_vecs = [vertex_exponent_vector(Monomial.squarefree([i]), g) for i in range(c.edge_count)]
-    level = {(0,) * g.n_vertices}
+    w = max(d, 1).bit_length()
+    edges = [(1 << w * a) + (1 << w * b) for a, b in g.endpoints]
+    level = {0}
     for _ in range(d):
-        level = {
-            tuple(v + e for v, e in zip(vec, evec))
-            for vec in level
-            for evec in edge_vecs
-        }
+        level = {v + e for v in level for e in edges}
     return len(level)

@@ -233,6 +233,19 @@ def test_verify_hilbert_degree_flag(capsys):
     assert "skip" in out  # bruteface column skipped
 
 
+def test_verify_hilbert_column_checks_h(capsys, monkeypatch):
+    # the two counters still agree; only the count derived from h is off
+    monkeypatch.setattr(cli, "hilbert_from_h", lambda h, dim, d: 0)
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "1")
+    assert code == 1
+    assert "k=(1,): hilbert" in out
+
+
+def test_verify_default_sweep():
+    args = cli.build_parser().parse_args(["verify"])
+    assert (args.max_n, args.max_N) == (5, 8)
+
+
 def test_table(tmp_path, capsys):
     out_path = tmp_path / "summary.csv"
     code, out, _ = run(capsys, "table", "--max-n", "3", "--max-N", "5",

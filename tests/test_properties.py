@@ -1,0 +1,49 @@
+"""Property tests over random bouquets, cycles in any order, up to 18 edges."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oddbouquet.composition import build_from_k  # noqa: E402
+from oddbouquet.ringinv import h_closed_form  # noqa: E402
+from oddbouquet.srcomplex import (  # noqa: E402
+    facets_brute_force,
+    facets_closed_form,
+    hilbert_from_h,
+)
+from oddbouquet.toric import (  # noqa: E402
+    edge_subring_hilbert,
+    initial_monomials,
+    standard_monomial_count,
+)
+
+MAX_EDGES = 18  # the brute-force oracle's cap
+
+
+def _fits(ks):
+    """The longest prefix of ks whose bouquet has at most MAX_EDGES edges."""
+    out, edges = [], 0
+    for k in ks:
+        if edges + 2 * k + 1 > MAX_EDGES:
+            break
+        out.append(k)
+        edges += 2 * k + 1
+    return tuple(out)
+
+
+bouquets = st.lists(st.integers(1, 8), min_size=1, max_size=6).map(_fits).map(build_from_k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bouquets)
+def test_brute_facets_equal_closed_form(c):
+    brute = facets_brute_force(initial_monomials(c), c.edge_count)
+    assert brute.facet_sets == facets_closed_form(c).facet_sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(bouquets, st.integers(0, 4))
+def test_three_hilbert_counters_agree(c, d):
+    expected = hilbert_from_h(h_closed_form(c), c.vertex_count, d)
+    assert edge_subring_hilbert(c, d) == standard_monomial_count(c, d) == expected

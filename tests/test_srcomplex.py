@@ -16,6 +16,7 @@ from oddbouquet.srcomplex import (
     facets_closed_form,
     h_by_complex,
     h_from_f,
+    hilbert_from_h,
     shelling_h_vector,
     verify_decomposition,
 )
@@ -125,6 +126,13 @@ def test_simplicial_complex_validates():
         SimplicialComplex(3, (frozenset({0}), frozenset({0, 1})))
     with pytest.raises(ValueError):
         SimplicialComplex(2, (frozenset({5}),))
+    # one size: containment is equality, caught by the duplicate check
+    with pytest.raises(ValueError, match="contained"):
+        SimplicialComplex(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1})))
+    # mixed sizes: a smaller facet inside a later, larger one
+    with pytest.raises(ValueError, match="contained"):
+        SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({3}), frozenset({2, 3})))
+    SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({2, 3})))
 
 
 def test_f_vector_full_simplex():
@@ -158,6 +166,21 @@ def test_h_from_f_examples():
     c = build_from_k([3, 2, 1])
     h = h_from_f(f_vector(facets_closed_form(c)), c.vertex_count)
     assert h.coeffs == (1, 2, 3, 4, 4, 3, 1)
+
+
+def test_hilbert_from_h_examples():
+    from math import comb
+
+    # full simplex on 3 vertices: polynomial ring in 3 variables
+    assert [hilbert_from_h(ONE, 3, d) for d in range(5)] == [comb(d + 2, 2) for d in range(5)]
+    # two triangles: h = 1 + t + t^2 over (1-t)^5; in degree 3 all C(8,3)
+    # monomials in the 6 edges but the one cubic generator survive
+    c = build_from_k([1, 1])
+    h = h_closed_form(c)
+    assert h.coeffs == (1, 1, 1)
+    assert [hilbert_from_h(h, c.vertex_count, d) for d in range(4)] == [1, 6, 21, 55]
+    with pytest.raises(ValueError, match="nonnegative"):
+        hilbert_from_h(ONE, 3, -1)
 
 
 def test_h_from_f_dimension_guard():
