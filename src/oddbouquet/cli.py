@@ -25,7 +25,6 @@ from itertools import combinations
 from .composition import OddCycleComposition, build_from_k, build_from_r, labeled_graph
 from .ringinv import (
     classify,
-    cm_type,
     h_closed_form,
     h_recursive,
     multiplicity,
@@ -281,7 +280,8 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
     """Run every consistency check on one bouquet; values are ok/FAIL/skip."""
     out: dict[str, str] = {}
 
-    h_formula = h_closed_form(c)
+    rep = classify(c)
+    h_formula = rep.h
     h_rec = h_recursive(c)
     cx = facets_closed_form(c)
     try:
@@ -338,7 +338,6 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
     else:
         out["decompose"] = "skip"
 
-    rep = classify(c)
     class_ok = rep.prediction_agrees and rep.e_tilde_formula_agrees
     class_ok = class_ok and rep.is_gorenstein == (c.n <= 2)
     if c.n >= 2:

@@ -9,20 +9,21 @@ ideal.
 Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
 
-* S-pair reduction of every generator pair down to zero,
+* S-pair reduction of every generator pair down to zero, on monomials
+  packed into ints, with the basis packed once per list,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert counters, one counting monomials outside the
-  monomial ideal by a pruned recursion, the other counting distinct vertex
-  exponent vectors in the edge subring by a breadth-first search over
-  vectors packed into ints, degree by degree.
+  monomial ideal by a pruned recursion memoised on bitmask supports, the
+  other counting distinct vertex exponent vectors in the edge subring by a
+  breadth-first search over vectors packed into ints, degree by degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -137,9 +138,6 @@ def grlex_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-_GRLEX_KEY = cmp_to_key(grlex_cmp)
-
-
 def generators(c: OddCycleComposition) -> list[Binomial]:
     """One binomial per cycle pair i < j, in lexicographic pair order."""
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
@@ -161,24 +159,30 @@ def leading_monomial(b: Binomial) -> Monomial:
     return b.plus if grlex_cmp(b.plus, b.minus) > 0 else b.minus
 
 
-def _as_poly(b: Binomial) -> dict[Monomial, int]:
-    return {b.plus: 1, b.minus: -1}
+def _packer(deg: int, nvars: int):
+    """pack(m) into one int for degree <= deg in nvars variables, and a guard mask.
+
+    Degree on top, then exponents with x_0 most significant: int order is
+    grlex and + multiplies.  Each exponent field has a guard bit; a divides
+    b iff b - a sets none.
+    """
+    w = deg.bit_length() + 1
+    top, shifts = w * nvars, [w * (nvars - 1 - i) for i in range(nvars)]
+
+    def pack(m: Monomial) -> int:
+        return (m.degree << top) + sum(e << shifts[i] for i, e in m.exps)
+
+    return pack, sum(1 << w * j + w - 1 for j in range(nvars))
 
 
-def _s_polynomial(f: Binomial, g: Binomial) -> dict[Monomial, int]:
-    fp, gp = _as_poly(f), _as_poly(g)
-    lf, lg = leading_monomial(f), leading_monomial(g)
-    lcm = lf.lcm(lg)
-    uf, ug = lcm.quotient(lf), lcm.quotient(lg)
-    out: dict[Monomial, int] = {}
-    # leading coefficients are +-1, so dividing by them is multiplying by them
-    for m, cm in fp.items():
-        key = m.mul(uf)
-        out[key] = out.get(key, 0) + cm * fp[lf]
-    for m, cm in gp.items():
-        key = m.mul(ug)
-        out[key] = out.get(key, 0) - cm * gp[lg]
-    return {m: cv for m, cv in out.items() if cv}
+def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
+    """Largest degree of a part, and 1 + the largest variable index in one."""
+    parts = [m for b in binomials for m in (b.plus, b.minus)]
+    return (max((m.degree for m in parts), default=0),
+            max((i + 1 for m in parts for i, _ in m.exps), default=0))
+
+
+_DIVISION_MEMO: list = [(), -1, 0, None, 0, []]  # basis, degree, variables, pack, guard, divisors
 
 
 def s_pair_reduces_to_zero(
@@ -193,32 +197,40 @@ def s_pair_reduces_to_zero(
     decreases it in the monomial order, so the loop terminates; the step cap
     turns any violation of that into a diagnosable RuntimeError instead of a
     hang, distinct from a mere nonzero remainder.
+
+    Monomials are packed ints (see _packer) with fields sized for twice the
+    largest degree in the basis, f and g: no term exceeds deg lcm(LT f, LT g).
     """
-    prepared = [(leading_monomial(h), _as_poly(h)) for h in basis]
-    work = _s_polynomial(f, g)
-    remainder: dict[Monomial, int] = {}
+    deg, nvars = _bounds((f, g))
+    memo = _DIVISION_MEMO  # reused while basis holds the same objects in the same order
+    if not (memo[1] >= deg and memo[2] >= nvars and len(memo[0]) == len(basis)
+            and all(a is b for a, b in zip(memo[0], basis))):
+        deg, nvars = _bounds((f, g, *basis))
+        pack, guard = _packer(2 * deg, nvars)
+        pairs = [(pack(b.plus), pack(b.minus)) for b in basis]
+        memo[:] = [tuple(basis), deg, nvars, pack, guard, [(max(p), min(p)) for p in pairs]]
+    pack, guard, divisors = memo[3:]
+    lcm = pack(leading_monomial(f).lcm(leading_monomial(g)))
+    packed = [(pack(b.plus), pack(b.minus)) for b in (f, g)]
+    tf, tg = (lcm - max(p) + min(p) for p in packed)  # each tail times lcm / its lead
+    work = {} if tf == tg else {tf: -1, tg: 1}  # lcm/LT f * f - lcm/LT g * g, leads scaled to 1
+    remainder = False
     steps = 0
     while work:
-        lead = max(work, key=_GRLEX_KEY)
-        c = work[lead]
-        for lm, hp in prepared:
-            if lm.divides(lead):
+        lead = max(work)
+        c = work.pop(lead)
+        for lm, tail in divisors:
+            if not (lead - lm) & guard:
                 steps += 1
                 if steps > max_steps:
                     raise RuntimeError("reduction did not terminate")
-                u = lead.quotient(lm)
-                factor = c * hp[lm]  # == c / leading coefficient, both signs +-1
-                for m, cm in hp.items():
-                    key = m.mul(u)
-                    nv = work.get(key, 0) - factor * cm
-                    if nv:
-                        work[key] = nv
-                    else:
-                        work.pop(key, None)
+                key = lead - lm + tail
+                total = work.pop(key, 0) + c
+                if total:
+                    work[key] = total
                 break
         else:
-            remainder[lead] = c
-            del work[lead]
+            remainder = True
     return not remainder
 
 
@@ -240,38 +252,31 @@ def kernel_check(b: Binomial, g: LabeledGraph) -> bool:
 def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     """Number of degree-d monomials divisible by no initial-ideal generator.
 
-    Pruned recursion over the flat variables: a branch dies the moment some
-    generator's support is fully present, and once no generator can still
-    complete, the remaining freedom is counted by stars and bars.
+    Pruned recursion over the flat variables, memoised on (variable, degree
+    left, bitmasks of what each live generator still lacks): a branch dies
+    the moment some generator's support is fully present, and once no
+    generator can still complete, the rest is counted by stars and bars.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     nvars = c.edge_count
-    supports = tuple(m.support for m in initial_monomials(c))
 
-    def count(idx: int, rem: int, alive: tuple[frozenset[int], ...]) -> int:
+    @cache
+    def count(idx: int, rem: int, alive: tuple[int, ...]) -> int:
         if rem == 0:
             return 1
         if idx == nvars:
             return 0
         if not alive:
             return math.comb(nvars - idx + rem - 1, rem)
-        total = count(idx + 1, rem, tuple(s for s in alive if idx not in s))
-        pos_alive = []
-        for s in alive:
-            if idx in s:
-                s2 = s - {idx}
-                if not s2:
-                    return total  # variable idx completes a generator
-                pos_alive.append(s2)
-            else:
-                pos_alive.append(s)
-        pos = tuple(pos_alive)
-        for e in range(1, rem + 1):
-            total += count(idx + 1, rem - e, pos)
-        return total
+        bit = 1 << idx
+        total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
+        if bit in alive:
+            return total  # variable idx completes a generator
+        pos = tuple(s & ~bit for s in alive)
+        return total + sum(count(idx + 1, rem - e, pos) for e in range(1, rem + 1))
 
-    return count(0, d, supports)
+    return count(0, d, tuple(sum(1 << i for i in m.support) for m in initial_monomials(c)))
 
 
 def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:

@@ -1,12 +1,18 @@
-"""The two exponential oracles against the straightforward code they replaced.
+"""Rewritten oracles and certificates against the straightforward code they replaced.
 
-facets_brute_force is a pruned include/exclude search and
-edge_subring_hilbert packs exponent vectors into ints.  The references here
-are the plain versions: a scan over all 2^E subsets and a breadth-first
-search over exponent tuples.
+facets_brute_force is a pruned include/exclude search, edge_subring_hilbert
+packs exponent vectors into ints, s_pair_reduces_to_zero divides packed-int
+monomials by a basis packed once per list, and standard_monomial_count is a
+memoised recursion over bitmask supports.  The references here are the plain
+versions: a scan over all 2^E subsets, a breadth-first search over exponent
+tuples, division on dicts of Monomial objects ordered by grlex_cmp, and the
+unmemoised recursion over frozenset supports.
 """
 
-from itertools import permutations
+import math
+import random
+from functools import cmp_to_key
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,9 +21,16 @@ from oddbouquet.composition import build_from_k, labeled_graph
 from oddbouquet.srcomplex import facets_brute_force
 from oddbouquet.toric import (
     MONOMIAL_ONE,
+    Binomial,
     Monomial,
+    _packer,
     edge_subring_hilbert,
+    generators,
+    grlex_cmp,
     initial_monomials,
+    leading_monomial,
+    s_pair_reduces_to_zero,
+    standard_monomial_count,
     vertex_exponent_vector,
 )
 
@@ -104,3 +117,247 @@ def test_packed_hilbert_matches_tuples_across_bit_widths(k):
     c = build_from_k(k)
     for d in (0, 1, 3, 4, 7, 8):
         assert edge_subring_hilbert(c, d) == _tuple_hilbert(c, d), (k, d)
+
+
+# ------------------------------------------------------------------ toric certificates
+
+_GRLEX_KEY = cmp_to_key(grlex_cmp)
+
+
+def _as_poly(b):
+    return {b.plus: 1, b.minus: -1}
+
+
+def _s_polynomial(f, g):
+    fp, gp = _as_poly(f), _as_poly(g)
+    lf, lg = leading_monomial(f), leading_monomial(g)
+    lcm = lf.lcm(lg)
+    uf, ug = lcm.quotient(lf), lcm.quotient(lg)
+    out = {}
+    # leading coefficients are +-1, so dividing by them is multiplying by them
+    for m, cm in fp.items():
+        key = m.mul(uf)
+        out[key] = out.get(key, 0) + cm * fp[lf]
+    for m, cm in gp.items():
+        key = m.mul(ug)
+        out[key] = out.get(key, 0) - cm * gp[lg]
+    return {m: cv for m, cv in out.items() if cv}
+
+
+def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000):
+    """Division on dicts of Monomial objects; the lead is the grlex_cmp maximum."""
+    prepared = [(leading_monomial(h), _as_poly(h)) for h in basis]
+    work = _s_polynomial(f, g)
+    remainder = {}
+    steps = 0
+    while work:
+        lead = max(work, key=_GRLEX_KEY)
+        c = work[lead]
+        for lm, hp in prepared:
+            if lm.divides(lead):
+                steps += 1
+                if steps > max_steps:
+                    raise RuntimeError("reduction did not terminate")
+                u = lead.quotient(lm)
+                factor = c * hp[lm]  # == c / leading coefficient, both signs +-1
+                for m, cm in hp.items():
+                    key = m.mul(u)
+                    nv = work.get(key, 0) - factor * cm
+                    if nv:
+                        work[key] = nv
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[lead] = c
+            del work[lead]
+    return not remainder
+
+
+def _frozenset_standard_count(c, d):
+    """The unmemoised recursion over frozenset supports."""
+    nvars = c.edge_count
+    supports = tuple(m.support for m in initial_monomials(c))
+
+    def count(idx, rem, alive):
+        if rem == 0:
+            return 1
+        if idx == nvars:
+            return 0
+        if not alive:
+            return math.comb(nvars - idx + rem - 1, rem)
+        total = count(idx + 1, rem, tuple(s for s in alive if idx not in s))
+        pos_alive = []
+        for s in alive:
+            if idx in s:
+                s2 = s - {idx}
+                if not s2:
+                    return total  # variable idx completes a generator
+                pos_alive.append(s2)
+            else:
+                pos_alive.append(s)
+        pos = tuple(pos_alive)
+        for e in range(1, rem + 1):
+            total += count(idx + 1, rem - e, pos)
+        return total
+
+    return count(0, d, supports)
+
+
+def _steps(fn, f, g, basis):
+    """fn's result and the smallest max_steps at which it does not raise."""
+    hi = 1
+    while True:
+        try:
+            fn(f, g, basis, max_steps=hi)
+            break
+        except RuntimeError:
+            hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            fn(f, g, basis, max_steps=mid)
+            hi = mid
+        except RuntimeError:
+            lo = mid + 1
+    return fn(f, g, basis, max_steps=lo), lo
+
+
+def assert_same_division(f, g, basis):
+    """Same result and same step count; raising at one step fewer for both."""
+    result, steps = _steps(dict_s_pair_reduces_to_zero, f, g, basis)
+    assert s_pair_reduces_to_zero(f, g, basis, max_steps=steps) is result
+    if steps:
+        with pytest.raises(RuntimeError, match="reduction did not terminate"):
+            s_pair_reduces_to_zero(f, g, basis, max_steps=steps - 1)
+    return result, steps
+
+
+# every cycle order of every bouquet with at most 16 edges and two or more cycles
+PAIR_ORDERS = sorted({
+    order
+    for c in sweep_compositions(8, 8)
+    if c.edge_count <= 16 and c.n >= 2
+    for order in permutations(c.k)
+})
+
+
+def test_pair_orders_cover_the_bouquets():
+    assert len(PAIR_ORDERS) == 57
+    assert max(build_from_k(order).edge_count for order in PAIR_ORDERS) == 16
+
+
+def test_packed_division_matches_dicts_every_pair_every_order():
+    total_steps = 0
+    for order in PAIR_ORDERS:
+        basis = generators(build_from_k(order))
+        for f, g in product(basis, repeat=2):
+            result, steps = assert_same_division(f, g, basis)
+            assert result, (order, f, g)
+            total_steps += steps
+    assert total_steps > 0  # some pairs need division, not just the product criterion
+
+
+def test_packed_division_matches_dicts_incomplete_bases():
+    nonzero = 0
+    for order in PAIR_ORDERS:
+        gens = generators(build_from_k(order))
+        for drop in range(len(gens)):
+            basis = gens[:drop] + gens[drop + 1:]
+            for f, g in combinations(gens, 2):  # f or g may be the dropped generator
+                result, _ = assert_same_division(f, g, basis)
+                nonzero += not result
+    assert nonzero > 0
+
+
+def test_packed_division_matches_dicts_on_the_worked_incomplete_basis():
+    g01, g02, _ = generators(build_from_k([1, 1, 1]))
+    assert assert_same_division(g01, g02, [g01, g02])[0] is False
+    assert assert_same_division(g02, g01, [g02, g01])[0] is False
+
+
+def _random_monomial(rng, nvars, max_exp):
+    return Monomial.from_map({i: rng.randint(0, max_exp) for i in rng.sample(range(nvars), rng.randint(0, nvars))})
+
+
+def _random_binomial(rng, nvars, max_exp):
+    while True:
+        a, b = _random_monomial(rng, nvars, max_exp), _random_monomial(rng, nvars, max_exp)
+        if a != b:
+            return Binomial(a, b)
+
+
+def test_packed_division_matches_dicts_on_random_binomials():
+    # non-homogeneous parts, exponents up to 3, f and g mostly outside the basis
+    rng = random.Random(4)
+    nonzero = reducing = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        basis = [_random_binomial(rng, nvars, 3) for _ in range(rng.randint(0, 5))]
+        pool = basis + [_random_binomial(rng, nvars + rng.randint(0, 2), 3) for _ in range(2)]
+        f, g = rng.choice(pool), rng.choice(pool)
+        result, steps = assert_same_division(f, g, basis)
+        nonzero += not result
+        reducing += steps > 0
+    assert nonzero > 0 and reducing > 0
+
+
+def test_packed_division_holds_exponents_above_the_basis_degree():
+    # the S-polynomial term x1^4 x2 has an exponent above every basis degree
+    # (3), which only fields sized for twice that degree hold; x2 then divides it
+    f = Binomial(Monomial.from_map({0: 3}), Monomial.from_map({1: 2, 2: 1}))
+    g = Binomial(Monomial.from_map({0: 1, 1: 2}), Monomial.from_map({3: 3}))
+    h = Binomial(Monomial.from_map({2: 1}), Monomial.from_map({3: 1}))
+    assert assert_same_division(f, g, [f, g, h]) == (False, 1)
+
+
+def test_division_memo_follows_a_list_mutated_in_place():
+    g01, g02, g12 = generators(build_from_k([1, 1, 1]))
+    basis = [g01, g02, g12]
+    assert s_pair_reduces_to_zero(g01, g02, basis)
+    basis.pop()
+    assert not s_pair_reduces_to_zero(g01, g02, basis)
+    basis.append(g12)
+    assert s_pair_reduces_to_zero(g01, g02, basis)
+    basis[2] = Binomial(g12.minus, g12.plus)  # same parts, other lead: a new object
+    assert s_pair_reduces_to_zero(g01, g02, basis) is dict_s_pair_reduces_to_zero(g01, g02, basis)
+    basis[:] = [g12, g02, g01]  # same objects, other order: the first divisor changes
+    for f, g in product(basis, repeat=2):
+        assert_same_division(f, g, basis)
+    # a larger bouquet with the same list object: more variables, higher degrees
+    basis[:] = generators(build_from_k([4, 3, 1]))
+    for f, g in combinations(basis, 2):
+        assert_same_division(f, g, basis)
+    # f and g of higher degree than the basis it just packed
+    big = generators(build_from_k([6, 5, 4]))
+    assert_same_division(big[0], big[1], basis)
+    assert_same_division(basis[0], basis[1], basis)
+
+
+def test_packed_order_divisibility_and_product_agree_with_monomials():
+    rng = random.Random(7)
+    for _ in range(2000):
+        nvars = rng.randint(1, 7)
+        max_exp = rng.choice([1, 2, 5])
+        a, b = _random_monomial(rng, nvars, max_exp), _random_monomial(rng, nvars, max_exp)
+        pack, guard = _packer(a.degree + b.degree, nvars)
+        pa, pb = pack(a), pack(b)
+        assert (pa > pb) - (pa < pb) == grlex_cmp(a, b), (a, b)
+        assert (not (pb - pa) & guard) == a.divides(b), (a, b)
+        assert (not (pa - pb) & guard) == b.divides(a), (a, b)
+        assert pa + pb == pack(a.mul(b)), (a, b)
+
+
+def test_memoised_standard_count_matches_frozensets_every_order():
+    for order in ORDERS:
+        c = build_from_k(order)
+        for d in range(6):
+            assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (order, d)
+
+
+@pytest.mark.parametrize("k", [(1,), (4, 3), (2, 2, 1, 1, 1, 1), (3, 1, 1, 1, 1, 1, 1, 1, 1)])
+def test_memoised_standard_count_matches_frozensets_deep_and_wide(k):
+    c = build_from_k(k)
+    for d in (0, 1, 2, 3, 7) if c.n < 6 else (0, 2, 3):
+        assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (k, d)

@@ -1,5 +1,7 @@
 """Property tests over random bouquets, cycles in any order, up to 18 edges."""
 
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,9 +16,12 @@ from oddbouquet.srcomplex import (  # noqa: E402
 )
 from oddbouquet.toric import (  # noqa: E402
     edge_subring_hilbert,
+    generators,
     initial_monomials,
+    s_pair_reduces_to_zero,
     standard_monomial_count,
 )
+from test_oracle_rewrites import dict_s_pair_reduces_to_zero  # noqa: E402
 
 MAX_EDGES = 18  # the brute-force oracle's cap
 
@@ -47,3 +52,13 @@ def test_brute_facets_equal_closed_form(c):
 def test_three_hilbert_counters_agree(c, d):
     expected = hilbert_from_h(h_closed_form(c), c.vertex_count, d)
     assert edge_subring_hilbert(c, d) == standard_monomial_count(c, d) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(bouquets, st.data())
+def test_packed_division_agrees_with_dicts(c, data):
+    gens = generators(c)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    basis = [g for g, kept in zip(gens, keep) if kept]  # full or incomplete
+    for f, g in combinations(gens, 2):
+        assert s_pair_reduces_to_zero(f, g, basis) is dict_s_pair_reduces_to_zero(f, g, basis)
