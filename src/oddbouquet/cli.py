@@ -19,11 +19,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations
 
 from .composition import OddCycleComposition, build_from_k, build_from_r, labeled_graph
+from .record import Record, _set
 from .ringinv import (
+    GorensteinReport,
     classify,
     h_closed_form,
     h_recursive,
@@ -54,22 +55,31 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(Record):
     """Bounds for sweep subcommands; mirrors the feasible region N >= n >= 1."""
 
-    max_n: int
-    max_N: int
-    hilbert_degree: int = 4
-    enable_buchberger: bool = True
-    enable_bruteforce_complex: bool = True
-    bruteforce_cap: int = 18
+    __slots__ = ("max_n", "max_N", "hilbert_degree", "enable_buchberger",
+                 "enable_bruteforce_complex", "bruteforce_cap")
 
-    def __post_init__(self) -> None:
-        if not (self.max_N >= self.max_n >= 1):
+    def __init__(
+        self,
+        max_n: int,
+        max_N: int,
+        hilbert_degree: int = 4,
+        enable_buchberger: bool = True,
+        enable_bruteforce_complex: bool = True,
+        bruteforce_cap: int = 18,
+    ) -> None:
+        if not (max_N >= max_n >= 1):
             raise UsageError("need max-N >= max-n >= 1")
-        if self.hilbert_degree < 0:
+        if hilbert_degree < 0:
             raise UsageError("hilbert degree must be nonnegative")
+        _set(self, "max_n", max_n)
+        _set(self, "max_N", max_N)
+        _set(self, "hilbert_degree", hilbert_degree)
+        _set(self, "enable_buchberger", enable_buchberger)
+        _set(self, "enable_bruteforce_complex", enable_bruteforce_complex)
+        _set(self, "bruteforce_cap", bruteforce_cap)
 
 
 def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
@@ -129,8 +139,7 @@ _METHODS = {
 }
 
 
-def _report_payload(c: OddCycleComposition, methods_agree: bool) -> dict:
-    rep = classify(c)
+def _report_payload(c: OddCycleComposition, rep: GorensteinReport, methods_agree: bool) -> dict:
     return {
         "r": list(c.r),
         "n": c.n,
@@ -171,11 +180,11 @@ def cmd_hvec(args: argparse.Namespace) -> int:
     names = list(_METHODS) if args.method == "all" else [args.method]
     values = {name: _METHODS[name](c) for name in names}
     agree = len({v.coeffs for v in values.values()}) == 1
+    if args.format in ("json", "csv"):
+        payload = _report_payload(c, classify(c), agree)
     if args.format == "json":
-        payload = _report_payload(c, agree)
         print(canonical_json(payload))
     elif args.format == "csv":
-        payload = _report_payload(c, agree)
         print(",".join(_csv_header()))
         print(",".join(_csv_row(payload)))
     else:
@@ -193,7 +202,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     ok = rep.prediction_agrees and rep.e_tilde_formula_agrees
     if args.format in ("json", "csv"):
         agree = rep.h == h_recursive(c) == h_by_complex(c)
-        payload = _report_payload(c, agree)
+        payload = _report_payload(c, rep, agree)
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
@@ -390,11 +399,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = [",".join(_csv_header())]
     disagreements = []
     for c in comps:
-        h = h_closed_form(c)
-        agree = h == h_recursive(c) == h_by_complex(c)
+        rep = classify(c)
+        agree = rep.h == h_recursive(c) == h_by_complex(c)
         if not agree:
             disagreements.append(c.k)
-        lines.append(",".join(_csv_row(_report_payload(c, agree))))
+        lines.append(",".join(_csv_row(_report_payload(c, rep, agree))))
     text = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -422,26 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--r", help="cycle counts, e.g. 1,1,1 (r_j cycles of length 2j+1)")
     group.add_argument("--k", help="cycle half-lengths, e.g. 3,2,1 (cycle lengths 2k+1)")
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    def fmt(*choices: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--format", choices=["text", *choices], default="text")
+        return parent
 
-    fmt_nocsv = argparse.ArgumentParser(add_help=False)
-    fmt_nocsv.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("hvec", parents=[comp, fmt], help="compute the h-vector")
+    p = sub.add_parser("hvec", parents=[comp, fmt("json", "csv")], help="compute the h-vector")
     p.add_argument("--method", choices=["formula", "recursion", "complex", "all"],
                    default="all")
     p.set_defaults(func=cmd_hvec)
 
-    p = sub.add_parser("classify", parents=[comp, fmt],
+    p = sub.add_parser("classify", parents=[comp, fmt("json", "csv")],
                        help="Gorenstein / almost Gorenstein classification")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("facets", parents=[comp, fmt_nocsv], help="list facets")
+    p = sub.add_parser("facets", parents=[comp, fmt("json")], help="list facets")
     p.add_argument("--method", choices=["closed", "brute"], default="closed")
     p.set_defaults(func=cmd_facets)
 
-    p = sub.add_parser("gens", parents=[comp, fmt_nocsv],
+    p = sub.add_parser("gens", parents=[comp, fmt("json")],
                        help="list toric ideal generators")
     p.set_defaults(func=cmd_gens)
 
@@ -472,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: instance too large", file=sys.stderr)
         return 2
 
 

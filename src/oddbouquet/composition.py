@@ -14,29 +14,30 @@ order used for the toric ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from .record import Record, _set
 
-@dataclass(frozen=True)
-class OddCycleComposition:
+
+class OddCycleComposition(Record):
     """Validated bouquet parameters; immutable and freely shareable."""
 
-    r: tuple[int, ...]
-    k: tuple[int, ...]
+    __slots__ = ("r", "k", "__dict__")
 
-    def __post_init__(self) -> None:
-        if not self.k or any(v < 1 for v in self.k):
+    def __init__(self, r: tuple[int, ...], k: tuple[int, ...]) -> None:
+        if not k or any(v < 1 for v in k):
             raise ValueError("invalid cycle length")
-        if not self.r or self.r[-1] == 0 or any(v < 0 for v in self.r):
+        if not r or r[-1] == 0 or any(v < 0 for v in r):
             raise ValueError("empty composition")
-        counts = [0] * len(self.r)
-        for v in self.k:
-            if v > len(self.r):
+        counts = [0] * len(r)
+        for v in k:
+            if v > len(r):
                 raise ValueError("cycle length exceeds declared maximum")
             counts[v - 1] += 1
-        if tuple(counts) != self.r:
+        if tuple(counts) != r:
             raise ValueError("cycle counts do not match cycle lengths")
+        _set(self, "r", r)
+        _set(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -111,12 +112,14 @@ def build_from_k(k) -> OddCycleComposition:
     return OddCycleComposition(r=tuple(r), k=k)
 
 
-@dataclass(frozen=True)
-class CycleParts:
+class CycleParts(Record):
     """Flat indices of one cycle's edges in odd and even label positions."""
 
-    odd: frozenset[int]
-    even: frozenset[int]
+    __slots__ = ("odd", "even")
+
+    def __init__(self, odd: frozenset[int], even: frozenset[int]) -> None:
+        _set(self, "odd", odd)
+        _set(self, "even", even)
 
 
 def cycle_parts(c: OddCycleComposition, i: int) -> CycleParts:
@@ -130,14 +133,21 @@ def cycle_parts(c: OddCycleComposition, i: int) -> CycleParts:
     return CycleParts(odd=odd, even=even)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """Concrete bouquet graph: vertex 0 is the hub, the outer vertices of
     cycle i are numbered consecutively, and edges sit in flat label order."""
 
-    n_vertices: int
-    labels: tuple[tuple[int, int], ...]
-    endpoints: tuple[tuple[int, int], ...]
+    __slots__ = ("n_vertices", "labels", "endpoints")
+
+    def __init__(
+        self,
+        n_vertices: int,
+        labels: tuple[tuple[int, int], ...],
+        endpoints: tuple[tuple[int, int], ...],
+    ) -> None:
+        _set(self, "n_vertices", n_vertices)
+        _set(self, "labels", labels)
+        _set(self, "endpoints", endpoints)
 
     def degree(self, v: int) -> int:
         return sum((a == v) + (b == v) for a, b in self.endpoints)

@@ -10,8 +10,9 @@ Everything here is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .record import Record, _set
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -21,18 +22,25 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of t^i."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        _set(self, "coeffs", _trim(coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(*coeffs: int) -> "IntPoly":
-        return IntPoly(_trim(coeffs))
+        return IntPoly(coeffs)
 
     @property
     def degree(self) -> int | None:
@@ -58,10 +66,10 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(_trim(out))
+        return IntPoly(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
@@ -75,7 +83,7 @@ class IntPoly:
             if c:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
-        return IntPoly(_trim(out))
+        return IntPoly(out)
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -132,7 +140,7 @@ def reverse(p: IntPoly, s: int) -> IntPoly:
         raise ValueError("reversal bound too small")
     if s < 0:
         raise ValueError("reversal bound too small")
-    return IntPoly(_trim(p.coeff(s - i) for i in range(s + 1)))
+    return IntPoly(p.coeff(s - i) for i in range(s + 1))
 
 
 def exact_div_one_minus_t(p: IntPoly) -> IntPoly:
@@ -147,4 +155,4 @@ def exact_div_one_minus_t(p: IntPoly) -> IntPoly:
     for c in p.coeffs:
         acc += c
         out.append(acc)
-    return IntPoly(_trim(out))
+    return IntPoly(out)

@@ -15,11 +15,11 @@ means symmetric h, almost Gorenstein means type - 1 = e~.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .composition import OddCycleComposition
 from .polyarith import IntPoly, ONE, T, exact_div_one_minus_t, q_int, reverse
+from .record import Record, _set
 
 # Memoized values are pure, so concurrent inserts of identical entries are harmless.
 _H_MEMO: dict[tuple[int, ...], IntPoly] = {}
@@ -92,20 +92,38 @@ def e_tilde_closed(c: OddCycleComposition) -> int:
     return (c.n - 2) * prod(j ** rj for j, rj in enumerate(c.r, start=1))
 
 
-@dataclass(frozen=True)
-class GorensteinReport:
+class GorensteinReport(Record):
     """Classification bundle for one bouquet."""
 
-    h: IntPoly
-    s: int
-    cm_type: int
-    e_tilde: int
-    h_prime: tuple[int, ...]
-    is_gorenstein: bool
-    is_almost_gorenstein: bool
-    predicted_almost_gorenstein: bool
-    prediction_agrees: bool
-    e_tilde_formula_agrees: bool
+    __slots__ = (
+        "h", "s", "cm_type", "e_tilde", "h_prime", "is_gorenstein",
+        "is_almost_gorenstein", "predicted_almost_gorenstein",
+        "prediction_agrees", "e_tilde_formula_agrees",
+    )
+
+    def __init__(
+        self,
+        h: IntPoly,
+        s: int,
+        cm_type: int,
+        e_tilde: int,
+        h_prime: tuple[int, ...],
+        is_gorenstein: bool,
+        is_almost_gorenstein: bool,
+        predicted_almost_gorenstein: bool,
+        prediction_agrees: bool,
+        e_tilde_formula_agrees: bool,
+    ) -> None:
+        _set(self, "h", h)
+        _set(self, "s", s)
+        _set(self, "cm_type", cm_type)
+        _set(self, "e_tilde", e_tilde)
+        _set(self, "h_prime", h_prime)
+        _set(self, "is_gorenstein", is_gorenstein)
+        _set(self, "is_almost_gorenstein", is_almost_gorenstein)
+        _set(self, "predicted_almost_gorenstein", predicted_almost_gorenstein)
+        _set(self, "prediction_agrees", prediction_agrees)
+        _set(self, "e_tilde_formula_agrees", e_tilde_formula_agrees)
 
 
 def classify(c: OddCycleComposition) -> GorensteinReport:

@@ -25,33 +25,33 @@ completes the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 from .composition import OddCycleComposition, build_from_k, cycle_parts
 from .polyarith import IntPoly, ONE_MINUS_T, T
+from .record import Record, _set
 from .toric import Monomial
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Ground set 0..ground_size-1 plus a list of inclusion-maximal facets."""
 
-    ground_size: int
-    facets: tuple[frozenset[int], ...]
+    __slots__ = ("ground_size", "facets")
 
-    def __post_init__(self) -> None:
-        for f in self.facets:
-            if any(v < 0 or v >= self.ground_size for v in f):
+    def __init__(self, ground_size: int, facets: tuple[frozenset[int], ...]) -> None:
+        for f in facets:
+            if any(v < 0 or v >= ground_size for v in f):
                 raise ValueError("facet element outside ground set")
         # facets of one size contain each other only if equal, so a duplicate
         # check covers them; proper containment needs facets of two sizes
-        mixed = len({len(f) for f in self.facets}) > 1
-        if len(set(self.facets)) != len(self.facets) or (
-            mixed and any(a < b for a in self.facets for b in self.facets)
+        mixed = len({len(f) for f in facets}) > 1
+        if len(set(facets)) != len(facets) or (
+            mixed and any(a < b for a in facets for b in facets)
         ):
             raise ValueError("facet contained in another facet")
+        _set(self, "ground_size", ground_size)
+        _set(self, "facets", facets)
 
     @property
     def facet_sets(self) -> set[frozenset[int]]:
@@ -63,11 +63,13 @@ class SimplicialComplex:
         return [sum(1 << v for v in f) for f in self.facets]
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(Record):
     """counts[c] is the number of faces of cardinality c (so counts[0] = 1)."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        _set(self, "counts", counts)
 
     @property
     def max_cardinality(self) -> int:
@@ -254,15 +256,25 @@ def h_from_f(fv: FVector, d: int) -> IntPoly:
     return acc
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     """Outcome of the two-edge extension decomposition check."""
 
-    union_ok: bool
-    intersection_ok: bool
-    facet_count: int
-    cone_family_size: int
-    join_family_size: int
+    __slots__ = ("union_ok", "intersection_ok", "facet_count",
+                 "cone_family_size", "join_family_size")
+
+    def __init__(
+        self,
+        union_ok: bool,
+        intersection_ok: bool,
+        facet_count: int,
+        cone_family_size: int,
+        join_family_size: int,
+    ) -> None:
+        _set(self, "union_ok", union_ok)
+        _set(self, "intersection_ok", intersection_ok)
+        _set(self, "facet_count", facet_count)
+        _set(self, "cone_family_size", cone_family_size)
+        _set(self, "join_family_size", join_family_size)
 
     @property
     def ok(self) -> bool:

@@ -22,19 +22,29 @@ closed-form facet enumeration, certify that claim at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
 
 from .composition import LabeledGraph, OddCycleComposition, cycle_parts, labeled_graph
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Sparse monomial over flat edge-variable indices; exponents all >= 1."""
 
-    exps: tuple[tuple[int, int], ...]
+    __slots__ = ("exps", "__dict__")
+
+    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "exps", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exps == other.exps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
 
     @staticmethod
     def from_map(m: Mapping[int, int]) -> "Monomial":
@@ -96,16 +106,24 @@ class Monomial:
 MONOMIAL_ONE = Monomial(())
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Record):
     """Difference of two distinct monomials, plus part minus minus part."""
 
-    plus: Monomial
-    minus: Monomial
+    __slots__ = ("plus", "minus")
 
-    def __post_init__(self) -> None:
-        if self.plus == self.minus:
+    def __init__(self, plus: Monomial, minus: Monomial) -> None:
+        if plus == minus:
             raise ValueError("binomial parts must differ")
+        _set(self, "plus", plus)
+        _set(self, "minus", minus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus) == (other.plus, other.minus)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.plus, self.minus))
 
 
 def grlex_cmp(a: Monomial, b: Monomial) -> int:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
-from oddbouquet import cli
+import pytest
+
+from oddbouquet import cli, ringinv
 from oddbouquet.cli import canonical_json, main, sweep_compositions, _METHODS
 from oddbouquet.polyarith import IntPoly
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
@@ -222,6 +228,74 @@ def test_hvec_all_routes_many_cycles(capsys):
     assert code == 0
     assert "h[complex] = (1, 8, 36, 92, 162, 210, 210, 162, 93, 37, 9, 1)" in out
     assert "agree = true" in out
+
+
+def test_memory_error_is_usage_error(capsys, monkeypatch):
+    def exhausted(c):
+        raise MemoryError
+
+    monkeypatch.setitem(_METHODS, "formula", exhausted)
+    code, out, err = run(capsys, "hvec", "--method", "formula", "--k", "2,1")
+    assert (code, out, err) == (2, "", "error: instance too large\n")
+
+
+def test_huge_cycle_exits_2_under_memory_cap():
+    # build_from_k allocates max(k) cycle counts; under a 1 GiB address-space
+    # cap that fails at once with MemoryError, which must end in exit 2
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddbouquet.cli", "hvec", "--k", "99999999999"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large\n")
+
+
+@pytest.mark.parametrize("argv, classifications, closed_forms", [
+    (["classify", "--k", "2,1,1", "--format", "json"], 1, 1),
+    (["classify", "--k", "2,1,1", "--format", "csv"], 1, 1),
+    (["classify", "--k", "2,1,1"], 1, 1),
+    (["hvec", "--k", "2,1,1"], 0, 1),
+    (["hvec", "--k", "2,1,1", "--format", "json"], 1, 2),  # the formula route, then classify
+    (["table", "--max-n", "3", "--max-N", "4"], 1, 1),
+])
+def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
+                                        classifications, closed_forms):
+    calls = {"classify": 0, "h_closed_form": 0}
+
+    def counted(fn):
+        def wrapper(c):
+            calls[fn.__name__] += 1
+            return fn(c)
+        return wrapper
+
+    closed_form = counted(ringinv.h_closed_form)
+    monkeypatch.setattr(ringinv, "h_closed_form", closed_form)
+    monkeypatch.setattr(cli, "h_closed_form", closed_form)
+    monkeypatch.setitem(_METHODS, "formula", closed_form)
+    monkeypatch.setattr(cli, "classify", counted(ringinv.classify))
+    bouquets = 1
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+        bouquets = len(sweep_compositions(3, 4))
+    assert run(capsys, *argv)[0] == 0
+    assert calls == {"classify": classifications * bouquets,
+                     "h_closed_form": closed_forms * bouquets}
+
+
+def test_format_choices_per_subcommand(capsys):
+    for sub, formats in [("hvec", ("text", "json", "csv")), ("classify", ("text", "json", "csv")),
+                         ("facets", ("text", "json")), ("gens", ("text", "json"))]:
+        for fmt in formats:
+            assert run(capsys, sub, "--k", "1", "--format", fmt)[0] == 0
+        if "csv" not in formats:
+            code, _, err = run(capsys, sub, "--k", "1", "--format", "csv")
+            assert code == 2 and "invalid choice: 'csv'" in err
 
 
 def test_verify_hilbert_degree_flag(capsys):
