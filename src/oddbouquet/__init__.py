@@ -39,6 +39,7 @@ from .toric import (
     Binomial,
     Monomial,
     edge_subring_hilbert,
+    edge_subring_hilbert_series,
     generators,
     grlex_cmp,
     initial_monomials,
@@ -46,6 +47,7 @@ from .toric import (
     leading_monomial,
     s_pair_reduces_to_zero,
     standard_monomial_count,
+    standard_monomial_series,
     vertex_exponent_vector,
 )
 

@@ -41,13 +41,13 @@ from .srcomplex import (
     verify_decomposition,
 )
 from .toric import (
-    edge_subring_hilbert,
+    edge_subring_hilbert_series,
     generators,
     initial_monomials,
     kernel_check,
     leading_monomial,
     s_pair_reduces_to_zero,
-    standard_monomial_count,
+    standard_monomial_series,
 )
 
 
@@ -178,10 +178,11 @@ def _csv_row(payload: dict) -> list[str]:
 def cmd_hvec(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
     names = list(_METHODS) if args.method == "all" else [args.method]
-    values = {name: _METHODS[name](c) for name in names}
+    rep = classify(c) if args.format != "text" else None
+    values = {n: rep.h if rep and n == "formula" else _METHODS[n](c) for n in names}
     agree = len({v.coeffs for v in values.values()}) == 1
-    if args.format in ("json", "csv"):
-        payload = _report_payload(c, classify(c), agree)
+    if rep:
+        payload = _report_payload(c, rep, agree)
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
@@ -312,7 +313,7 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
         out["fvec"] = "ok" if fvec_ok and h_from_f(fv, c.vertex_count) == h_cx else "FAIL"
 
     gens = generators(c)
-    inits = initial_monomials(c)
+    inits = [g.plus for g in gens]
     pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
     initial_ok = all(
         leading_monomial(g) == m and m.is_squarefree() and m.degree == deg
@@ -335,10 +336,10 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
     else:
         out["buchberger"] = "skip"
 
-    hilbert_ok = all(
-        standard_monomial_count(c, d) == edge_subring_hilbert(c, d)
-        == hilbert_from_h(h_formula, c.vertex_count, d)
-        for d in range(rng.hilbert_degree + 1)
+    d = rng.hilbert_degree
+    hilbert_ok = (
+        standard_monomial_series(c, d, inits) == edge_subring_hilbert_series(c, d)
+        == [hilbert_from_h(h_formula, c.vertex_count, j) for j in range(d + 1)]
     )
     out["hilbert"] = "ok" if hilbert_ok else "FAIL"
 

@@ -29,7 +29,7 @@ from itertools import combinations, product
 from math import comb
 
 from .composition import OddCycleComposition, build_from_k, cycle_parts
-from .polyarith import IntPoly, ONE_MINUS_T, T
+from .polyarith import IntPoly
 from .record import Record, _set
 from .toric import Monomial
 
@@ -246,14 +246,16 @@ def f_vector(cx: SimplicialComplex) -> FVector:
 
 
 def h_from_f(fv: FVector, d: int) -> IntPoly:
-    """Hilbert series numerator over (1-t)^d: sum of counts[i] * t^i * (1-t)^(d-i)."""
+    """Hilbert series numerator over (1-t)^d: sum of counts[i] * t^i * (1-t)^(d-i).
+
+    Its t^k coefficient is h_k = sum_i f_i * (-1)^(k-i) * C(d-i, k-i).
+    """
     if d < fv.max_cardinality:
         raise ValueError("dimension mismatch")
-    acc = IntPoly(())
-    for i, fi in enumerate(fv.counts):
-        if fi:
-            acc = acc + IntPoly((fi,)) * (T ** i) * (ONE_MINUS_T ** (d - i))
-    return acc
+    return IntPoly(
+        sum((-1) ** (k - i) * fi * comb(d - i, k - i) for i, fi in enumerate(fv.counts[:k + 1]))
+        for k in range(d + 1)
+    )
 
 
 class DecompositionReport(Record):
@@ -281,8 +283,15 @@ class DecompositionReport(Record):
         return self.union_ok and self.intersection_ok
 
 
-def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
-    return {s for s in sets if not any(s < t for t in sets)}
+def _intersection_ok(cone: set, join: set, x: int) -> bool:
+    """True iff the sets a - {x} have one size and are the maximal a & b (a in cone, b in join).
+
+    With x in no b, each a & b lies in a - {x}; sets a - {x} of one size
+    form an antichain, so they are the maximal ones iff each is an a & b.
+    """
+    expected = {a - {x} for a in cone}
+    return (not any(x in b for b in join) and len({len(e) for e in expected}) == 1
+            and expected <= {a & b for a in cone for b in join})
 
 
 def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
@@ -316,33 +325,25 @@ def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
         for f in facets_closed_form(shorter).facets
     }
 
+    cycle1 = cycle_parts(c, 1)
+    rest_of_cycle1 = (cycle1.odd - {x}) | cycle1.even
     if n >= 2:
         dropped = build_from_k(k[1:])
         relabel_dropped = [c.flat_index(i + 1, j) for (i, j) in dropped.edge_labels]
-        dropped_facets = [
-            frozenset(relabel_dropped[v] for v in f)
+        join_family = {
+            frozenset(relabel_dropped[v] for v in f) | rest_of_cycle1
             for f in facets_closed_form(dropped).facets
-        ]
-    else:
-        dropped_facets = [frozenset()]  # no remaining cycles: just the empty face
-    cycle1 = cycle_parts(c, 1)
-    rest_of_cycle1 = (cycle1.odd - {x}) | cycle1.even
-    join_family = {f | rest_of_cycle1 for f in dropped_facets}
-
-    if n >= 2:
+        }
         # both families consist of full-size facets, so demand exact equality
         union_ok = (cone_family | join_family) == target
     else:
-        # the join facet is cycle 1 minus x, inside the cone facet
-        union_ok = _maximal(cone_family | join_family) == target
-
-    expected_intersection = {f - {x} for f in cone_family}
-    pairwise = {a & b for a in cone_family for b in join_family}
-    intersection_ok = _maximal(pairwise) == expected_intersection
+        # no remaining cycles: the join facet is cycle 1 minus x, inside the cone facet
+        join_family = {rest_of_cycle1}
+        union_ok = cone_family == target and any(rest_of_cycle1 <= g for g in cone_family)
 
     return DecompositionReport(
         union_ok=union_ok,
-        intersection_ok=intersection_ok,
+        intersection_ok=_intersection_ok(cone_family, join_family, x),
         facet_count=len(target),
         cone_family_size=len(cone_family),
         join_family_size=len(join_family),

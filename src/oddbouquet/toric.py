@@ -13,10 +13,10 @@ closed-form facet enumeration, certify that claim at desk scale:
   packed into ints, with the basis packed once per list,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
-* equality of two Hilbert counters, one counting monomials outside the
+* equality of two Hilbert series, one counting monomials outside the
   monomial ideal by a pruned recursion memoised on bitmask supports, the
-  other counting distinct vertex exponent vectors in the edge subring by a
-  breadth-first search over vectors packed into ints, degree by degree.
+  other counting distinct vertex exponent vectors in the edge subring by
+  one multiset-ordered breadth-first pass over vectors packed into ints.
 """
 
 from __future__ import annotations
@@ -267,13 +267,12 @@ def kernel_check(b: Binomial, g: LabeledGraph) -> bool:
     return vertex_exponent_vector(b.plus, g) == vertex_exponent_vector(b.minus, g)
 
 
-def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
-    """Number of degree-d monomials divisible by no initial-ideal generator.
+def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
+    """Numbers of degree-0..d monomials divisible by none of the squarefree monomials.
 
-    Pruned recursion over the flat variables, memoised on (variable, degree
-    left, bitmasks of what each live generator still lacks): a branch dies
-    the moment some generator's support is fully present, and once no
-    generator can still complete, the rest is counted by stars and bars.
+    Pruned recursion over the variables, memoised for all degrees on (variable,
+    degree left, what each live support lacks as a bitmask); once no support
+    can complete, stars and bars count the rest.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -290,28 +289,51 @@ def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
         bit = 1 << idx
         total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
         if bit in alive:
-            return total  # variable idx completes a generator
+            return total  # variable idx completes a monomial
         pos = tuple(s & ~bit for s in alive)
         return total + sum(count(idx + 1, rem - e, pos) for e in range(1, rem + 1))
 
-    return count(0, d, tuple(sum(1 << i for i in m.support) for m in initial_monomials(c)))
+    alive = tuple(sum(1 << i for i in m.support) for m in monomials)
+    return [0 if 0 in alive else count(0, j, alive) for j in range(d + 1)]
 
 
-def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:
-    """Dimension of the degree-d piece of the edge subring.
+def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
+    """Number of degree-d monomials divisible by no initial-ideal generator."""
+    return standard_monomial_series(c, d, initial_monomials(c))[d]
 
-    Breadth-first closure with deduplication: the level-d set collects every
-    vertex exponent vector reachable as (level d-1 vector) + (edge image).
-    Each vector is packed into one int with w = bit_length(max(d, 1)) bits
-    per vertex; no coordinate exceeds d < 2^w, so sums never carry and the
-    packing is injective.
+
+def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
+    """Dimensions of the degree-0..d pieces of the edge subring, in one pass.
+
+    Level t maps each degree-t vertex exponent vector v to m(v), the least
+    largest edge index of an edge multiset with image v.  Edge j is added
+    only where m(v) <= j: no vector is missed, as dropping the largest edge
+    e of a multiset leaves an image with m <= e.  Edges run last to first,
+    so the least j reaching a vector is its m.  Vectors are packed into
+    ints, w = bit_length(max(d, 1)) bits per vertex, so sums never carry.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     g = labeled_graph(c)
     w = max(d, 1).bit_length()
     edges = [(1 << w * a) + (1 << w * b) for a, b in g.endpoints]
-    level = {0}
+    level = {0: 0}
+    series = [1]
     for _ in range(d):
-        level = {v + e for v in level for e in edges}
-    return len(level)
+        by_m = [[] for _ in edges]
+        for v, m in level.items():
+            by_m[m].append(v)
+        order, ends = [], []
+        for bucket in by_m:
+            order += bucket
+            ends.append(len(order))
+        level = {}
+        for j in range(len(edges) - 1, -1, -1):
+            level.update(dict.fromkeys([v + edges[j] for v in order[:ends[j]]], j))
+        series.append(len(level))
+    return series
+
+
+def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:
+    """Dimension of the degree-d piece of the edge subring."""
+    return edge_subring_hilbert_series(c, d)[d]

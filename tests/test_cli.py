@@ -261,7 +261,7 @@ def test_huge_cycle_exits_2_under_memory_cap():
     (["classify", "--k", "2,1,1", "--format", "csv"], 1, 1),
     (["classify", "--k", "2,1,1"], 1, 1),
     (["hvec", "--k", "2,1,1"], 0, 1),
-    (["hvec", "--k", "2,1,1", "--format", "json"], 1, 2),  # the formula route, then classify
+    (["hvec", "--k", "2,1,1", "--format", "json"], 1, 1),  # the formula route is classify's h
     (["table", "--max-n", "3", "--max-N", "4"], 1, 1),
 ])
 def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
@@ -318,6 +318,16 @@ def test_verify_hilbert_column_checks_h(capsys, monkeypatch):
 def test_verify_default_sweep():
     args = cli.build_parser().parse_args(["verify"])
     assert (args.max_n, args.max_N) == (5, 8)
+
+
+def test_verify_golden_matrix(capsys):
+    # the whole matrix for n <= 4, N <= 6, minus the line with the elapsed time
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-N", "6")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[-2].startswith("26 compositions checked in ")
+    golden = Path(__file__).parent / "data" / "verify_max_n4_max_N6.txt"
+    assert "".join(lines[:-2] + lines[-1:]) == golden.read_text(encoding="utf-8")
 
 
 def test_table(tmp_path, capsys):

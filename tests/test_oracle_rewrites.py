@@ -1,36 +1,53 @@
 """Rewritten oracles and certificates against the straightforward code they replaced.
 
-facets_brute_force is a pruned include/exclude search, edge_subring_hilbert
-packs exponent vectors into ints, s_pair_reduces_to_zero divides packed-int
-monomials by a basis packed once per list, and standard_monomial_count is a
-memoised recursion over bitmask supports.  The references here are the plain
-versions: a scan over all 2^E subsets, a breadth-first search over exponent
-tuples, division on dicts of Monomial objects ordered by grlex_cmp, and the
-unmemoised recursion over frozenset supports.
+facets_brute_force is a pruned include/exclude search, the edge subring
+Hilbert series is one multiset-ordered breadth-first pass over exponent
+vectors packed into ints, s_pair_reduces_to_zero divides packed-int monomials
+by a basis packed once per list, standard_monomial_series is a recursion over
+bitmask supports memoised across degrees, h_from_f sums binomials, and the
+decomposition's intersection check is a subset test.  The references here
+are the plain versions: a scan over all 2^E subsets, breadth-first searches
+over exponent tuples and over whole levels of packed ints, division on dicts
+of Monomial objects ordered by grlex_cmp, the unmemoised recursion over
+frozenset supports, the f-to-h transform by polynomial powers, and the
+decomposition check by maximal pairwise intersections.
 """
 
 import math
 import random
+import types
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
 
 import pytest
 
+from oddbouquet import srcomplex
 from oddbouquet.cli import sweep_compositions
-from oddbouquet.composition import build_from_k, labeled_graph
-from oddbouquet.srcomplex import facets_brute_force
+from oddbouquet.composition import CycleParts, build_from_k, cycle_parts, labeled_graph
+from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
+from oddbouquet.ringinv import h_closed_form
+from oddbouquet.srcomplex import (
+    DecompositionReport,
+    FVector,
+    f_from_h,
+    facets_brute_force,
+    h_from_f,
+    verify_decomposition,
+)
 from oddbouquet.toric import (
     MONOMIAL_ONE,
     Binomial,
     Monomial,
     _packer,
     edge_subring_hilbert,
+    edge_subring_hilbert_series,
     generators,
     grlex_cmp,
     initial_monomials,
     leading_monomial,
     s_pair_reduces_to_zero,
     standard_monomial_count,
+    standard_monomial_series,
     vertex_exponent_vector,
 )
 
@@ -65,6 +82,18 @@ def _tuple_hilbert(c, d):
     for _ in range(d):
         level = {tuple(v + e for v, e in zip(vec, evec)) for vec in level for evec in edge_vecs}
     return len(level)
+
+
+def _full_level_series(c, d):
+    """Breadth-first closure over packed ints that adds every edge to every vector."""
+    g = labeled_graph(c)
+    w = max(d, 1).bit_length()
+    edges = [(1 << w * a) + (1 << w * b) for a, b in g.endpoints]
+    level, series = {0}, [1]
+    for _ in range(d):
+        level = {v + e for v in level for e in edges}
+        series.append(len(level))
+    return series
 
 
 def test_orders_cover_the_small_bouquets():
@@ -117,6 +146,21 @@ def test_packed_hilbert_matches_tuples_across_bit_widths(k):
     c = build_from_k(k)
     for d in (0, 1, 3, 4, 7, 8):
         assert edge_subring_hilbert(c, d) == _tuple_hilbert(c, d), (k, d)
+
+
+def test_hilbert_series_matches_full_levels_every_order():
+    for order in ORDERS:
+        c = build_from_k(order)
+        series = edge_subring_hilbert_series(c, 6)
+        assert series == _full_level_series(c, 6), order
+        assert [edge_subring_hilbert(c, d) for d in range(4)] == series[:4], order
+
+
+@pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (1, 2)])
+def test_hilbert_series_matches_full_levels_across_bit_widths(k):
+    c = build_from_k(k)
+    for d in range(9):
+        assert edge_subring_hilbert_series(c, d) == _full_level_series(c, d), (k, d)
 
 
 # ------------------------------------------------------------------ toric certificates
@@ -174,10 +218,10 @@ def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000):
     return not remainder
 
 
-def _frozenset_standard_count(c, d):
+def _frozenset_standard_count(c, d, monomials=None):
     """The unmemoised recursion over frozenset supports."""
     nvars = c.edge_count
-    supports = tuple(m.support for m in initial_monomials(c))
+    supports = tuple(m.support for m in monomials or initial_monomials(c))
 
     def count(idx, rem, alive):
         if rem == 0:
@@ -361,3 +405,183 @@ def test_memoised_standard_count_matches_frozensets_deep_and_wide(k):
     c = build_from_k(k)
     for d in (0, 1, 2, 3, 7) if c.n < 6 else (0, 2, 3):
         assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (k, d)
+
+
+def test_standard_series_matches_counts_every_order():
+    for order in ORDERS:
+        c = build_from_k(order)
+        inits = initial_monomials(c)
+        assert standard_monomial_series(c, 5, inits) == [
+            standard_monomial_count(c, d) for d in range(6)], order
+
+
+def test_standard_series_counts_the_monomials_it_is_given():
+    # a proper subset of the generators, in reverse order, and the monomial 1
+    c = build_from_k((2, 1, 1))
+    inits = initial_monomials(c)[::-1][:2]
+    assert standard_monomial_series(c, 4, inits) == [
+        _frozenset_standard_count(c, d, inits) for d in range(5)]
+    assert standard_monomial_series(c, 3, [MONOMIAL_ONE]) == [0, 0, 0, 0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        standard_monomial_series(c, -1, inits)
+
+
+# ------------------------------------------------------------------ f-to-h and decomposition
+
+# every bouquet with n <= 4 and N <= 8
+SMALL = sweep_compositions(4, 8)
+
+
+def _power_h_from_f(fv, d):
+    """Sum of counts[i] * t^i * (1-t)^(d-i) by polynomial powers."""
+    acc = IntPoly(())
+    for i, fi in enumerate(fv.counts):
+        if fi:
+            acc = acc + IntPoly((fi,)) * (T ** i) * (ONE_MINUS_T ** (d - i))
+    return acc
+
+
+def test_h_from_f_matches_polynomial_powers():
+    for c in SMALL:
+        fv = f_from_h(h_closed_form(c), c.vertex_count)
+        for d in (c.vertex_count, c.vertex_count + 2):
+            assert h_from_f(fv, d) == _power_h_from_f(fv, d), (c.k, d)
+    rng = random.Random(3)
+    for _ in range(200):
+        fv = FVector(tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 6))))
+        d = fv.max_cardinality + rng.randint(0, 3)
+        assert h_from_f(fv, d) == _power_h_from_f(fv, d), (fv, d)
+
+
+def _maximal(sets):
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+def _maximal_decomposition(c):
+    """The decomposition check by maximal sets, through the same module names."""
+    k, n = c.k, c.n
+    x = c.flat_index(1, 2 * k[0] + 1)
+    y = c.flat_index(1, 2 * k[0])
+    target = srcomplex.facets_closed_form(c).facet_sets
+    shorter = build_from_k((k[0] - 1,) + k[1:])
+    relabel = [c.flat_index(i, j) for (i, j) in shorter.edge_labels]
+    cone = {frozenset(relabel[v] for v in f) | {x, y}
+            for f in srcomplex.facets_closed_form(shorter).facets}
+    dropped_facets = [frozenset()]
+    if n >= 2:
+        dropped = build_from_k(k[1:])
+        relabel = [c.flat_index(i + 1, j) for (i, j) in dropped.edge_labels]
+        dropped_facets = [frozenset(relabel[v] for v in f)
+                          for f in srcomplex.facets_closed_form(dropped).facets]
+    parts = srcomplex.cycle_parts(c, 1)
+    join = {f | (parts.odd - {x}) | parts.even for f in dropped_facets}
+    union_ok = (_maximal(cone | join) if n == 1 else cone | join) == target
+    pairwise = {a & b for a in cone for b in join}
+    return DecompositionReport(
+        union_ok=union_ok,
+        intersection_ok=_maximal(pairwise) == {f - {x} for f in cone},
+        facet_count=len(target),
+        cone_family_size=len(cone),
+        join_family_size=len(join),
+    )
+
+
+def test_decomposition_matches_maximal_sets():
+    checked = [c for c in SMALL if c.k[0] >= 2]
+    assert len(checked) == 48
+    for c in checked:
+        rep = verify_decomposition(c)
+        assert rep.ok and rep == _maximal_decomposition(c), c.k
+
+
+def test_intersection_subset_test_matches_maximal_sets_on_random_families():
+    # for cone facets through x, the subset test holds iff the maximal
+    # intersections are the cone facets minus x and those have one size
+    rng = random.Random(5)
+    x = 0
+    agree = {True: 0, False: 0}
+    for _ in range(3000):
+        size = rng.randint(1, 4)
+        cone = {frozenset(rng.sample(range(1, 7), size - 1)) | {x}
+                for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.3:
+            cone.add(frozenset(rng.sample(range(1, 7), size)) | {x})
+        join = {frozenset(rng.sample(range(1 - (rng.random() < 0.2), 7), rng.randint(0, 5)))
+                for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.5:
+            join.add(max(cone, key=sorted) - {x} | {6})
+        expected = {a - {x} for a in cone}
+        pairwise = {a & b for a in cone for b in join}
+        reference = _maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
+        result = srcomplex._intersection_ok(cone, join, x)
+        assert result == reference, (cone, join)
+        agree[result] += 1
+    assert min(agree.values()) > 100
+
+
+def _intersection_oks(c):
+    """intersection_ok of verify_decomposition and of the maximal-set reference."""
+    return verify_decomposition(c).intersection_ok, _maximal_decomposition(c).intersection_ok
+
+
+def _patch_facets(monkeypatch, k, edit):
+    """facets_closed_form with the facet tuple of bouquet k passed through edit."""
+    original = srcomplex.facets_closed_form
+
+    def patched(comp):
+        cx = original(comp)
+        if comp.k != k:
+            return cx
+        facets = edit(cx.facets)
+        return types.SimpleNamespace(facets=facets, facet_sets=set(facets))
+
+    monkeypatch.setattr(srcomplex, "facets_closed_form", patched)
+
+
+def _patch_join_facets(monkeypatch, c, extra):
+    """Add extra to cycle 1's even part of c, hence to every join facet.
+
+    The bouquet's own facets are computed before the patch.
+    """
+    own, original = srcomplex.facets_closed_form(c), srcomplex.facets_closed_form
+    monkeypatch.setattr(srcomplex, "facets_closed_form",
+                        lambda comp: own if comp is c else original(comp))
+
+    def patched(comp, i):
+        parts = cycle_parts(comp, i)
+        return CycleParts(parts.odd, parts.even | {extra}) if comp is c and i == 1 else parts
+
+    monkeypatch.setattr(srcomplex, "cycle_parts", patched)
+
+
+@pytest.mark.parametrize("k", [(2,), (3, 1), (2, 2, 1)])
+def test_decomposition_catches_x_in_a_join_facet(monkeypatch, k):
+    c = build_from_k(k)
+    _patch_join_facets(monkeypatch, c, c.flat_index(1, 2 * k[0] + 1))
+    assert _intersection_oks(c) == (False, False)
+
+
+@pytest.mark.parametrize("k", [(2,), (4,)])
+def test_decomposition_catches_a_join_facet_outside_the_cone(monkeypatch, k):
+    # one cycle: the join facet must lie inside the cone facet
+    c = build_from_k(k)
+    _patch_join_facets(monkeypatch, c, c.edge_count)
+    assert not verify_decomposition(c).union_ok
+    assert not _maximal_decomposition(c).union_ok
+
+
+@pytest.mark.parametrize("k", [(2, 1), (2, 1, 1), (3, 2, 1)])
+def test_decomposition_catches_a_missing_intersection(monkeypatch, k):
+    # with a join facet gone, some cone facet minus x is no intersection
+    _patch_facets(monkeypatch, k[1:], lambda facets: facets[1:])
+    assert _intersection_oks(build_from_k(k)) == (False, False)
+
+
+@pytest.mark.parametrize("k", [(2,), (2, 1), (3, 1, 1)])
+def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
+    # a cone facet shrunk by one edge also gives a shrunk intersection, so
+    # every expected set is still an intersection but one lies in another
+    shorter = (k[0] - 1,) + k[1:]
+    _patch_facets(monkeypatch, shorter,
+                  lambda facets: facets + (facets[0] - {min(facets[0])},))
+    assert _intersection_oks(build_from_k(k)) == (False, False)
