@@ -9,6 +9,7 @@ Run:  python demos/worked_example.py
 """
 
 from oddbouquet import (
+    bits,
     build_from_k,
     classify,
     f_from_h,
@@ -43,15 +44,15 @@ def main():
 
     banner("facets of the initial complex")
     cx = facets_closed_form(c)
-    for f in sorted(cx.facets, key=sorted):
-        print(" ", " ".join(c.edge_name(v) for v in sorted(f)))
+    for f in sorted(cx.facets, key=bits):  # facets are bitmasks over the flat edge index
+        print(" ", " ".join(c.edge_name(v) for v in bits(f)))
     print(f"  -> {len(cx.facets)} facets, each of size {c.vertex_count}")
 
     banner("h-vector three ways")
     routes = {
         "closed form": h_closed_form(c),
         "recursion": h_recursive(c),
-        "shelling": shelling_h_vector(cx.masks),
+        "shelling": shelling_h_vector(cx.facets),
     }
     for name, h in routes.items():
         print(f"  {name:<18} {h.coeffs}")

@@ -5,6 +5,7 @@ from .composition import (
     CycleParts,
     LabeledGraph,
     OddCycleComposition,
+    bits,
     build_from_k,
     build_from_r,
     cycle_parts,

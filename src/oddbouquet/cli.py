@@ -21,7 +21,7 @@ import sys
 import time
 from itertools import combinations
 
-from .composition import OddCycleComposition, build_from_k, build_from_r, labeled_graph
+from .composition import OddCycleComposition, bits, build_from_k, build_from_r, labeled_graph
 from .record import Record, _set
 from .ringinv import (
     GorensteinReport,
@@ -31,6 +31,7 @@ from .ringinv import (
     multiplicity,
 )
 from .srcomplex import (
+    ORACLE_CAP,
     f_from_h,
     facets_brute_force,
     facets_closed_form,
@@ -59,7 +60,7 @@ class SweepRange(Record):
     """Bounds for sweep subcommands; mirrors the feasible region N >= n >= 1."""
 
     __slots__ = ("max_n", "max_N", "hilbert_degree", "enable_buchberger",
-                 "enable_bruteforce_complex", "bruteforce_cap")
+                 "enable_bruteforce_complex")
 
     def __init__(
         self,
@@ -68,7 +69,6 @@ class SweepRange(Record):
         hilbert_degree: int = 4,
         enable_buchberger: bool = True,
         enable_bruteforce_complex: bool = True,
-        bruteforce_cap: int = 18,
     ) -> None:
         if not (max_N >= max_n >= 1):
             raise UsageError("need max-N >= max-n >= 1")
@@ -79,7 +79,6 @@ class SweepRange(Record):
         _set(self, "hilbert_degree", hilbert_degree)
         _set(self, "enable_buchberger", enable_buchberger)
         _set(self, "enable_bruteforce_complex", enable_bruteforce_complex)
-        _set(self, "bruteforce_cap", bruteforce_cap)
 
 
 def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
@@ -219,8 +218,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _facet_line(c: OddCycleComposition, facet: frozenset[int]) -> str:
-    return " ".join(c.edge_name(v) for v in sorted(facet))
+def _facet_line(c: OddCycleComposition, facet: int) -> str:
+    return " ".join(c.edge_name(v) for v in bits(facet))
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
@@ -295,14 +294,14 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
     h_rec = h_recursive(c)
     cx = facets_closed_form(c)
     try:
-        h_cx = shelling_h_vector(cx.masks)
+        h_cx = shelling_h_vector(cx.facets)
     except ValueError:
         h_cx = None
     out["h3way"] = "ok" if h_formula == h_rec == h_cx else "FAIL"
     out["shelling"] = "ok" if h_cx is not None else "FAIL"
 
     count_ok = len(cx.facets) == multiplicity(c) == h_formula.evaluate(1)
-    size_ok = all(len(f) == c.vertex_count for f in cx.facets)
+    size_ok = all(f.bit_count() == c.vertex_count for f in cx.facets)
     out["facets"] = "ok" if count_ok and size_ok else "FAIL"
 
     if h_cx is None:
@@ -354,9 +353,9 @@ def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str
         class_ok = class_ok and rep.h.coeff(1) == c.n - 1 and rep.s == c.N
     out["classify"] = "ok" if class_ok else "FAIL"
 
-    if rng.enable_bruteforce_complex and c.edge_count <= rng.bruteforce_cap:
-        brute = facets_brute_force(inits, c.edge_count, cap=rng.bruteforce_cap)
-        out["brutefacets"] = "ok" if brute.facet_sets == cx.facet_sets else "FAIL"
+    if rng.enable_bruteforce_complex and c.edge_count <= ORACLE_CAP:
+        brute = facets_brute_force(inits, c.edge_count)
+        out["brutefacets"] = "ok" if set(brute.facets) == set(cx.facets) else "FAIL"
     else:
         out["brutefacets"] = "skip"
 
@@ -482,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, RecursionError):
         print("error: instance too large", file=sys.stderr)
         return 2
 

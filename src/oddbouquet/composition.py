@@ -9,7 +9,9 @@ Edges carry labels x_{i,j}: within cycle i, x_{i,1} and x_{i,2k_i+1} touch
 the hub and x_{i,j} joins the (j-1)-th and j-th outer vertices.  All modules
 share one flat 0-based index over the labels, ordered by cycle and then by
 position; flat index 0 is x_{1,1}, the largest variable of the monomial
-order used for the toric ideal.
+order used for the toric ideal.  A squarefree set of edges (a cycle part, a
+monomial's support, a facet) is an int bitmask over that index: bit v is set
+iff flat index v is in the set.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ class OddCycleComposition(Record):
         return f"x{i},{j}"
 
 
+def bits(mask: int) -> list[int]:
+    """The flat indices in a bitmask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def build_from_r(r) -> OddCycleComposition:
     """Bouquet with r[j-1] cycles of length 2j+1; cycles ordered by descending length."""
     r = list(r)
@@ -113,11 +120,11 @@ def build_from_k(k) -> OddCycleComposition:
 
 
 class CycleParts(Record):
-    """Flat indices of one cycle's edges in odd and even label positions."""
+    """Bitmasks of one cycle's edges in odd and even label positions."""
 
     __slots__ = ("odd", "even")
 
-    def __init__(self, odd: frozenset[int], even: frozenset[int]) -> None:
+    def __init__(self, odd: int, even: int) -> None:
         _set(self, "odd", odd)
         _set(self, "even", even)
 
@@ -128,8 +135,8 @@ def cycle_parts(c: OddCycleComposition, i: int) -> CycleParts:
     if not 1 <= i <= c.n:
         raise IndexError("cycle index out of range")
     ki = c.k[i - 1]
-    odd = frozenset(c.flat_index(i, j) for j in range(1, 2 * ki + 2, 2))
-    even = frozenset(c.flat_index(i, j) for j in range(2, 2 * ki + 1, 2))
+    odd = sum(1 << c.flat_index(i, j) for j in range(1, 2 * ki + 2, 2))
+    even = sum(1 << c.flat_index(i, j) for j in range(2, 2 * ki + 1, 2))
     return CycleParts(odd=odd, even=even)
 
 

@@ -1,7 +1,8 @@
 """Simplicial complex attached to the initial ideal of a bouquet.
 
 The complex lives on the flat edge-variable indices; its faces are the
-squarefree monomials outside the initial ideal.  Facets come in two ways:
+squarefree monomials outside the initial ideal.  Faces and facets are int
+bitmasks over that index, bit v set iff edge v is in.  Facets come in two ways:
 
 * a closed-form enumeration: for a pivot cycle j the facet keeps cycle j
   whole, drops exactly one odd-position edge from every earlier cycle and
@@ -9,7 +10,7 @@ squarefree monomials outside the initial ideal.  Facets come in two ways:
 * a brute-force search straight from the monomial generators: a depth-first
   include/exclude search over the ground set that uses only the supports,
   prunes branches that cannot end in a facet, and serves as an oracle for
-  ground sets up to 18.
+  ground sets up to ORACLE_CAP = 18.
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
@@ -25,42 +26,38 @@ completes the module.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from math import comb
+from operator import or_
 
-from .composition import OddCycleComposition, build_from_k, cycle_parts
+from .composition import OddCycleComposition, bits, build_from_k, cycle_parts
 from .polyarith import IntPoly
 from .record import Record, _set
 from .toric import Monomial
 
 
+ORACLE_CAP = 18  # largest ground set facets_brute_force searches
+
+
 class SimplicialComplex(Record):
-    """Ground set 0..ground_size-1 plus a list of inclusion-maximal facets."""
+    """Ground set 0..ground_size-1 plus a tuple of inclusion-maximal facets as bitmasks."""
 
     __slots__ = ("ground_size", "facets")
 
-    def __init__(self, ground_size: int, facets: tuple[frozenset[int], ...]) -> None:
-        for f in facets:
-            if any(v < 0 or v >= ground_size for v in f):
-                raise ValueError("facet element outside ground set")
+    def __init__(self, ground_size: int, facets: tuple[int, ...]) -> None:
+        # a negative mask has infinitely many bits, so the shift catches it too
+        if any(f >> ground_size for f in facets):
+            raise ValueError("facet element outside ground set")
         # facets of one size contain each other only if equal, so a duplicate
         # check covers them; proper containment needs facets of two sizes
-        mixed = len({len(f) for f in facets}) > 1
+        mixed = len({f.bit_count() for f in facets}) > 1
         if len(set(facets)) != len(facets) or (
-            mixed and any(a < b for a in facets for b in facets)
+            mixed and any(a != b and a & ~b == 0 for a in facets for b in facets)
         ):
             raise ValueError("facet contained in another facet")
         _set(self, "ground_size", ground_size)
         _set(self, "facets", facets)
-
-    @property
-    def facet_sets(self) -> set[frozenset[int]]:
-        return set(self.facets)
-
-    @property
-    def masks(self) -> list[int]:
-        """The facets as bitmasks (bit v set iff v is in the facet), in order."""
-        return [sum(1 << v for v in f) for f in self.facets]
 
 
 class FVector(Record):
@@ -88,37 +85,27 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     where zeta_i runs over the odd part of cycle i minus one edge and
     omega_i over the even part of cycle i minus one edge (empty for a
     triangle).  The last line is shared by every facet.  Facets are emitted
-    pivot by pivot, in that order, which is a shelling (see
+    pivot by pivot, dropped edges last to first, which is a shelling (see
     shelling_h_vector).  Two families that share a facet raise ValueError.
     """
     n = c.n
     parts = [cycle_parts(c, i) for i in range(1, n + 1)]
-    facets: list[frozenset[int]] = []
+    facets: list[int] = []
     for j in range(1, n + 1):
-        fixed: set[int] = set(parts[0].even) | set(parts[n - 1].odd)
+        fixed = parts[0].even | parts[n - 1].odd
         for i in range(2, j + 1):
             fixed |= parts[i - 1].even
         for i in range(j, n):
             fixed |= parts[i - 1].odd
-        choice_lists = []
-        for i in range(1, j):
-            ki = c.k[i - 1]
-            choice_lists.append([frozenset(z) for z in combinations(sorted(parts[i - 1].odd), ki)])
-        for i in range(j + 1, n + 1):
-            ki = c.k[i - 1]
-            choice_lists.append([frozenset(w) for w in combinations(sorted(parts[i - 1].even), ki - 1)])
-        for combo in product(*choice_lists):
-            facets.append(frozenset(fixed.union(*combo)) if combo else frozenset(fixed))
+        trimmed = [p.odd for p in parts[:j - 1]] + [p.even for p in parts[j:]]
+        choice_lists = [[part & ~(1 << v) for v in reversed(bits(part))] for part in trimmed]
+        facets += [reduce(or_, combo, fixed) for combo in product(*choice_lists)]
     if len(set(facets)) != len(facets):
         raise ValueError("closed-form facet families overlap")
     return SimplicialComplex(ground_size=c.edge_count, facets=tuple(facets))
 
 
-def facets_brute_force(
-    monomials: list[Monomial],
-    ground_size: int,
-    cap: int = 18,
-) -> SimplicialComplex:
+def facets_brute_force(monomials: list[Monomial], ground_size: int) -> SimplicialComplex:
     """Maximal subsets of the ground set containing no monomial's support.
 
     Exhaustive depth-first include/exclude search over the ground set, with
@@ -127,15 +114,16 @@ def facets_brute_force(
     no excluded element, since otherwise nothing could block v.  A leaf is a
     face by construction and a facet iff every vertex outside it is blocked,
     i.e. some support lies in the leaf plus that vertex.  Each facet is
-    reached by exactly one path.  Only meant for small ground sets, hence
-    the cap.
+    reached by exactly one path, and the facets come out in the order the
+    search reaches them.  Only meant for small ground sets, hence
+    ORACLE_CAP.
     """
-    if ground_size > cap:
+    if ground_size > ORACLE_CAP:
         raise ValueError("instance too large for oracle")
     for m in monomials:
         if not m.is_squarefree():
             raise ValueError("oracle needs squarefree monomials")
-    support_masks = [sum(1 << v for v in m.support) for m in monomials]
+    support_masks = [m.support for m in monomials]
     if 0 in support_masks:
         # the monomial 1 lies in every set: no faces at all
         return SimplicialComplex(ground_size=ground_size, facets=())
@@ -158,9 +146,7 @@ def facets_brute_force(
             search(v + 1, inside, outside | bit)
 
     search(0, 0, 0)
-    facets = [frozenset(v for v in range(ground_size) if mask >> v & 1) for mask in facet_masks]
-    facets.sort(key=lambda f: sorted(f))
-    return SimplicialComplex(ground_size=ground_size, facets=tuple(facets))
+    return SimplicialComplex(ground_size=ground_size, facets=tuple(facet_masks))
 
 
 def shelling_h_vector(masks: list[int]) -> IntPoly:
@@ -197,7 +183,7 @@ def shelling_h_vector(masks: list[int]) -> IntPoly:
 
 def h_by_complex(c: OddCycleComposition) -> IntPoly:
     """h-polynomial of the initial complex from the closed-form shelling."""
-    return shelling_h_vector(facets_closed_form(c).masks)
+    return shelling_h_vector(facets_closed_form(c).facets)
 
 
 def f_from_h(h: IntPoly, d: int) -> FVector:
@@ -231,7 +217,7 @@ def f_vector(cx: SimplicialComplex) -> FVector:
     tested against, not a route of its own.
     """
     seen: set[int] = set()
-    for mask in cx.masks:
+    for mask in cx.facets:
         sub = mask
         while True:
             seen.add(sub)
@@ -283,14 +269,16 @@ class DecompositionReport(Record):
         return self.union_ok and self.intersection_ok
 
 
-def _intersection_ok(cone: set, join: set, x: int) -> bool:
+def _intersection_ok(cone: set[int], join: set[int], x: int) -> bool:
     """True iff the sets a - {x} have one size and are the maximal a & b (a in cone, b in join).
 
-    With x in no b, each a & b lies in a - {x}; sets a - {x} of one size
-    form an antichain, so they are the maximal ones iff each is an a & b.
+    Sets are bitmasks and x is an element.  With x in no b, each a & b lies
+    in a - {x}; sets a - {x} of one size form an antichain, so they are the
+    maximal ones iff each is an a & b.
     """
-    expected = {a - {x} for a in cone}
-    return (not any(x in b for b in join) and len({len(e) for e in expected}) == 1
+    xbit = 1 << x
+    expected = {a & ~xbit for a in cone}
+    return (not any(b & xbit for b in join) and len({e.bit_count() for e in expected}) == 1
             and expected <= {a & b for a in cone for b in join})
 
 
@@ -316,30 +304,28 @@ def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
     x = c.flat_index(1, 2 * k1 + 1)
     y = c.flat_index(1, 2 * k1)
 
-    target = facets_closed_form(c).facet_sets
+    target = set(facets_closed_form(c).facets)
 
+    # the shorter cycle 1 ends just below y, and every later edge moves up by two
     shorter = build_from_k((k1 - 1,) + k[1:])
-    relabel_shorter = [c.flat_index(i, j) for (i, j) in shorter.edge_labels]
+    low = (1 << y) - 1
     cone_family = {
-        frozenset(relabel_shorter[v] for v in f) | {x, y}
+        (f & low) | (f & ~low) << 2 | 1 << x | 1 << y
         for f in facets_closed_form(shorter).facets
     }
 
     cycle1 = cycle_parts(c, 1)
-    rest_of_cycle1 = (cycle1.odd - {x}) | cycle1.even
+    rest_of_cycle1 = (cycle1.odd & ~(1 << x)) | cycle1.even
     if n >= 2:
         dropped = build_from_k(k[1:])
-        relabel_dropped = [c.flat_index(i + 1, j) for (i, j) in dropped.edge_labels]
-        join_family = {
-            frozenset(relabel_dropped[v] for v in f) | rest_of_cycle1
-            for f in facets_closed_form(dropped).facets
-        }
+        shift = c.flat_index(2, 1)
+        join_family = {f << shift | rest_of_cycle1 for f in facets_closed_form(dropped).facets}
         # both families consist of full-size facets, so demand exact equality
         union_ok = (cone_family | join_family) == target
     else:
         # no remaining cycles: the join facet is cycle 1 minus x, inside the cone facet
         join_family = {rest_of_cycle1}
-        union_ok = cone_family == target and any(rest_of_cycle1 <= g for g in cone_family)
+        union_ok = cone_family == target and any(rest_of_cycle1 & ~g == 0 for g in cone_family)
 
     return DecompositionReport(
         union_ok=union_ok,

@@ -4,7 +4,7 @@ For cycles i < j the ideal has one generator: the binomial whose plus part
 multiplies the odd-position edges of cycle i with the even-position edges of
 cycle j, and whose minus part swaps the roles.  Under the graded lex order
 that makes x_{1,1} the largest variable, the plus parts generate the initial
-ideal.
+ideal.  Supports are int bitmasks over the flat edge index (see composition).
 
 Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
@@ -22,11 +22,11 @@ closed-form facet enumeration, certify that claim at desk scale:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from itertools import combinations
 
-from .composition import LabeledGraph, OddCycleComposition, cycle_parts, labeled_graph
+from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph
 from .record import Record, _set
 
 
@@ -65,8 +65,9 @@ class Monomial(Record):
         return sum(e for _, e in self.exps)
 
     @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.exps)
+    def support(self) -> int:
+        """The variables that occur, as a bitmask."""
+        return sum(1 << i for i, _ in self.exps)
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
@@ -161,8 +162,8 @@ def generators(c: OddCycleComposition) -> list[Binomial]:
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
     out = []
     for i, j in combinations(range(c.n), 2):
-        plus = Monomial.squarefree(parts[i].odd | parts[j].even)
-        minus = Monomial.squarefree(parts[i].even | parts[j].odd)
+        plus = Monomial.squarefree(bits(parts[i].odd | parts[j].even))
+        minus = Monomial.squarefree(bits(parts[i].even | parts[j].odd))
         out.append(Binomial(plus=plus, minus=minus))
     return out
 
@@ -267,14 +268,14 @@ def kernel_check(b: Binomial, g: LabeledGraph) -> bool:
     return vertex_exponent_vector(b.plus, g) == vertex_exponent_vector(b.minus, g)
 
 
-def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
-    """Numbers of degree-0..d monomials divisible by none of the squarefree monomials.
+def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], monomials: list[Monomial]) -> list[int]:
+    """Numbers of monomials of each of the degrees divisible by none of the squarefree monomials.
 
-    Pruned recursion over the variables, memoised for all degrees on (variable,
-    degree left, what each live support lacks as a bitmask); once no support
-    can complete, stars and bars count the rest.
+    Pruned recursion over the variables, memoised for all the degrees on
+    (variable, degree left, what each live support lacks as a bitmask); once
+    no support can complete, stars and bars count the rest.
     """
-    if d < 0:
+    if not degrees or min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
     nvars = c.edge_count
 
@@ -293,13 +294,18 @@ def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Mon
         pos = tuple(s & ~bit for s in alive)
         return total + sum(count(idx + 1, rem - e, pos) for e in range(1, rem + 1))
 
-    alive = tuple(sum(1 << i for i in m.support) for m in monomials)
-    return [0 if 0 in alive else count(0, j, alive) for j in range(d + 1)]
+    alive = tuple(m.support for m in monomials)
+    return [0 if 0 in alive else count(0, j, alive) for j in degrees]
+
+
+def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
+    """Numbers of degree-0..d monomials divisible by none of the squarefree monomials."""
+    return _standard_counts(c, range(d + 1), monomials)
 
 
 def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     """Number of degree-d monomials divisible by no initial-ideal generator."""
-    return standard_monomial_series(c, d, initial_monomials(c))[d]
+    return _standard_counts(c, [d], initial_monomials(c))[0]
 
 
 def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:

@@ -11,7 +11,7 @@ import time
 from itertools import combinations
 
 from oddbouquet.cli import h_by_complex, sweep_compositions
-from oddbouquet.composition import build_from_k, cycle_parts, labeled_graph
+from oddbouquet.composition import bits, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE, reverse
 from oddbouquet.ringinv import (
     classify,
@@ -62,6 +62,10 @@ def _mono(c, labels):
     return Monomial.squarefree(c.flat_index(i, j) for i, j in labels)
 
 
+def _mask(indices):
+    return sum(1 << v for v in set(indices))
+
+
 def test_criterion_1_worked_example():
     with _Timer(1, "worked example k=(3,2,1)", 1.0):
         c = build_from_k([3, 2, 1])
@@ -73,18 +77,18 @@ def test_criterion_1_worked_example():
         ]
 
         # expected facets, expanded pivot by pivot from the displayed families
-        o = {i: sorted(cycle_parts(c, i).odd) for i in (1, 2, 3)}
-        e = {i: sorted(cycle_parts(c, i).even) for i in (1, 2, 3)}
+        o = {i: bits(cycle_parts(c, i).odd) for i in (1, 2, 3)}
+        e = {i: bits(cycle_parts(c, i).even) for i in (1, 2, 3)}
         expected = set()
         for w in e[2]:                      # pivot 1: drop one even edge of cycle 2
-            expected.add(frozenset(o[1] + o[2] + [w] + o[3] + e[1]))
+            expected.add(_mask(o[1] + o[2] + [w] + o[3] + e[1]))
         for z1 in combinations(o[1], 3):    # pivot 2: drop one odd edge of cycle 1
-            expected.add(frozenset(list(z1) + o[2] + e[2] + o[3] + e[1]))
+            expected.add(_mask(list(z1) + o[2] + e[2] + o[3] + e[1]))
         for z1 in combinations(o[1], 3):    # pivot 3: drop odd edges of cycles 1 and 2
             for z2 in combinations(o[2], 2):
-                expected.add(frozenset(list(z1) + list(z2) + e[2] + e[3] + o[3] + e[1]))
+                expected.add(_mask(list(z1) + list(z2) + e[2] + e[3] + o[3] + e[1]))
         assert len(expected) == 18
-        assert facets_closed_form(c).facet_sets == expected
+        assert set(facets_closed_form(c).facets) == expected
 
         h = h_closed_form(c)
         assert h.coeffs == (1, 2, 3, 4, 4, 3, 1)
@@ -159,7 +163,7 @@ def test_criterion_7_property_suite():
         for c in SWEEP + TRIANGLE_EXTRAS:
             cx = facets_closed_form(c)
             h = h_closed_form(c)
-            assert all(len(f) == 2 * c.N + 1 for f in cx.facets), c.k
+            assert all(f.bit_count() == 2 * c.N + 1 for f in cx.facets), c.k
             assert len(cx.facets) == multiplicity(c) == h.evaluate(1), c.k
             if c.n >= 2:
                 assert h.coeff(1) == c.n - 1, c.k

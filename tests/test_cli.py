@@ -136,9 +136,11 @@ def test_facets_golden_listing(capsys):
     ]
 
 
-def test_facets_brute_matches_closed(capsys):
-    code_a, out_a, _ = run(capsys, "facets", "--k", "2,1")
-    code_b, out_b, _ = run(capsys, "facets", "--k", "2,1", "--method", "brute")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_facets_brute_matches_closed(capsys, fmt):
+    # brute facets come out in search order; both listings are sorted
+    code_a, out_a, _ = run(capsys, "facets", "--k", "2,1", "--format", fmt)
+    code_b, out_b, _ = run(capsys, "facets", "--k", "2,1", "--method", "brute", "--format", fmt)
     assert code_a == code_b == 0
     assert out_a == out_b
 
@@ -195,11 +197,11 @@ def test_verify_reports_non_shelling_order(capsys, monkeypatch):
     # so the emitted order is no shelling: a FAIL row, never a traceback
     def badly_ordered(c):
         cx = facets_closed_form(c)
-        masks = cx.masks
+        masks = cx.facets
         for i, j in combinations(range(len(masks)), 2):
             if (masks[i] & ~masks[j]).bit_count() > 1:
-                first = [cx.facets[i], cx.facets[j]]
-                rest = [f for f in cx.facets if f not in first]
+                first = [masks[i], masks[j]]
+                rest = [f for f in masks if f not in first]
                 return SimplicialComplex(cx.ground_size, tuple(first + rest))
         return cx
 
@@ -236,6 +238,12 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
 
     monkeypatch.setitem(_METHODS, "formula", exhausted)
     code, out, err = run(capsys, "hvec", "--method", "formula", "--k", "2,1")
+    assert (code, out, err) == (2, "", "error: instance too large\n")
+
+
+def test_recursion_error_is_usage_error(capsys):
+    # the recursion is as deep as the cycles are long: exit 2, not a traceback
+    code, out, err = run(capsys, "hvec", "--k", "600,600", "--method", "recursion")
     assert (code, out, err) == (2, "", "error: instance too large\n")
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from oddbouquet.composition import (
+    bits,
     build_from_k,
     build_from_r,
     cycle_parts,
@@ -101,15 +102,21 @@ def test_labeled_graph_degrees_and_hub_edges():
 def test_cycle_parts_examples():
     c = build_from_k([3, 2, 1])
     p1 = cycle_parts(c, 1)
-    assert p1.odd == {c.flat_index(1, j) for j in (1, 3, 5, 7)}
-    assert p1.even == {c.flat_index(1, j) for j in (2, 4, 6)}
+    assert p1.odd == sum(1 << c.flat_index(1, j) for j in (1, 3, 5, 7))
+    assert p1.even == sum(1 << c.flat_index(1, j) for j in (2, 4, 6))
     p3 = cycle_parts(c, 3)
-    assert p3.odd == {c.flat_index(3, 1), c.flat_index(3, 3)}
-    assert p3.even == {c.flat_index(3, 2)}
+    assert p3.odd == 1 << c.flat_index(3, 1) | 1 << c.flat_index(3, 3)
+    assert p3.even == 1 << c.flat_index(3, 2)
     with pytest.raises(IndexError):
         cycle_parts(c, 0)
     with pytest.raises(IndexError):
         cycle_parts(c, 4)
+
+
+def test_bits_lists_the_set_indices_ascending():
+    assert bits(0) == []
+    assert bits(0b1011) == [0, 1, 3]
+    assert bits(1 << 70 | 1 << 2) == [2, 70]
 
 
 def test_cycle_parts_partition():
@@ -118,10 +125,10 @@ def test_cycle_parts_partition():
         for i in range(1, c.n + 1):
             ki = c.k[i - 1]
             p = cycle_parts(c, i)
-            assert len(p.odd) == ki + 1
-            assert len(p.even) == ki
+            assert p.odd.bit_count() == ki + 1
+            assert p.even.bit_count() == ki
             assert not p.odd & p.even
-            assert p.odd | p.even == {c.flat_index(i, j) for j in range(1, 2 * ki + 2)}
+            assert p.odd | p.even == sum(1 << c.flat_index(i, j) for j in range(1, 2 * ki + 2))
 
 
 def test_size_identities():

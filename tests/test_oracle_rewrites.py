@@ -10,7 +10,9 @@ are the plain versions: a scan over all 2^E subsets, breadth-first searches
 over exponent tuples and over whole levels of packed ints, division on dicts
 of Monomial objects ordered by grlex_cmp, the unmemoised recursion over
 frozenset supports, the f-to-h transform by polynomial powers, and the
-decomposition check by maximal pairwise intersections.
+decomposition check by maximal pairwise intersections.  The references hold
+squarefree sets as frozensets and meet the bitmask results only at the
+comparison.
 """
 
 import math
@@ -60,18 +62,26 @@ ORDERS = sorted({
 })
 
 
+def _members(mask):
+    """The frozenset of the bit positions set in mask."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _facet_sets(cx):
+    """The facets of a complex as a set of frozensets."""
+    return {_members(f) for f in cx.facets}
+
+
 def _scan_facets(monomials, ground_size):
     """All subsets as bitmasks; faces contain no support, facets extend to none."""
-    supports = [sum(1 << v for v in m.support) for m in monomials]
+    supports = [sum(1 << v for v, _ in m.exps) for m in monomials]
     faces = {mask for mask in range(1 << ground_size)
              if all(mask & s != s for s in supports)}
-    facets = [
+    return {
         frozenset(v for v in range(ground_size) if mask >> v & 1)
         for mask in faces
         if not any(not mask >> v & 1 and mask | 1 << v in faces for v in range(ground_size))
-    ]
-    facets.sort(key=lambda f: sorted(f))
-    return tuple(facets)
+    }
 
 
 def _tuple_hilbert(c, d):
@@ -105,7 +115,9 @@ def test_facet_search_matches_scan_every_order():
     for order in ORDERS:
         c = build_from_k(order)
         inits = initial_monomials(c)
-        assert facets_brute_force(inits, c.edge_count).facets == _scan_facets(inits, c.edge_count), order
+        brute = facets_brute_force(inits, c.edge_count)
+        assert len(brute.facets) == len(_facet_sets(brute)), order
+        assert _facet_sets(brute) == _scan_facets(inits, c.edge_count), order
 
 
 @pytest.mark.parametrize("monomials, ground_size", [
@@ -122,13 +134,15 @@ def test_facet_search_matches_scan_every_order():
     ([Monomial.squarefree([0, 5])], 3),  # a support reaching past the ground set
 ])
 def test_facet_search_matches_scan_by_hand(monomials, ground_size):
-    assert facets_brute_force(monomials, ground_size).facets == _scan_facets(monomials, ground_size)
+    brute = facets_brute_force(monomials, ground_size)
+    assert len(brute.facets) == len(_facet_sets(brute))
+    assert _facet_sets(brute) == _scan_facets(monomials, ground_size)
 
 
 def test_facet_search_empty_ground_and_constant_monomial():
     # the empty set is the one facet on no vertices, unless the monomial 1
     # (empty support) excludes every set, the empty one too
-    assert facets_brute_force([], 0).facets == (frozenset(),)
+    assert facets_brute_force([], 0).facets == (0,)
     assert facets_brute_force([MONOMIAL_ONE], 0).facets == ()
     assert facets_brute_force([MONOMIAL_ONE, Monomial.squarefree([1])], 2).facets == ()
 
@@ -221,7 +235,7 @@ def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000):
 def _frozenset_standard_count(c, d, monomials=None):
     """The unmemoised recursion over frozenset supports."""
     nvars = c.edge_count
-    supports = tuple(m.support for m in monomials or initial_monomials(c))
+    supports = tuple(frozenset(i for i, _ in m.exps) for m in monomials or initial_monomials(c))
 
     def count(idx, rem, alive):
         if rem == 0:
@@ -462,19 +476,20 @@ def _maximal_decomposition(c):
     k, n = c.k, c.n
     x = c.flat_index(1, 2 * k[0] + 1)
     y = c.flat_index(1, 2 * k[0])
-    target = srcomplex.facets_closed_form(c).facet_sets
+    target = _facet_sets(srcomplex.facets_closed_form(c))
     shorter = build_from_k((k[0] - 1,) + k[1:])
     relabel = [c.flat_index(i, j) for (i, j) in shorter.edge_labels]
     cone = {frozenset(relabel[v] for v in f) | {x, y}
-            for f in srcomplex.facets_closed_form(shorter).facets}
+            for f in _facet_sets(srcomplex.facets_closed_form(shorter))}
     dropped_facets = [frozenset()]
     if n >= 2:
         dropped = build_from_k(k[1:])
         relabel = [c.flat_index(i + 1, j) for (i, j) in dropped.edge_labels]
         dropped_facets = [frozenset(relabel[v] for v in f)
-                          for f in srcomplex.facets_closed_form(dropped).facets]
+                          for f in _facet_sets(srcomplex.facets_closed_form(dropped))]
     parts = srcomplex.cycle_parts(c, 1)
-    join = {f | (parts.odd - {x}) | parts.even for f in dropped_facets}
+    odd, even = _members(parts.odd), _members(parts.even)
+    join = {f | (odd - {x}) | even for f in dropped_facets}
     union_ok = (_maximal(cone | join) if n == 1 else cone | join) == target
     pairwise = {a & b for a in cone for b in join}
     return DecompositionReport(
@@ -513,7 +528,8 @@ def test_intersection_subset_test_matches_maximal_sets_on_random_families():
         expected = {a - {x} for a in cone}
         pairwise = {a & b for a in cone for b in join}
         reference = _maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
-        result = srcomplex._intersection_ok(cone, join, x)
+        result = srcomplex._intersection_ok(
+            {sum(1 << v for v in a) for a in cone}, {sum(1 << v for v in b) for b in join}, x)
         assert result == reference, (cone, join)
         agree[result] += 1
     assert min(agree.values()) > 100
@@ -532,8 +548,7 @@ def _patch_facets(monkeypatch, k, edit):
         cx = original(comp)
         if comp.k != k:
             return cx
-        facets = edit(cx.facets)
-        return types.SimpleNamespace(facets=facets, facet_sets=set(facets))
+        return types.SimpleNamespace(facets=edit(cx.facets))
 
     monkeypatch.setattr(srcomplex, "facets_closed_form", patched)
 
@@ -549,7 +564,7 @@ def _patch_join_facets(monkeypatch, c, extra):
 
     def patched(comp, i):
         parts = cycle_parts(comp, i)
-        return CycleParts(parts.odd, parts.even | {extra}) if comp is c and i == 1 else parts
+        return CycleParts(parts.odd, parts.even | 1 << extra) if comp is c and i == 1 else parts
 
     monkeypatch.setattr(srcomplex, "cycle_parts", patched)
 
@@ -583,5 +598,5 @@ def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
     # every expected set is still an intersection but one lies in another
     shorter = (k[0] - 1,) + k[1:]
     _patch_facets(monkeypatch, shorter,
-                  lambda facets: facets + (facets[0] - {min(facets[0])},))
+                  lambda facets: facets + (facets[0] & facets[0] - 1,))
     assert _intersection_oks(build_from_k(k)) == (False, False)

@@ -35,21 +35,21 @@ SWEEP_KS = [
 def test_single_cycle_is_full_simplex():
     c = build_from_k([1])
     cx = facets_closed_form(c)
-    assert cx.facets == (frozenset({0, 1, 2}),)
+    assert cx.facets == (0b111,)
 
 
 def test_worked_example_facets():
     c = build_from_k([3, 2, 1])
     cx = facets_closed_form(c)
     assert len(cx.facets) == 18
-    assert all(len(f) == 13 for f in cx.facets)
+    assert all(f.bit_count() == 13 for f in cx.facets)
     # every facet keeps exactly one cycle whole; group sizes follow the pivot
     by_pivot = {1: 0, 2: 0, 3: 0}
     for f in cx.facets:
         whole = [
             i
             for i in range(1, 4)
-            if cycle_parts(c, i).odd | cycle_parts(c, i).even <= f
+            if (cycle_parts(c, i).odd | cycle_parts(c, i).even) & ~f == 0
         ]
         assert len(whole) == 1
         by_pivot[whole[0]] += 1
@@ -75,8 +75,8 @@ def test_all_triangle_facets_match_pattern():
             for i in range(2, j + 1):
                 facet.add(c.flat_index(i, 2))
             facet |= {c.flat_index(3, 1), c.flat_index(3, 3), c.flat_index(1, 2)}
-            expected.add(frozenset(facet))
-    assert facets_closed_form(c).facet_sets == expected
+            expected.add(sum(1 << v for v in facet))
+    assert set(facets_closed_form(c).facets) == expected
 
 
 def test_closed_form_matches_brute_force():
@@ -84,7 +84,7 @@ def test_closed_form_matches_brute_force():
         c = build_from_k(k)
         closed = facets_closed_form(c)
         brute = facets_brute_force(initial_monomials(c), c.edge_count)
-        assert closed.facet_sets == brute.facet_sets, k
+        assert set(closed.facets) == set(brute.facets), k
 
 
 def test_closed_form_counts_and_sizes():
@@ -92,7 +92,7 @@ def test_closed_form_counts_and_sizes():
         c = build_from_k(k)
         cx = facets_closed_form(c)
         assert len(cx.facets) == multiplicity(c), k
-        assert all(len(f) == c.vertex_count for f in cx.facets), k
+        assert all(f.bit_count() == c.vertex_count for f in cx.facets), k
 
 
 def test_closed_form_families_never_overlap():
@@ -111,7 +111,7 @@ def test_closed_form_overlap_raises(monkeypatch):
 
 def test_brute_force_no_generators():
     cx = facets_brute_force([], 4)
-    assert cx.facets == (frozenset({0, 1, 2, 3}),)
+    assert cx.facets == (0b1111,)
 
 
 def test_brute_force_guards():
@@ -123,20 +123,22 @@ def test_brute_force_guards():
 
 def test_simplicial_complex_validates():
     with pytest.raises(ValueError):
-        SimplicialComplex(3, (frozenset({0}), frozenset({0, 1})))
+        SimplicialComplex(3, (0b001, 0b011))
     with pytest.raises(ValueError):
-        SimplicialComplex(2, (frozenset({5}),))
+        SimplicialComplex(2, (1 << 5,))
+    with pytest.raises(ValueError, match="outside"):
+        SimplicialComplex(2, (-1,))
     # one size: containment is equality, caught by the duplicate check
     with pytest.raises(ValueError, match="contained"):
-        SimplicialComplex(3, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1})))
+        SimplicialComplex(3, (0b011, 0b110, 0b011))
     # mixed sizes: a smaller facet inside a later, larger one
     with pytest.raises(ValueError, match="contained"):
-        SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({3}), frozenset({2, 3})))
-    SimplicialComplex(4, (frozenset({0, 1, 2}), frozenset({2, 3})))
+        SimplicialComplex(4, (0b0111, 0b1000, 0b1100))
+    SimplicialComplex(4, (0b0111, 0b1100))
 
 
 def test_f_vector_full_simplex():
-    cx = SimplicialComplex(3, (frozenset({0, 1, 2}),))
+    cx = SimplicialComplex(3, (0b111,))
     assert f_vector(cx).counts == (1, 3, 3, 1)
 
 
@@ -155,7 +157,7 @@ def test_f_vector_examples():
 
 def test_h_from_f_full_simplex():
     for ground in (3, 7):
-        cx = SimplicialComplex(ground, (frozenset(range(ground)),))
+        cx = SimplicialComplex(ground, ((1 << ground) - 1,))
         assert h_from_f(f_vector(cx), ground) == ONE
 
 
@@ -262,7 +264,7 @@ def test_shelling_matches_f_vector_reference_every_order():
     for order in orders:
         c = build_from_k(order)
         cx = facets_closed_form(c)
-        assert shelling_h_vector(cx.masks) == h_from_f(f_vector(cx), c.vertex_count), order
+        assert shelling_h_vector(cx.facets) == h_from_f(f_vector(cx), c.vertex_count), order
 
 
 def test_shelling_full_simplex_and_path():
