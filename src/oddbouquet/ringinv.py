@@ -42,19 +42,18 @@ def h_recursive(c: OddCycleComposition) -> IntPoly:
 
 
 def _h_rec(ks: tuple[int, ...]) -> IntPoly:
-    cached = _H_MEMO.get(ks)
-    if cached is not None:
-        return cached
-    n = len(ks)
-    if n == 1:
-        res = ONE
-    elif ks[0] == 1:
-        res = (ONE + T) ** n - T  # all triangles
-    else:
-        shrunk = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
-        res = T * _h_rec(shrunk) + _h_rec(ks[1:])
-    _H_MEMO[ks] = res
-    return res
+    """Walk the chain of shrunk tuples down to a memoised or base case, then
+    climb it back; only the dropped-cycle terms recurse, n levels deep at most."""
+    chain = []
+    while ks not in _H_MEMO and len(ks) > 1 and ks[0] > 1:
+        chain.append(ks)
+        ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
+    h = _H_MEMO.get(ks)
+    if h is None:
+        h = _H_MEMO[ks] = ONE if len(ks) == 1 else (ONE + T) ** len(ks) - T  # one cycle, all triangles
+    for link in reversed(chain):
+        h = _H_MEMO[link] = T * h + _h_rec(link[1:])
+    return h
 
 
 def multiplicity(c: OddCycleComposition) -> int:

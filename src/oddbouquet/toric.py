@@ -10,7 +10,8 @@ Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
 
 * S-pair reduction of every generator pair down to zero, on monomials
-  packed into ints, with the basis packed once per list,
+  packed into ints: the basis is packed once per list, f and g are looked
+  up in it by identity, and the lcm of their leads is a field-wise max,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, one counting monomials outside the
@@ -25,6 +26,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from itertools import combinations
+from operator import is_
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph
 from .record import Record, _set
@@ -157,15 +159,16 @@ def grlex_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
+def _pair_supports(c: OddCycleComposition) -> list[tuple[int, int]]:
+    """Plus and minus supports of the generator of each cycle pair i < j."""
+    parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
+    return [(p.odd | q.even, p.even | q.odd) for p, q in combinations(parts, 2)]
+
+
 def generators(c: OddCycleComposition) -> list[Binomial]:
     """One binomial per cycle pair i < j, in lexicographic pair order."""
-    parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
-    out = []
-    for i, j in combinations(range(c.n), 2):
-        plus = Monomial.squarefree(bits(parts[i].odd | parts[j].even))
-        minus = Monomial.squarefree(bits(parts[i].even | parts[j].odd))
-        out.append(Binomial(plus=plus, minus=minus))
-    return out
+    return [Binomial(plus=Monomial.squarefree(bits(plus)), minus=Monomial.squarefree(bits(minus)))
+            for plus, minus in _pair_supports(c)]
 
 
 def initial_monomials(c: OddCycleComposition) -> list[Monomial]:
@@ -201,7 +204,39 @@ def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
             max((i + 1 for m in parts for i, _ in m.exps), default=0))
 
 
-_DIVISION_MEMO: list = [(), -1, 0, None, 0, []]  # basis, degree, variables, pack, guard, divisors
+class _PackedBasis:
+    """A basis packed once, with fields for twice the largest degree of it and
+    of one f and g: no term of a reduction exceeds deg lcm(LT f, LT g).
+    members maps each element's id to its packed (lead, tail); holding the
+    basis keeps those ids from being reused."""
+
+    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "divisors", "members")
+
+    def __init__(self, basis: tuple[Binomial, ...], deg: int, nvars: int) -> None:
+        self.basis, self.deg, self.nvars, self.width = basis, deg, nvars, (2 * deg).bit_length() + 1
+        self.pack, self.guard = _packer(2 * deg, nvars)
+        self.ones = sum(1 << self.width * j for j in range(nvars))
+        self.divisors = [self.lead_tail(b) for b in basis]
+        self.members = dict(zip(map(id, basis), self.divisors))
+
+    def lead_tail(self, b: Binomial) -> tuple[int, int]:
+        p, m = self.pack(b.plus), self.pack(b.minus)
+        return (p, m) if p > m else (m, p)
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm of packed monomials of degree <= deg.  A field's guard bit
+        survives a - b iff a's exponent is at least b's, which selects the
+        field-wise max mx; field nvars - 1 of mx * ones sums mx's exponents,
+        and no field of that product carries."""
+        w, top = self.width, self.width * self.nvars
+        a, b = a & (1 << top) - 1, b & (1 << top) - 1
+        ge = (a + self.guard - b) & self.guard
+        mask = (ge << 1) - (ge >> w - 1)
+        mx = a & mask | b & ~mask
+        return (mx * self.ones >> max(top - w, 0) & (1 << w) - 1) << top | mx
+
+
+_PACKED = _PackedBasis((), 0, 0)
 
 
 def s_pair_reduces_to_zero(
@@ -217,24 +252,25 @@ def s_pair_reduces_to_zero(
     turns any violation of that into a diagnosable RuntimeError instead of a
     hang, distinct from a mere nonzero remainder.
 
-    Monomials are packed ints (see _packer) with fields sized for twice the
-    largest degree in the basis, f and g: no term exceeds deg lcm(LT f, LT g).
+    Monomials are packed ints (see _packer).  The basis is packed once and
+    reused while the list holds the same objects in the same order; f and g
+    are looked up in it by identity, packed only when not members, and the
+    lcm of their leads is taken on the packed ints.
     """
-    deg, nvars = _bounds((f, g))
-    memo = _DIVISION_MEMO  # reused while basis holds the same objects in the same order
-    if not (memo[1] >= deg and memo[2] >= nvars and len(memo[0]) == len(basis)
-            and all(a is b for a, b in zip(memo[0], basis))):
-        deg, nvars = _bounds((f, g, *basis))
-        pack, guard = _packer(2 * deg, nvars)
-        pairs = [(pack(b.plus), pack(b.minus)) for b in basis]
-        memo[:] = [tuple(basis), deg, nvars, pack, guard, [(max(p), min(p)) for p in pairs]]
-    pack, guard, divisors = memo[3:]
-    lcm = pack(leading_monomial(f).lcm(leading_monomial(g)))
-    packed = [(pack(b.plus), pack(b.minus)) for b in (f, g)]
-    tf, tg = (lcm - max(p) + min(p) for p in packed)  # each tail times lcm / its lead
+    global _PACKED
+    pb = _PACKED
+    fits = len(pb.basis) == len(basis) and all(map(is_, pb.basis, basis))
+    if fits and not (id(f) in pb.members and id(g) in pb.members):
+        deg, nvars = _bounds((f, g))
+        fits = deg <= pb.deg and nvars <= pb.nvars
+    if not fits:
+        pb = _PACKED = _PackedBasis(tuple(basis), *_bounds((f, g, *basis)))
+    lf, tf = pb.members.get(id(f)) or pb.lead_tail(f)
+    lg, tg = pb.members.get(id(g)) or pb.lead_tail(g)
+    lcm = pb.lcm(lf, lg)
+    tf, tg = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
     work = {} if tf == tg else {tf: -1, tg: 1}  # lcm/LT f * f - lcm/LT g * g, leads scaled to 1
-    remainder = False
-    steps = 0
+    guard, divisors, remainder, steps = pb.guard, pb.divisors, False, 0
     while work:
         lead = max(work)
         c = work.pop(lead)
@@ -268,8 +304,9 @@ def kernel_check(b: Binomial, g: LabeledGraph) -> bool:
     return vertex_exponent_vector(b.plus, g) == vertex_exponent_vector(b.minus, g)
 
 
-def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], monomials: list[Monomial]) -> list[int]:
-    """Numbers of monomials of each of the degrees divisible by none of the squarefree monomials.
+def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: Iterable[int]) -> list[int]:
+    """Numbers of monomials of each of the degrees divisible by none of the
+    squarefree monomials with the given supports.
 
     Pruned recursion over the variables, memoised for all the degrees on
     (variable, degree left, what each live support lacks as a bitmask); once
@@ -294,18 +331,18 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], monomials: 
         pos = tuple(s & ~bit for s in alive)
         return total + sum(count(idx + 1, rem - e, pos) for e in range(1, rem + 1))
 
-    alive = tuple(m.support for m in monomials)
+    alive = tuple(supports)
     return [0 if 0 in alive else count(0, j, alive) for j in degrees]
 
 
 def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
     """Numbers of degree-0..d monomials divisible by none of the squarefree monomials."""
-    return _standard_counts(c, range(d + 1), monomials)
+    return _standard_counts(c, range(d + 1), [m.support for m in monomials])
 
 
 def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     """Number of degree-d monomials divisible by no initial-ideal generator."""
-    return _standard_counts(c, [d], initial_monomials(c))[0]
+    return _standard_counts(c, [d], [plus for plus, _ in _pair_supports(c)])[0]
 
 
 def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:

@@ -241,10 +241,24 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: instance too large\n")
 
 
-def test_recursion_error_is_usage_error(capsys):
-    # the recursion is as deep as the cycles are long: exit 2, not a traceback
-    code, out, err = run(capsys, "hvec", "--k", "600,600", "--method", "recursion")
+def test_recursion_error_is_usage_error(capsys, monkeypatch):
+    def too_deep(c):
+        raise RecursionError
+
+    monkeypatch.setitem(_METHODS, "recursion", too_deep)
+    code, out, err = run(capsys, "hvec", "--k", "2,1", "--method", "recursion")
     assert (code, out, err) == (2, "", "error: instance too large\n")
+
+
+@pytest.mark.parametrize("m", [500, 600])
+def test_recursion_route_on_long_cycles(capsys, m):
+    # the recursion loops over the shrinking of the longest cycle, so two long
+    # cycles do not reach the stack limit; h of (m, m) is 2m + 1 ones
+    code, out, err = run(capsys, "hvec", "--k", f"{m},{m}", "--method", "recursion")
+    assert (code, err) == (0, "")
+    _, formula, _ = run(capsys, "hvec", "--k", f"{m},{m}", "--method", "formula")
+    assert out.splitlines()[1] == formula.splitlines()[1].replace("formula", "recursion")
+    assert out.splitlines()[1] == f"h[recursion] = ({', '.join(['1'] * (2 * m + 1))})"
 
 
 def test_huge_cycle_exits_2_under_memory_cap():

@@ -40,6 +40,7 @@ from oddbouquet.toric import (
     MONOMIAL_ONE,
     Binomial,
     Monomial,
+    _PackedBasis,
     _packer,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
@@ -391,6 +392,56 @@ def test_division_memo_follows_a_list_mutated_in_place():
     big = generators(build_from_k([6, 5, 4]))
     assert_same_division(big[0], big[1], basis)
     assert_same_division(basis[0], basis[1], basis)
+
+
+def test_division_repacks_members_of_a_smaller_basis():
+    # f and g packed as members of a (1, 1, 1) basis, then divided by a
+    # (4, 3, 1) basis with wider fields: a stale packed lead must not pass
+    small = generators(build_from_k([1, 1, 1]))
+    large = generators(build_from_k([4, 3, 1]))
+    for f, g in product(small, repeat=2):
+        assert s_pair_reduces_to_zero(f, g, small)
+        assert_same_division(f, g, large)
+        assert_same_division(f, large[-1], large)
+        assert_same_division(f, g, large + small)
+        assert_same_division(f, g, small)
+
+
+def _copy(b):
+    return Binomial(Monomial(b.plus.exps), Monomial(b.minus.exps))
+
+
+def test_division_matches_dicts_on_copies_of_members():
+    # value-equal binomials that are not the basis objects, as f and g and as the basis
+    for order in [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]:
+        basis = generators(build_from_k(order))
+        copies = [_copy(b) for b in basis]
+        for f, g in product(range(len(basis)), repeat=2):
+            assert assert_same_division(copies[f], copies[g], basis)[0], order
+            assert assert_same_division(basis[f], copies[g], basis)[0], order
+            assert assert_same_division(basis[f], basis[g], copies)[0], order
+    g01, g02, _ = generators(build_from_k([1, 1, 1]))
+    assert assert_same_division(_copy(g01), _copy(g02), [g01, g02])[0] is False
+
+
+def _monomial_up_to(rng, nvars, deg):
+    exps = [0] * nvars
+    for _ in range(rng.randint(0, deg)):
+        exps[rng.randrange(nvars)] += 1
+    return Monomial.from_map(dict(enumerate(exps)))
+
+
+def test_packed_lcm_matches_monomial_lcm():
+    # monomials of degree <= deg, zero exponents included; the lcm of x_i^deg
+    # and x_j^deg has degree 2 deg, the most the fields are sized for
+    rng = random.Random(11)
+    for deg, nvars in product(range(7), range(8)):
+        packed = _PackedBasis((), deg, nvars)
+        pack = packed.pack
+        monomials = [MONOMIAL_ONE] + [Monomial.from_map({i: deg}) for i in range(nvars)]
+        monomials += [_monomial_up_to(rng, nvars, deg) for _ in range(12 if nvars else 0)]
+        for a, b in product(monomials, repeat=2):
+            assert packed.lcm(pack(a), pack(b)) == pack(a.lcm(b)), (deg, nvars, a, b)
 
 
 def test_packed_order_divisibility_and_product_agree_with_monomials():
