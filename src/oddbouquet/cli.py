@@ -24,7 +24,6 @@ from itertools import combinations
 from .composition import OddCycleComposition, bits, build_from_k, build_from_r, labeled_graph
 from .record import Record, _set
 from .ringinv import (
-    GorensteinReport,
     classify,
     h_closed_form,
     h_recursive,
@@ -138,8 +137,32 @@ _METHODS = {
 }
 
 
-def _report_payload(c: OddCycleComposition, rep: GorensteinReport, methods_agree: bool) -> dict:
-    return {
+# The CSV columns, in order; the JSON payload adds methods_agree.
+_CSV_FIELDS = ("r", "n", "N", "h", "s", "facets", "type", "e_tilde",
+               "gorenstein", "almost_gorenstein")
+
+
+def _cell(value) -> str:
+    """A payload value as text: lists joined by semicolons, lowercase booleans."""
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return json.dumps(value)
+
+
+def _csv_row(payload: dict) -> str:
+    return ",".join(_cell(payload[field]) for field in _CSV_FIELDS)
+
+
+def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
+    """The one computation behind hvec, classify and table for one bouquet.
+
+    Returns the payload, the h of each named route (the formula route is the
+    h that classify computed) and whether the classification matches the
+    predicted characterization.
+    """
+    rep = classify(c)
+    hs = {name: rep.h if name == "formula" else _METHODS[name](c) for name in routes}
+    payload = {
         "r": list(c.r),
         "n": c.n,
         "N": c.N,
@@ -150,72 +173,47 @@ def _report_payload(c: OddCycleComposition, rep: GorensteinReport, methods_agree
         "e_tilde": rep.e_tilde,
         "gorenstein": rep.is_gorenstein,
         "almost_gorenstein": rep.is_almost_gorenstein,
-        "methods_agree": methods_agree,
+        "methods_agree": len({h.coeffs for h in hs.values()}) == 1,
     }
+    return payload, hs, rep.prediction_agrees and rep.e_tilde_formula_agrees
 
 
-def _csv_header() -> list[str]:
-    return ["r", "n", "N", "h", "s", "facets", "type", "e_tilde",
-            "gorenstein", "almost_gorenstein"]
-
-
-def _csv_row(payload: dict) -> list[str]:
-    return [
-        ";".join(str(v) for v in payload["r"]),
-        str(payload["n"]),
-        str(payload["N"]),
-        ";".join(str(v) for v in payload["h"]),
-        str(payload["s"]),
-        str(payload["facets"]),
-        str(payload["type"]),
-        str(payload["e_tilde"]),
-        "true" if payload["gorenstein"] else "false",
-        "true" if payload["almost_gorenstein"] else "false",
-    ]
+def _print_report(c: OddCycleComposition, payload: dict, fmt: str, text_lines: list[str]) -> None:
+    if fmt == "json":
+        print(canonical_json(payload))
+    elif fmt == "csv":
+        print(",".join(_CSV_FIELDS))
+        print(_csv_row(payload))
+    else:
+        print(f"r = {_fmt_ints(c.r)}  k = {_fmt_ints(c.k)}  n = {c.n}  N = {c.N}")
+        for line in text_lines:
+            print(line)
 
 
 def cmd_hvec(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
-    names = list(_METHODS) if args.method == "all" else [args.method]
-    rep = classify(c) if args.format != "text" else None
-    values = {n: rep.h if rep and n == "formula" else _METHODS[n](c) for n in names}
-    agree = len({v.coeffs for v in values.values()}) == 1
-    if rep:
-        payload = _report_payload(c, rep, agree)
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        print(",".join(_csv_header()))
-        print(",".join(_csv_row(payload)))
-    else:
-        print(f"r = {_fmt_ints(c.r)}  k = {_fmt_ints(c.k)}  n = {c.n}  N = {c.N}")
-        for name in names:
-            print(f"h[{name}] = ({', '.join(str(v) for v in values[name].coeffs)})")
-        if len(names) > 1:
-            print(f"agree = {'true' if agree else 'false'}")
+    payload, hs, _ = bouquet_report(c, _METHODS if args.method == "all" else [args.method])
+    agree = payload["methods_agree"]
+    lines = [f"h[{name}] = {_fmt_ints(h.coeffs)}" for name, h in hs.items()]
+    if len(hs) > 1:
+        lines.append(f"agree = {_cell(agree)}")
+    _print_report(c, payload, args.format, lines)
     return 0 if agree else 1
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
-    rep = classify(c)
-    ok = rep.prediction_agrees and rep.e_tilde_formula_agrees
-    if args.format in ("json", "csv"):
-        agree = rep.h == h_recursive(c) == h_by_complex(c)
-        payload = _report_payload(c, rep, agree)
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        print(",".join(_csv_header()))
-        print(",".join(_csv_row(payload)))
-    else:
-        print(f"r = {_fmt_ints(c.r)}  k = {_fmt_ints(c.k)}  n = {c.n}  N = {c.N}")
-        print(f"h = ({', '.join(str(v) for v in rep.h.coeffs)})  s = {rep.s}")
-        print(f"type = {rep.cm_type}  e_tilde = {rep.e_tilde}")
-        print(f"gorenstein = {'true' if rep.is_gorenstein else 'false'}")
-        print(f"almost_gorenstein = {'true' if rep.is_almost_gorenstein else 'false'}")
-        print(f"matches_characterization = {'true' if ok else 'false'}")
-    return 0 if ok else 1
+    payload, _, ok = bouquet_report(c, _METHODS)
+    _print_report(c, payload, args.format, [
+        f"h = {_fmt_ints(payload['h'])}  s = {payload['s']}",
+        f"type = {payload['type']}  e_tilde = {payload['e_tilde']}",
+        f"gorenstein = {_cell(payload['gorenstein'])}",
+        f"almost_gorenstein = {_cell(payload['almost_gorenstein'])}",
+        f"matches_characterization = {_cell(ok)}",
+    ])
+    if not payload["methods_agree"]:
+        print("h-vector routes disagree", file=sys.stderr)
+    return 0 if payload["methods_agree"] and ok else 1
 
 
 def _facet_line(c: OddCycleComposition, facet: int) -> str:
@@ -396,14 +394,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     rng = SweepRange(max_n=args.max_n, max_N=args.max_N)
     comps = sweep_compositions(rng.max_n, rng.max_N)
-    lines = [",".join(_csv_header())]
-    disagreements = []
+    lines = [",".join(_CSV_FIELDS)]
+    failed = []
     for c in comps:
-        rep = classify(c)
-        agree = rep.h == h_recursive(c) == h_by_complex(c)
-        if not agree:
-            disagreements.append(c.k)
-        lines.append(",".join(_csv_row(_report_payload(c, rep, agree))))
+        payload, _, ok = bouquet_report(c, _METHODS)
+        lines.append(_csv_row(payload))
+        if not (payload["methods_agree"] and ok):
+            failed.append(c.k)
     text = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -412,8 +409,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(comps)} rows to {args.out}")
-    if disagreements:
-        print(f"h-vector routes disagree for {disagreements}", file=sys.stderr)
+    if failed:
+        print(f"h-vector routes disagree or the characterization fails for {failed}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -437,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         return parent
 
     p = sub.add_parser("hvec", parents=[comp, fmt("json", "csv")], help="compute the h-vector")
-    p.add_argument("--method", choices=["formula", "recursion", "complex", "all"],
-                   default="all")
+    p.add_argument("--method", choices=[*_METHODS, "all"], default="all")
     p.set_defaults(func=cmd_hvec)
 
     p = sub.add_parser("classify", parents=[comp, fmt("json", "csv")],

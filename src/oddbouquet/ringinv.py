@@ -21,9 +21,6 @@ from .composition import OddCycleComposition
 from .polyarith import IntPoly, ONE, T, exact_div_one_minus_t, q_int, reverse
 from .record import Record, _set
 
-# Memoized values are pure, so concurrent inserts of identical entries are harmless.
-_H_MEMO: dict[tuple[int, ...], IntPoly] = {}
-
 
 def h_closed_form(c: OddCycleComposition) -> IntPoly:
     """Closed-form h-polynomial from the cycle counts."""
@@ -37,22 +34,23 @@ def h_closed_form(c: OddCycleComposition) -> IntPoly:
 
 
 def h_recursive(c: OddCycleComposition) -> IntPoly:
-    """h-polynomial by the two-edge shrinking recursion; memoized on the k multiset."""
-    return _h_rec(tuple(sorted(c.k, reverse=True)))
+    """h-polynomial by the two-edge shrinking recursion, memoised on k
+    multisets for the length of the call only."""
+    return _h_rec(tuple(sorted(c.k, reverse=True)), {})
 
 
-def _h_rec(ks: tuple[int, ...]) -> IntPoly:
+def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], IntPoly]) -> IntPoly:
     """Walk the chain of shrunk tuples down to a memoised or base case, then
     climb it back; only the dropped-cycle terms recurse, n levels deep at most."""
     chain = []
-    while ks not in _H_MEMO and len(ks) > 1 and ks[0] > 1:
+    while ks not in memo and len(ks) > 1 and ks[0] > 1:
         chain.append(ks)
         ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
-    h = _H_MEMO.get(ks)
+    h = memo.get(ks)
     if h is None:
-        h = _H_MEMO[ks] = ONE if len(ks) == 1 else (ONE + T) ** len(ks) - T  # one cycle, all triangles
+        h = memo[ks] = ONE if len(ks) == 1 else (ONE + T) ** len(ks) - T  # one cycle, all triangles
     for link in reversed(chain):
-        h = _H_MEMO[link] = T * h + _h_rec(link[1:])
+        h = memo[link] = T * h + _h_rec(link[1:], memo)
     return h
 
 

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from oddbouquet import cli, ringinv
 from oddbouquet.cli import canonical_json, main, sweep_compositions, _METHODS
 from oddbouquet.polyarith import IntPoly
+from oddbouquet.ringinv import GorensteinReport
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
 
 
@@ -83,7 +86,7 @@ def test_hvec_json_round_trip(capsys):
 
 
 def test_hvec_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(_METHODS, "formula", lambda c: IntPoly.of(9))
+    monkeypatch.setitem(_METHODS, "complex", lambda c: IntPoly.of(9))
     code, out, _ = run(capsys, "hvec", "--r", "3", "--method", "all")
     assert code == 1
     assert "agree = false" in out
@@ -236,7 +239,8 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
     def exhausted(c):
         raise MemoryError
 
-    monkeypatch.setitem(_METHODS, "formula", exhausted)
+    # the formula route is the h that classify computes
+    monkeypatch.setattr(ringinv, "h_closed_form", exhausted)
     code, out, err = run(capsys, "hvec", "--method", "formula", "--k", "2,1")
     assert (code, out, err) == (2, "", "error: instance too large\n")
 
@@ -282,13 +286,15 @@ def test_huge_cycle_exits_2_under_memory_cap():
     (["classify", "--k", "2,1,1", "--format", "json"], 1, 1),
     (["classify", "--k", "2,1,1", "--format", "csv"], 1, 1),
     (["classify", "--k", "2,1,1"], 1, 1),
-    (["hvec", "--k", "2,1,1"], 0, 1),
+    (["hvec", "--k", "2,1,1"], 1, 1),
     (["hvec", "--k", "2,1,1", "--format", "json"], 1, 1),  # the formula route is classify's h
     (["table", "--max-n", "3", "--max-N", "4"], 1, 1),
+    (["hvec", "--k", "2,1,1", "--format", "csv"], 1, 1),
 ])
 def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
                                         classifications, closed_forms):
-    calls = {"classify": 0, "h_closed_form": 0}
+    # every format of a command runs the same routes: all three, once per bouquet
+    calls = {"classify": 0, "h_closed_form": 0, "h_recursive": 0, "h_by_complex": 0}
 
     def counted(fn):
         def wrapper(c):
@@ -300,6 +306,10 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
     monkeypatch.setattr(ringinv, "h_closed_form", closed_form)
     monkeypatch.setattr(cli, "h_closed_form", closed_form)
     monkeypatch.setitem(_METHODS, "formula", closed_form)
+    for name, route in [("recursion", "h_recursive"), ("complex", "h_by_complex")]:
+        wrapped = counted(getattr(cli, route))
+        monkeypatch.setattr(cli, route, wrapped)
+        monkeypatch.setitem(_METHODS, name, wrapped)
     monkeypatch.setattr(cli, "classify", counted(ringinv.classify))
     bouquets = 1
     if argv[0] == "table":
@@ -307,7 +317,45 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
         bouquets = len(sweep_compositions(3, 4))
     assert run(capsys, *argv)[0] == 0
     assert calls == {"classify": classifications * bouquets,
-                     "h_closed_form": closed_forms * bouquets}
+                     "h_closed_form": closed_forms * bouquets,
+                     "h_recursive": bouquets, "h_by_complex": bouquets}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
+    monkeypatch.setitem(_METHODS, "recursion", lambda c: IntPoly.of(1, 5))
+    code, out, _ = run(capsys, "classify", "--k", "2,1", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["methods_agree"] is False
+
+
+def _fail_characterization(monkeypatch):
+    # classify reports a verdict that contradicts the predicted characterization
+    def wrong(c):
+        rep = ringinv.classify(c)
+        return GorensteinReport(*[False if name == "prediction_agrees" else getattr(rep, name)
+                                  for name in rep._fields])
+
+    monkeypatch.setattr(cli, "classify", wrong)
+
+
+def test_table_exits_1_on_failed_characterization(capsys, monkeypatch, tmp_path):
+    _fail_characterization(monkeypatch)
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "table", "--max-n", "2", "--max-N", "3", "--out", str(out_path))
+    assert code == 1
+    assert out == f"wrote {len(sweep_compositions(2, 3))} rows to {out_path}\n"
+    assert "(1,)" in err
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, "classify", "--k", "2,1", "--format", fmt)[0] == 1
+
+
+def test_hvec_ignores_the_characterization(capsys, monkeypatch):
+    # hvec answers for its routes only: a failed characterization is not its exit
+    _fail_characterization(monkeypatch)
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, "hvec", "--k", "2,1", "--format", fmt)[0] == 0
 
 
 def test_format_choices_per_subcommand(capsys):
@@ -350,6 +398,38 @@ def test_verify_golden_matrix(capsys):
     assert lines[-2].startswith("26 compositions checked in ")
     golden = Path(__file__).parent / "data" / "verify_max_n4_max_N6.txt"
     assert "".join(lines[:-2] + lines[-1:]) == golden.read_text(encoding="utf-8")
+
+
+GOLDEN_REPORT_BOUQUETS = ["3,2,1", "2,1,1", "1", "1,1,1,1", "4,3"]
+
+
+def report_transcript(tmp_path):
+    """Stdout and exit code of hvec and classify in every format on each of
+    GOLDEN_REPORT_BOUQUETS, then those of a small table and its CSV file."""
+    calls = []
+    for k in GOLDEN_REPORT_BOUQUETS:
+        calls += [["hvec", "--k", k, "--method", m] for m in ("all", "formula", "complex")]
+        calls += [["hvec", "--k", k, "--format", f] for f in ("json", "csv")]
+        calls += [["classify", "--k", k, "--format", f] for f in ("text", "json", "csv")]
+    out_path = tmp_path / "table.csv"
+    calls.append(["table", "--max-n", "3", "--max-N", "5", "--out", str(out_path)])
+    parts = []
+    for argv in calls:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        shown = " ".join(argv).replace(str(out_path), "table.csv")
+        parts.append(f"$ oddbouquet {shown}\n{out.getvalue().replace(str(out_path), 'table.csv')}"
+                     f"exit {code}\n")
+    parts.append("$ cat table.csv\n" + out_path.read_text(encoding="utf-8"))
+    return "".join(parts)
+
+
+def test_report_golden(tmp_path):
+    # regenerate with src/ and tests/ on PYTHONPATH:  python -c "import pathlib, tempfile,
+    #   test_cli; print(test_cli.report_transcript(pathlib.Path(tempfile.mkdtemp())), end='')"
+    golden = Path(__file__).parent / "data" / "report_golden.txt"
+    assert report_transcript(tmp_path) == golden.read_text(encoding="utf-8")
 
 
 def test_table(tmp_path, capsys):

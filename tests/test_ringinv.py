@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from oddbouquet.cli import sweep_compositions
@@ -43,6 +46,25 @@ def test_h_recursive_examples():
 def test_h_recursive_matches_closed_form():
     for c in sweep_compositions(4, 7):
         assert h_recursive(c) == h_closed_form(c), c.k
+
+
+def test_h_recursive_retains_nothing():
+    # the memo lives for one call: once its result is dropped, the memory
+    # traced over the call is back where it started
+    h_recursive(build_from_k([3, 2]))
+    c = build_from_k([200, 200])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = h_recursive(c)
+        assert h.coeffs == (1,) * 401
+        del h
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096, retained
 
 
 def test_h_order_invariance():
