@@ -1,4 +1,4 @@
-"""Command line interface and sweep verification harness.
+"""Command line interface: parse the arguments, run certify, render.
 
 Subcommands:
 
@@ -9,8 +9,9 @@ Subcommands:
 * ``verify``   run every internal consistency check over a parameter sweep
 * ``table``    CSV summary over a parameter sweep
 
-Exit codes are a stable contract: 0 success, 1 mathematical disagreement,
-2 usage or I/O error.  All numeric output is exact decimal integers.
+Exit codes are a stable contract: 0 success, 1 mathematical disagreement
+(a route that raises ValueError included), 2 usage or I/O error.  All
+numeric output is exact decimal integers.
 """
 
 from __future__ import annotations
@@ -19,36 +20,13 @@ import argparse
 import json
 import sys
 import time
-from itertools import combinations
 
-from .composition import OddCycleComposition, bits, build_from_k, build_from_r, labeled_graph
+from .certify import CHECK_NAMES, ROUTES, bouquet_report, sweep_compositions, verify_composition
+from .composition import OddCycleComposition, bits, build_from_k, build_from_r
 from .record import Record, _set
-from .ringinv import (
-    classify,
-    h_closed_form,
-    h_recursive,
-    multiplicity,
-)
-from .srcomplex import (
-    ORACLE_CAP,
-    f_from_h,
-    facets_brute_force,
-    facets_closed_form,
-    h_by_complex,
-    h_from_f,
-    hilbert_from_h,
-    shelling_h_vector,
-    verify_decomposition,
-)
-from .toric import (
-    edge_subring_hilbert_series,
-    generators,
-    initial_monomials,
-    kernel_check,
-    leading_monomial,
-    s_pair_reduces_to_zero,
-    standard_monomial_series,
-)
+from .srcomplex import facets_brute_force, facets_closed_form
+from .srcomplex import h_by_complex  # noqa: F401  (perfbench/ reaches it through cli)
+from .toric import generators, initial_monomials, leading_monomial
 
 
 class UsageError(Exception):
@@ -78,26 +56,6 @@ class SweepRange(Record):
         _set(self, "hilbert_degree", hilbert_degree)
         _set(self, "enable_buchberger", enable_buchberger)
         _set(self, "enable_bruteforce_complex", enable_bruteforce_complex)
-
-
-def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
-    """All k-multisets (descending) with n <= max_n and N <= max_N."""
-    found: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], budget: int, cap: int) -> None:
-        if prefix:
-            found.append(tuple(prefix))
-        if len(prefix) == max_n:
-            return
-        top = min(cap, budget)
-        for v in range(top, 0, -1):
-            prefix.append(v)
-            extend(prefix, budget - v, v)
-            prefix.pop()
-
-    extend([], max_N, max_N)
-    found.sort(key=lambda ks: (len(ks), sum(ks), ks))
-    return [build_from_k(ks) for ks in found]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -130,13 +88,6 @@ def _fmt_ints(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-_METHODS = {
-    "formula": h_closed_form,
-    "recursion": h_recursive,
-    "complex": h_by_complex,
-}
-
-
 # The CSV columns, in order; the JSON payload adds methods_agree.
 _CSV_FIELDS = ("r", "n", "N", "h", "s", "facets", "type", "e_tilde",
                "gorenstein", "almost_gorenstein")
@@ -153,31 +104,6 @@ def _csv_row(payload: dict) -> str:
     return ",".join(_cell(payload[field]) for field in _CSV_FIELDS)
 
 
-def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
-    """The one computation behind hvec, classify and table for one bouquet.
-
-    Returns the payload, the h of each named route (the formula route is the
-    h that classify computed) and whether the classification matches the
-    predicted characterization.
-    """
-    rep = classify(c)
-    hs = {name: rep.h if name == "formula" else _METHODS[name](c) for name in routes}
-    payload = {
-        "r": list(c.r),
-        "n": c.n,
-        "N": c.N,
-        "h": list(rep.h.coeffs),
-        "s": rep.s,
-        "facets": multiplicity(c),
-        "type": rep.cm_type,
-        "e_tilde": rep.e_tilde,
-        "gorenstein": rep.is_gorenstein,
-        "almost_gorenstein": rep.is_almost_gorenstein,
-        "methods_agree": len({h.coeffs for h in hs.values()}) == 1,
-    }
-    return payload, hs, rep.prediction_agrees and rep.e_tilde_formula_agrees
-
-
 def _print_report(c: OddCycleComposition, payload: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(canonical_json(payload))
@@ -192,7 +118,7 @@ def _print_report(c: OddCycleComposition, payload: dict, fmt: str, text_lines: l
 
 def cmd_hvec(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
-    payload, hs, _ = bouquet_report(c, _METHODS if args.method == "all" else [args.method])
+    payload, hs, _ = bouquet_report(c, ROUTES if args.method == "all" else [args.method])
     agree = payload["methods_agree"]
     lines = [f"h[{name}] = {_fmt_ints(h.coeffs)}" for name, h in hs.items()]
     if len(hs) > 1:
@@ -203,7 +129,7 @@ def cmd_hvec(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
-    payload, _, ok = bouquet_report(c, _METHODS)
+    payload, _, ok = bouquet_report(c, ROUTES)
     _print_report(c, payload, args.format, [
         f"h = {_fmt_ints(payload['h'])}  s = {payload['s']}",
         f"type = {payload['type']}  e_tilde = {payload['e_tilde']}",
@@ -277,89 +203,6 @@ def cmd_gens(args: argparse.Namespace) -> int:
     return 0
 
 
-CHECK_NAMES = [
-    "h3way", "shelling", "facets", "fvec", "initial", "kernel",
-    "buchberger", "hilbert", "decompose", "classify", "brutefacets",
-]
-
-
-def verify_composition(c: OddCycleComposition, rng: SweepRange) -> dict[str, str]:
-    """Run every consistency check on one bouquet; values are ok/FAIL/skip."""
-    out: dict[str, str] = {}
-
-    rep = classify(c)
-    h_formula = rep.h
-    h_rec = h_recursive(c)
-    cx = facets_closed_form(c)
-    try:
-        h_cx = shelling_h_vector(cx.facets)
-    except ValueError:
-        h_cx = None
-    out["h3way"] = "ok" if h_formula == h_rec == h_cx else "FAIL"
-    out["shelling"] = "ok" if h_cx is not None else "FAIL"
-
-    count_ok = len(cx.facets) == multiplicity(c) == h_formula.evaluate(1)
-    size_ok = all(f.bit_count() == c.vertex_count for f in cx.facets)
-    out["facets"] = "ok" if count_ok and size_ok else "FAIL"
-
-    if h_cx is None:
-        out["fvec"] = "FAIL"
-    else:
-        fv = f_from_h(h_cx, c.vertex_count)
-        fvec_ok = fv.counts[0] == 1 and fv.counts[1] == c.edge_count
-        out["fvec"] = "ok" if fvec_ok and h_from_f(fv, c.vertex_count) == h_cx else "FAIL"
-
-    gens = generators(c)
-    inits = [g.plus for g in gens]
-    pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
-    initial_ok = all(
-        leading_monomial(g) == m and m.is_squarefree() and m.degree == deg
-        for g, m, deg in zip(gens, inits, pair_degrees)
-    )
-    out["initial"] = "ok" if initial_ok else "FAIL"
-
-    graph = labeled_graph(c)
-    out["kernel"] = "ok" if all(kernel_check(g, graph) for g in gens) else "FAIL"
-
-    if rng.enable_buchberger:
-        try:
-            buch_ok = all(
-                s_pair_reduces_to_zero(f, g, gens)
-                for f, g in combinations(gens, 2)
-            )
-        except RuntimeError:
-            buch_ok = False
-        out["buchberger"] = "ok" if buch_ok else "FAIL"
-    else:
-        out["buchberger"] = "skip"
-
-    d = rng.hilbert_degree
-    hilbert_ok = (
-        standard_monomial_series(c, d, inits) == edge_subring_hilbert_series(c, d)
-        == [hilbert_from_h(h_formula, c.vertex_count, j) for j in range(d + 1)]
-    )
-    out["hilbert"] = "ok" if hilbert_ok else "FAIL"
-
-    if c.k[0] >= 2:
-        out["decompose"] = "ok" if verify_decomposition(c).ok else "FAIL"
-    else:
-        out["decompose"] = "skip"
-
-    class_ok = rep.prediction_agrees and rep.e_tilde_formula_agrees
-    class_ok = class_ok and rep.is_gorenstein == (c.n <= 2)
-    if c.n >= 2:
-        class_ok = class_ok and rep.h.coeff(1) == c.n - 1 and rep.s == c.N
-    out["classify"] = "ok" if class_ok else "FAIL"
-
-    if rng.enable_bruteforce_complex and c.edge_count <= ORACLE_CAP:
-        brute = facets_brute_force(inits, c.edge_count)
-        out["brutefacets"] = "ok" if set(brute.facets) == set(cx.facets) else "FAIL"
-    else:
-        out["brutefacets"] = "skip"
-
-    return out
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     rng = SweepRange(
         max_n=args.max_n,
@@ -397,7 +240,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = [",".join(_CSV_FIELDS)]
     failed = []
     for c in comps:
-        payload, _, ok = bouquet_report(c, _METHODS)
+        payload, _, ok = bouquet_report(c, ROUTES)
         lines.append(_csv_row(payload))
         if not (payload["methods_agree"] and ok):
             failed.append(c.k)
@@ -435,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         return parent
 
     p = sub.add_parser("hvec", parents=[comp, fmt("json", "csv")], help="compute the h-vector")
-    p.add_argument("--method", choices=[*_METHODS, "all"], default="all")
+    p.add_argument("--method", choices=[*ROUTES, "all"], default="all")
     p.set_defaults(func=cmd_hvec)
 
     p = sub.add_parser("classify", parents=[comp, fmt("json", "csv")],
@@ -478,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (MemoryError, RecursionError):
         print("error: instance too large", file=sys.stderr)
         return 2

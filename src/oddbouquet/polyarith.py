@@ -47,9 +47,6 @@ class IntPoly(Record):
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 

@@ -100,11 +100,6 @@ class Monomial(Record):
             out[i] = have - e
         return Monomial.from_map(out)
 
-    def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(f"x[{i}]" if e == 1 else f"x[{i}]^{e}" for i, e in self.exps)
-
 
 MONOMIAL_ONE = Monomial(())
 

@@ -10,7 +10,7 @@ up to n = 6.
 import time
 from itertools import combinations
 
-from oddbouquet.cli import h_by_complex, sweep_compositions
+from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import bits, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE, reverse
 from oddbouquet.ringinv import (
@@ -21,7 +21,7 @@ from oddbouquet.ringinv import (
     h_recursive,
     multiplicity,
 )
-from oddbouquet.srcomplex import f_vector, facets_closed_form, verify_decomposition
+from oddbouquet.srcomplex import f_vector, facets_closed_form, h_by_complex, verify_decomposition
 from oddbouquet.toric import (
     Monomial,
     edge_subring_hilbert,

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from oddbouquet import cli, ringinv
-from oddbouquet.cli import canonical_json, main, sweep_compositions, _METHODS
+from oddbouquet import certify, cli, ringinv, srcomplex
+from oddbouquet.certify import ROUTES, sweep_compositions
+from oddbouquet.cli import canonical_json, main
+from oddbouquet.composition import build_from_k
 from oddbouquet.polyarith import IntPoly
 from oddbouquet.ringinv import GorensteinReport
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
@@ -86,7 +88,7 @@ def test_hvec_json_round_trip(capsys):
 
 
 def test_hvec_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(_METHODS, "complex", lambda c: IntPoly.of(9))
+    monkeypatch.setitem(ROUTES, "complex", lambda c: IntPoly.of(9))
     code, out, _ = run(capsys, "hvec", "--r", "3", "--method", "all")
     assert code == 1
     assert "agree = false" in out
@@ -186,7 +188,7 @@ def test_verify_small_sweeps(capsys):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     # break one route: the matrix must flag h3way and exit 1 listing (k, check)
-    monkeypatch.setattr("oddbouquet.cli.h_recursive", lambda c: IntPoly.of(5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(5))
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "2",
                        "--no-buchberger", "--no-bruteforce")
     assert code == 1
@@ -195,20 +197,22 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "k=(2,): h3way" in out
 
 
-def test_verify_reports_non_shelling_order(capsys, monkeypatch):
+def _badly_ordered(c):
     # same facets, but two that differ in more than one element come first,
-    # so the emitted order is no shelling: a FAIL row, never a traceback
-    def badly_ordered(c):
-        cx = facets_closed_form(c)
-        masks = cx.facets
-        for i, j in combinations(range(len(masks)), 2):
-            if (masks[i] & ~masks[j]).bit_count() > 1:
-                first = [masks[i], masks[j]]
-                rest = [f for f in masks if f not in first]
-                return SimplicialComplex(cx.ground_size, tuple(first + rest))
-        return cx
+    # so the emitted order is no shelling
+    cx = facets_closed_form(c)
+    masks = cx.facets
+    for i, j in combinations(range(len(masks)), 2):
+        if (masks[i] & ~masks[j]).bit_count() > 1:
+            first = [masks[i], masks[j]]
+            rest = [f for f in masks if f not in first]
+            return SimplicialComplex(cx.ground_size, tuple(first + rest))
+    return cx
 
-    monkeypatch.setattr(cli, "facets_closed_form", badly_ordered)
+
+def test_verify_reports_non_shelling_order(capsys, monkeypatch):
+    # a facet order that is no shelling: a FAIL row, never a traceback
+    monkeypatch.setattr(certify, "facets_closed_form", _badly_ordered)
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-N", "3")
     assert code == 1
     row = next(line.split() for line in out.splitlines() if line.startswith("(1, 1, 1)"))
@@ -217,6 +221,54 @@ def test_verify_reports_non_shelling_order(capsys, monkeypatch):
     assert statuses["facets"] == statuses["brutefacets"] == "ok"
     assert "k=(1, 1, 1): shelling" in out
     assert "k=(1,): shelling" not in out  # one facet: nothing to reorder
+
+
+def test_verify_runs_each_route_once_per_bouquet(monkeypatch):
+    # classify (and with it the closed form), the recursion, the facets and
+    # their shelling: once per bouquet, shared by every column that uses them
+    calls = {"classify": 0, "h_closed_form": 0, "h_recursive": 0,
+             "shelling_h_vector": 0, "facets_closed_form": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ringinv, "h_closed_form", counted(ringinv.h_closed_form))
+    monkeypatch.setitem(ROUTES, "recursion", counted(ringinv.h_recursive))
+    for name in ("classify", "shelling_h_vector", "facets_closed_form"):
+        monkeypatch.setattr(certify, name, counted(getattr(certify, name)))
+    comps = sweep_compositions(3, 5)
+    for c in comps:
+        assert set(certify.verify_composition(c, cli.SweepRange(3, 5))
+                   .values()) <= {"ok", "skip"}, c.k
+    assert calls == dict.fromkeys(calls, len(comps))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("closed form", "error: not an h-polynomial\n"),
+    ("facet order", "error: facet order is not a shelling at facet "),
+])
+@pytest.mark.parametrize("argv", [
+    ["hvec", "--k", "1,1,1"],
+    ["classify", "--k", "1,1,1", "--format", "text"],
+    ["classify", "--k", "1,1,1", "--format", "json"],
+    ["classify", "--k", "1,1,1", "--format", "csv"],
+    ["table", "--max-n", "3", "--max-N", "3"],
+])
+def test_route_raising_value_error_exits_1(capsys, monkeypatch, tmp_path, fault, message, argv):
+    # a closed form that is not an h-polynomial, or facets in an order that is
+    # no shelling, is a mathematical disagreement: exit 1, never a traceback
+    if fault == "closed form":
+        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly.of(9))
+    else:
+        monkeypatch.setattr(srcomplex, "facets_closed_form", _badly_ordered)
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_hvec_large_single_cycle(capsys):
@@ -249,7 +301,7 @@ def test_recursion_error_is_usage_error(capsys, monkeypatch):
     def too_deep(c):
         raise RecursionError
 
-    monkeypatch.setitem(_METHODS, "recursion", too_deep)
+    monkeypatch.setitem(ROUTES, "recursion", too_deep)
     code, out, err = run(capsys, "hvec", "--k", "2,1", "--method", "recursion")
     assert (code, out, err) == (2, "", "error: instance too large\n")
 
@@ -304,13 +356,13 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
 
     closed_form = counted(ringinv.h_closed_form)
     monkeypatch.setattr(ringinv, "h_closed_form", closed_form)
-    monkeypatch.setattr(cli, "h_closed_form", closed_form)
-    monkeypatch.setitem(_METHODS, "formula", closed_form)
+    monkeypatch.setattr(certify, "h_closed_form", closed_form)
+    monkeypatch.setitem(ROUTES, "formula", closed_form)
     for name, route in [("recursion", "h_recursive"), ("complex", "h_by_complex")]:
-        wrapped = counted(getattr(cli, route))
-        monkeypatch.setattr(cli, route, wrapped)
-        monkeypatch.setitem(_METHODS, name, wrapped)
-    monkeypatch.setattr(cli, "classify", counted(ringinv.classify))
+        wrapped = counted(getattr(certify, route))
+        monkeypatch.setattr(certify, route, wrapped)
+        monkeypatch.setitem(ROUTES, name, wrapped)
+    monkeypatch.setattr(certify, "classify", counted(ringinv.classify))
     bouquets = 1
     if argv[0] == "table":
         argv = argv + ["--out", str(tmp_path / "t.csv")]
@@ -323,21 +375,24 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
-    monkeypatch.setitem(_METHODS, "recursion", lambda c: IntPoly.of(1, 5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
     code, out, _ = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert code == 1
     if fmt == "json":
         assert json.loads(out)["methods_agree"] is False
 
 
-def _fail_characterization(monkeypatch):
-    # classify reports a verdict that contradicts the predicted characterization
+def _fail_characterization(monkeypatch, field="prediction_agrees", k=None):
+    # classify negates one field of its report, on bouquet k or on every
+    # bouquet, so that the report contradicts the characterization
     def wrong(c):
         rep = ringinv.classify(c)
-        return GorensteinReport(*[False if name == "prediction_agrees" else getattr(rep, name)
+        if k not in (None, c.k):
+            return rep
+        return GorensteinReport(*[not getattr(rep, name) if name == field else getattr(rep, name)
                                   for name in rep._fields])
 
-    monkeypatch.setattr(cli, "classify", wrong)
+    monkeypatch.setattr(certify, "classify", wrong)
 
 
 def test_table_exits_1_on_failed_characterization(capsys, monkeypatch, tmp_path):
@@ -349,6 +404,20 @@ def test_table_exits_1_on_failed_characterization(capsys, monkeypatch, tmp_path)
     assert "(1,)" in err
     for fmt in ("text", "json", "csv"):
         assert run(capsys, "classify", "--k", "2,1", "--format", fmt)[0] == 1
+
+
+def test_gorenstein_flag_is_part_of_the_verdict(capsys, monkeypatch, tmp_path):
+    # a Gorenstein (2,1,1) contradicts the characterization although its
+    # almost Gorenstein flag is as predicted: classify, table and verify fail
+    _fail_characterization(monkeypatch, "is_gorenstein", (2, 1, 1))
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, "classify", "--k", "2,1,1", "--format", fmt)[0] == 1
+    code, _, err = run(capsys, "table", "--max-n", "3", "--max-N", "4",
+                       "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert "[(2, 1, 1)]" in err
+    statuses = certify.verify_composition(build_from_k((2, 1, 1)), cli.SweepRange(3, 4))
+    assert statuses["classify"] == "FAIL"
 
 
 def test_hvec_ignores_the_characterization(capsys, monkeypatch):
@@ -379,7 +448,7 @@ def test_verify_hilbert_degree_flag(capsys):
 
 def test_verify_hilbert_column_checks_h(capsys, monkeypatch):
     # the two counters still agree; only the count derived from h is off
-    monkeypatch.setattr(cli, "hilbert_from_h", lambda h, dim, d: 0)
+    monkeypatch.setattr(certify, "hilbert_from_h", lambda h, dim, d: 0)
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "1")
     assert code == 1
     assert "k=(1,): hilbert" in out

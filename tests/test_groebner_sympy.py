@@ -12,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from oddbouquet.cli import sweep_compositions  # noqa: E402
+from oddbouquet.certify import sweep_compositions  # noqa: E402
 from oddbouquet.composition import build_from_k  # noqa: E402
 from oddbouquet.toric import generators, s_pair_reduces_to_zero  # noqa: E402
 

@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from oddbouquet import srcomplex
-from oddbouquet.cli import sweep_compositions
+from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import CycleParts, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
 from oddbouquet.ringinv import h_closed_form

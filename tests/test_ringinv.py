@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from oddbouquet.cli import sweep_compositions
+from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import build_from_k, build_from_r
 from oddbouquet.polyarith import IntPoly, ONE, reverse
 from oddbouquet.ringinv import (

@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from oddbouquet import srcomplex
-from oddbouquet.cli import sweep_compositions
+from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import build_from_k, cycle_parts
 from oddbouquet.polyarith import ONE
 from oddbouquet.ringinv import h_closed_form, multiplicity
