@@ -2,22 +2,22 @@
 
 ``bouquet_report`` is the one computation behind hvec, classify and table;
 ``verify_composition`` takes its routes and its characterization verdict and
-adds every consistency check on the algebra underneath.
+adds every consistency check on the algebra underneath.  This module is the
+one place that says pass or fail; ringinv and srcomplex only compute.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .composition import OddCycleComposition, build_from_k, labeled_graph
-from .ringinv import classify, h_closed_form, h_recursive, multiplicity
+from .ringinv import classify, e_tilde_closed, h_closed_form, h_recursive, multiplicity
 from .srcomplex import (
     ORACLE_CAP,
-    f_from_h,
     facets_brute_force,
     facets_closed_form,
     h_by_complex,
-    h_from_f,
     hilbert_from_h,
     shelling_h_vector,
     verify_decomposition,
@@ -62,9 +62,10 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
     """Classify one bouquet once and run the named routes on it.
 
     Returns the payload, the h of each named route (the formula route is the
-    h that classify computed) and whether the classification matches the
-    characterization: the predicted almost Gorenstein flag, e~ equal to its
-    closed form, Gorenstein iff n <= 2, and for n >= 2 h_1 = n - 1, s = N.
+    h that classify computed) and the characterization verdict, the only one
+    in the package: almost Gorenstein iff n <= 2 or N = n, for n >= 3 e~
+    equal to its closed form, Gorenstein iff n <= 2, and for n >= 2
+    h_1 = n - 1 and s = N.
     """
     rep = classify(c)
     hs = {name: rep.h if name == "formula" else ROUTES[name](c) for name in routes}
@@ -81,10 +82,13 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
         "almost_gorenstein": rep.is_almost_gorenstein,
         "methods_agree": len({h.coeffs for h in hs.values()}) == 1,
     }
-    ok = rep.prediction_agrees and rep.e_tilde_formula_agrees
-    ok = ok and rep.is_gorenstein == (c.n <= 2)
-    if c.n >= 2:
-        ok = ok and rep.h.coeff(1) == c.n - 1 and rep.s == c.N
+    n = c.n
+    ok = (
+        rep.is_almost_gorenstein == (n <= 2 or c.N == n)
+        and (n < 3 or rep.e_tilde == e_tilde_closed(c))
+        and rep.is_gorenstein == (n <= 2)
+        and (n < 2 or (rep.h.coeff(1) == n - 1 and rep.s == c.N))
+    )
     return payload, hs, ok
 
 
@@ -98,73 +102,78 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     """Run every consistency check on one bouquet; values are ok/FAIL/skip.
 
     rng is a sweep range: it supplies hilbert_degree, enable_buchberger and
-    enable_bruteforce_complex.
+    enable_bruteforce_complex.  Each check answers True (ok), False (FAIL)
+    or None (skip).  A check that raises ValueError or RuntimeError, itself
+    or through a shared result it reads, is FAIL in its own cell and the
+    other checks still run; RecursionError and MemoryError propagate, since
+    they say the instance is too large, not that a check failed.  The
+    shared results are computed once each when nothing raises.
     """
+    report = cache(lambda: bouquet_report(c, ("formula", "recursion")))
+    cx = cache(lambda: facets_closed_form(c))
+    h_cx = cache(lambda: shelling_h_vector(cx().facets))  # raises unless a shelling
+    gens = cache(lambda: generators(c))
+    inits = cache(lambda: [g.plus for g in gens()])
+    V, E = c.vertex_count, c.edge_count
+
+    def facets() -> bool:
+        count_ok = len(cx().facets) == report()[0]["facets"] == report()[1]["formula"].evaluate(1)
+        return count_ok and all(f.bit_count() == V for f in cx().facets)
+
+    def fvec() -> bool:
+        # f_0 = 1 and f_1 = E, i.e. h_0 = 1 and h_1 = E - V; deg h <= V is
+        # exactly what makes the f <-> h transform invertible
+        h = h_cx()
+        return h.coeff(0) == 1 and h.coeff(1) == E - V and h.degree <= V
+
+    def initial() -> bool:
+        pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
+        return all(
+            leading_monomial(g) == m and m.is_squarefree() and m.degree == deg
+            for g, m, deg in zip(gens(), inits(), pair_degrees)
+        )
+
+    def kernel() -> bool:
+        graph = labeled_graph(c)
+        return all(kernel_check(g, graph) for g in gens())
+
+    def buchberger() -> bool | None:
+        if not rng.enable_buchberger:
+            return None
+        return all(s_pair_reduces_to_zero(f, g, gens()) for f, g in combinations(gens(), 2))
+
+    def hilbert() -> bool:
+        d = rng.hilbert_degree
+        return (
+            standard_monomial_series(c, d, inits()) == edge_subring_hilbert_series(c, d)
+            == [hilbert_from_h(report()[1]["formula"], V, j) for j in range(d + 1)]
+        )
+
+    def brutefacets() -> bool | None:
+        if not (rng.enable_bruteforce_complex and E <= ORACLE_CAP):
+            return None
+        return set(facets_brute_force(inits(), E).facets) == set(cx().facets)
+
+    checks = {
+        "h3way": lambda: report()[1]["formula"] == report()[1]["recursion"] == h_cx(),
+        "shelling": lambda: h_cx() is not None,
+        "facets": facets,
+        "fvec": fvec,
+        "initial": initial,
+        "kernel": kernel,
+        "buchberger": buchberger,
+        "hilbert": hilbert,
+        "decompose": lambda: verify_decomposition(c).ok if c.k[0] >= 2 else None,
+        "classify": lambda: report()[2],
+        "brutefacets": brutefacets,
+    }
     out: dict[str, str] = {}
-
-    payload, hs, class_ok = bouquet_report(c, ("formula", "recursion"))
-    h_formula = hs["formula"]
-    cx = facets_closed_form(c)
-    try:
-        h_cx = shelling_h_vector(cx.facets)
-    except ValueError:
-        h_cx = None
-    out["h3way"] = "ok" if h_formula == hs["recursion"] == h_cx else "FAIL"
-    out["shelling"] = "ok" if h_cx is not None else "FAIL"
-
-    count_ok = len(cx.facets) == payload["facets"] == h_formula.evaluate(1)
-    size_ok = all(f.bit_count() == c.vertex_count for f in cx.facets)
-    out["facets"] = "ok" if count_ok and size_ok else "FAIL"
-
-    if h_cx is None:
-        out["fvec"] = "FAIL"
-    else:
-        fv = f_from_h(h_cx, c.vertex_count)
-        fvec_ok = fv.counts[0] == 1 and fv.counts[1] == c.edge_count
-        out["fvec"] = "ok" if fvec_ok and h_from_f(fv, c.vertex_count) == h_cx else "FAIL"
-
-    gens = generators(c)
-    inits = [g.plus for g in gens]
-    pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
-    initial_ok = all(
-        leading_monomial(g) == m and m.is_squarefree() and m.degree == deg
-        for g, m, deg in zip(gens, inits, pair_degrees)
-    )
-    out["initial"] = "ok" if initial_ok else "FAIL"
-
-    graph = labeled_graph(c)
-    out["kernel"] = "ok" if all(kernel_check(g, graph) for g in gens) else "FAIL"
-
-    if rng.enable_buchberger:
+    for name in CHECK_NAMES:
         try:
-            buch_ok = all(
-                s_pair_reduces_to_zero(f, g, gens)
-                for f, g in combinations(gens, 2)
-            )
-        except RuntimeError:
-            buch_ok = False
-        out["buchberger"] = "ok" if buch_ok else "FAIL"
-    else:
-        out["buchberger"] = "skip"
-
-    d = rng.hilbert_degree
-    hilbert_ok = (
-        standard_monomial_series(c, d, inits) == edge_subring_hilbert_series(c, d)
-        == [hilbert_from_h(h_formula, c.vertex_count, j) for j in range(d + 1)]
-    )
-    out["hilbert"] = "ok" if hilbert_ok else "FAIL"
-
-    if c.k[0] >= 2:
-        out["decompose"] = "ok" if verify_decomposition(c).ok else "FAIL"
-    else:
-        out["decompose"] = "skip"
-
-    out["classify"] = "ok" if class_ok else "FAIL"
-
-    if rng.enable_bruteforce_complex and c.edge_count <= ORACLE_CAP:
-        brute = facets_brute_force(inits, c.edge_count)
-        out["brutefacets"] = "ok" if set(brute.facets) == set(cx.facets) else "FAIL"
-    else:
-        out["brutefacets"] = "skip"
-
+            ok = checks[name]()
+        except RecursionError:
+            raise
+        except (ValueError, RuntimeError):
+            ok = False
+        out[name] = "skip" if ok is None else "ok" if ok else "FAIL"
     return out

@@ -248,7 +248,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(comps)} rows to {args.out}")

@@ -94,25 +94,6 @@ class IntPoly(Record):
             n >>= 1
         return result
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "t" if i == 1 else f"t^{i}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
-
 
 ZERO = IntPoly(())
 ONE = IntPoly((1,))

@@ -11,6 +11,9 @@ On top of h sit the Cohen-Macaulay type (n - 1 for n >= 2), the asymmetry
 aggregate e~ obtained from the reversed-minus-original h-vector divided by
 (1 - t), and the Gorenstein / almost Gorenstein classification: Gorenstein
 means symmetric h, almost Gorenstein means type - 1 = e~.
+
+This module only computes.  Whether a classification matches the paper's
+characterization is decided in one place, ``certify.bouquet_report``.
 """
 
 from __future__ import annotations
@@ -92,11 +95,8 @@ def e_tilde_closed(c: OddCycleComposition) -> int:
 class GorensteinReport(Record):
     """Classification bundle for one bouquet."""
 
-    __slots__ = (
-        "h", "s", "cm_type", "e_tilde", "h_prime", "is_gorenstein",
-        "is_almost_gorenstein", "predicted_almost_gorenstein",
-        "prediction_agrees", "e_tilde_formula_agrees",
-    )
+    __slots__ = ("h", "s", "cm_type", "e_tilde", "h_prime", "is_gorenstein",
+                 "is_almost_gorenstein")
 
     def __init__(
         self,
@@ -107,9 +107,6 @@ class GorensteinReport(Record):
         h_prime: tuple[int, ...],
         is_gorenstein: bool,
         is_almost_gorenstein: bool,
-        predicted_almost_gorenstein: bool,
-        prediction_agrees: bool,
-        e_tilde_formula_agrees: bool,
     ) -> None:
         _set(self, "h", h)
         _set(self, "s", s)
@@ -118,40 +115,26 @@ class GorensteinReport(Record):
         _set(self, "h_prime", h_prime)
         _set(self, "is_gorenstein", is_gorenstein)
         _set(self, "is_almost_gorenstein", is_almost_gorenstein)
-        _set(self, "predicted_almost_gorenstein", predicted_almost_gorenstein)
-        _set(self, "prediction_agrees", prediction_agrees)
-        _set(self, "e_tilde_formula_agrees", e_tilde_formula_agrees)
 
 
 def classify(c: OddCycleComposition) -> GorensteinReport:
     """Full classification of the edge ring of a bouquet.
 
-    e~ is always computed from the h-vector; for n >= 3 it is cross-checked
-    against the closed form.  The prediction field states the expected
-    characterization (almost Gorenstein iff n <= 2 or all cycles are
-    triangles) so a disagreement is visible in the report rather than
-    silently absorbed.
+    e~ is computed from the h-vector, and the flags follow from their
+    definitions alone; comparing them with the characterization (and e~
+    with its closed form) is left to ``certify.bouquet_report``.
     """
     h = h_closed_form(c)
     s = h.degree
     assert s is not None
     e_tilde, h_prime = e_tilde_from_h(h)
     typ = cm_type(c)
-    is_gorenstein = reverse(h, s) == h
-    is_almost = typ - 1 == e_tilde
-    predicted = c.n <= 2 or c.N == c.n
-    formula_ok = True
-    if c.n >= 3:
-        formula_ok = e_tilde == e_tilde_closed(c)
     return GorensteinReport(
         h=h,
         s=s,
         cm_type=typ,
         e_tilde=e_tilde,
         h_prime=h_prime,
-        is_gorenstein=is_gorenstein,
-        is_almost_gorenstein=is_almost,
-        predicted_almost_gorenstein=predicted,
-        prediction_agrees=is_almost == predicted,
-        e_tilde_formula_agrees=formula_ok,
+        is_gorenstein=reverse(h, s) == h,
+        is_almost_gorenstein=typ - 1 == e_tilde,
     )

@@ -271,6 +271,50 @@ def test_route_raising_value_error_exits_1(capsys, monkeypatch, tmp_path, fault,
     assert err.startswith(message) and err.count("\n") == 1
 
 
+def _verify_rows(out):
+    # the k column is 22 characters wide; the statuses follow in CHECK_NAMES order
+    return {line[:22].rstrip(): line[22:].split() for line in out.splitlines()
+            if line.startswith("(")}
+
+
+def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
+    # a closed form that is not an h-polynomial: FAIL in the checks that read
+    # it, every other cell as before, and the sweep goes on to the last row
+    code, clean, _ = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
+    assert code == 0
+    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly.of(9))
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
+    assert (code, err) == (1, "")
+    rows, clean_rows = _verify_rows(out), _verify_rows(clean)
+    assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(1, 1)"]
+    fail = dict.fromkeys(["h3way", "facets", "hilbert", "classify"], "FAIL")
+    for k, row in rows.items():
+        expected = {**dict(zip(cli.CHECK_NAMES, clean_rows[k])), **fail}
+        assert dict(zip(cli.CHECK_NAMES, row)) == expected, k
+
+
+def test_verify_recursion_error_still_exits_2(capsys, monkeypatch):
+    # RecursionError is a RuntimeError, but it says the instance is too large
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(certify, "facets_brute_force", too_deep)
+    code, _, err = run(capsys, "verify", "--max-n", "1", "--max-N", "1")
+    assert (code, err) == (2, "error: instance too large\n")
+
+
+def test_verify_fvec_checks_the_degree(capsys, monkeypatch):
+    # for one triangle V = E = 3; this h has h_0 = 1 and h_1 = E - V, but its
+    # degree is above V, so no complex on 3-element facets has it
+    h = IntPoly.of(1, 0, 0, 0, 1)
+    c = build_from_k((1,))
+    assert h.coeff(0) == 1 and h.coeff(1) == c.edge_count - c.vertex_count
+    monkeypatch.setattr(certify, "shelling_h_vector", lambda facets: h)
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "1")
+    assert code == 1
+    assert dict(zip(cli.CHECK_NAMES, _verify_rows(out)["(1)"]))["fvec"] == "FAIL"
+
+
 def test_hvec_large_single_cycle(capsys):
     # one 25-cycle: a single facet of 25 elements, h = 1
     code, out, _ = run(capsys, "hvec", "--k", "12")
@@ -382,7 +426,7 @@ def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
         assert json.loads(out)["methods_agree"] is False
 
 
-def _fail_characterization(monkeypatch, field="prediction_agrees", k=None):
+def _fail_characterization(monkeypatch, field="is_almost_gorenstein", k=None):
     # classify negates one field of its report, on bouquet k or on every
     # bouquet, so that the report contradicts the characterization
     def wrong(c):
@@ -418,6 +462,14 @@ def test_gorenstein_flag_is_part_of_the_verdict(capsys, monkeypatch, tmp_path):
     assert "[(2, 1, 1)]" in err
     statuses = certify.verify_composition(build_from_k((2, 1, 1)), cli.SweepRange(3, 4))
     assert statuses["classify"] == "FAIL"
+
+
+def test_e_tilde_closed_form_is_part_of_the_verdict(capsys, monkeypatch):
+    # e~ is compared with its closed form for n >= 3 only, where it is stated
+    monkeypatch.setattr(certify, "e_tilde_closed", lambda c: -1)
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, "classify", "--k", "1,1,1", "--format", fmt)[0] == 1
+        assert run(capsys, "classify", "--k", "2,1", "--format", fmt)[0] == 0
 
 
 def test_hvec_ignores_the_characterization(capsys, monkeypatch):
@@ -528,6 +580,13 @@ def test_table_minimal_range(tmp_path, capsys):
 def test_table_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--max-n", "1", "--max-N", "1",
                        "--out", str(tmp_path))
+    assert code == 2
+    assert "cannot write" in err
+
+
+def test_table_nul_byte_path_is_io_error(capsys):
+    # open() rejects a NUL byte with ValueError; that is still an I/O error
+    code, _, err = run(capsys, "table", "--max-n", "1", "--max-N", "1", "--out", "a\0b")
     assert code == 2
     assert "cannot write" in err
 

@@ -119,9 +119,3 @@ def test_pow():
     assert (T ** 0) == ONE
     with pytest.raises(ValueError):
         T ** -1
-
-
-def test_str_rendering():
-    assert str(ZERO) == "0"
-    assert str(IntPoly.of(1, -2, 0, 3)) == "1 - 2*t + 3*t^3"
-    assert str(IntPoly.of(-1, 1)) == "-1 + t"

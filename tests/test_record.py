@@ -36,8 +36,7 @@ CASES = [
     (Binomial, ["plus", "minus"], (X0, X1), (X1, X0)),
     (GorensteinReport,
      ["h", "s", "cm_type", "e_tilde", "h_prime", "is_gorenstein",
-      "is_almost_gorenstein", "predicted_almost_gorenstein",
-      "prediction_agrees", "e_tilde_formula_agrees"],
+      "is_almost_gorenstein"],
      tuple(getattr(REPORT, name) for name in REPORT._fields),
      tuple(getattr(REPORT, name) for name in REPORT._fields)[:-1] + (False,)),
     (SimplicialComplex, ["ground_size", "facets"],

@@ -191,6 +191,21 @@ def test_h_from_f_dimension_guard():
         h_from_f(fv, 2)
 
 
+def test_f_h_round_trip_holds_exactly_up_to_degree_d():
+    # why verify's fvec column checks deg h <= V and not the round trip: for
+    # any signed h the round trip through f_from_h holds iff deg h <= d
+    import random
+
+    from oddbouquet.polyarith import IntPoly
+
+    rng = random.Random(11)
+    for _ in range(500):
+        d = rng.randrange(0, 6)
+        h = IntPoly(rng.randrange(-3, 4) for _ in range(rng.randrange(0, 9)))
+        round_trip = h_from_f(f_from_h(h, d), d) == h
+        assert round_trip == (h.degree is None or h.degree <= d), (h, d)
+
+
 def test_complex_route_agrees_with_formula():
     for k in SWEEP_KS:
         c = build_from_k(k)
