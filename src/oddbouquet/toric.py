@@ -16,8 +16,13 @@ closed-form facet enumeration, certify that claim at desk scale:
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, one counting monomials outside the
   monomial ideal by a pruned recursion memoised on bitmask supports, the
-  other counting distinct vertex exponent vectors in the edge subring by
-  one multiset-ordered breadth-first pass over vectors packed into ints.
+  other counting distinct vertex exponent vectors in the edge subring
+  branch by branch at the hub.  Hub lemma: split at any vertex, a degree-t
+  vector is fixed by its projections u_1..u_n onto the components of
+  G - hub (the hub's exponent is 2t - sum |u_i|), and it exists iff t lies
+  in the Minkowski sum of the sets D(u_i) of degrees at which each u_i
+  occurs.  A multiset-ordered breadth-first pass over packed ints per
+  branch finds the D(u), and a DP over the branches combines them.
 """
 
 from __future__ import annotations
@@ -340,24 +345,18 @@ def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     return _standard_counts(c, [d], [plus for plus, _ in _pair_supports(c)])[0]
 
 
-def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
-    """Dimensions of the degree-0..d pieces of the edge subring, in one pass.
+def _mask_tally(edges: Sequence[int], d: int) -> dict[int, int]:
+    """For each degree mask D, the number of vectors u whose degree-0..d
+    occurrences as sums of the packed edge vectors are the degrees in D.
 
-    Level t maps each degree-t vertex exponent vector v to m(v), the least
-    largest edge index of an edge multiset with image v.  Edge j is added
-    only where m(v) <= j: no vector is missed, as dropping the largest edge
-    e of a multiset leaves an image with m <= e.  Edges run last to first,
-    so the least j reaching a vector is its m.  Vectors are packed into
-    ints, w = bit_length(max(d, 1)) bits per vertex, so sums never carry.
+    Level t maps each degree-t vector v to m(v), the least largest edge
+    index of an edge multiset with image v.  Edge j is added only where
+    m(v) <= j: no vector is missed, as dropping the largest edge e of a
+    multiset leaves an image with m <= e.  Edges run last to first, so the
+    least j reaching a vector is its m.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    g = labeled_graph(c)
-    w = max(d, 1).bit_length()
-    edges = [(1 << w * a) + (1 << w * b) for a, b in g.endpoints]
-    level = {0: 0}
-    series = [1]
-    for _ in range(d):
+    level, seen = {0: 0}, {0: 1}
+    for t in range(1, d + 1):
         by_m = [[] for _ in edges]
         for v, m in level.items():
             by_m[m].append(v)
@@ -368,8 +367,83 @@ def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
         level = {}
         for j in range(len(edges) - 1, -1, -1):
             level.update(dict.fromkeys([v + edges[j] for v in order[:ends[j]]], j))
-        series.append(len(level))
-    return series
+        again = level.keys() & seen.keys()
+        seen.update(dict.fromkeys(level.keys() - again, 1 << t))
+        for v in again:
+            seen[v] |= 1 << t
+    tally: dict[int, int] = {}
+    for mask in seen.values():
+        tally[mask] = tally.get(mask, 0) + 1
+    return tally
+
+
+def _minkowski(states: dict[int, int], tally: dict[int, int], d: int) -> dict[int, int]:
+    """One branch step of the hub DP: each counted set S of reachable
+    degrees and each counted degree mask M give the union of S << t over t
+    in M, truncated at d, counted by the product of the two counts."""
+    full, out = (1 << d + 1) - 1, {}
+    shifts = [(bits(mask), k) for mask, k in tally.items()]
+    for s, n in states.items():
+        for ts, k in shifts:
+            reach = 0
+            for t in ts:
+                reach |= s << t
+            reach &= full
+            out[reach] = out.get(reach, 0) + n * k
+    return out
+
+
+def _hub_series(g: LabeledGraph, d: int, hub: int) -> list[int]:
+    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub.
+
+    The branches are the components of g - hub, and each edge joins the
+    branch of its non-hub endpoint.  Each branch gives its tally of degree
+    masks D(u), hub coordinate dropped from u, and a DP over the branches
+    maps each set of degrees a tuple (u_1, ...) can reach, truncated at d,
+    to the number of such tuples; HF(t) sums the sets that hold t (see
+    edge_subring_hilbert_series).  Right at any vertex: at one that cuts
+    nothing there is one branch, and this is the whole-graph search.
+    Coordinates are packed into ints, w = bit_length(max(d, 1)) bits per
+    branch vertex, so sums never carry.
+    """
+    parent = list(range(g.n_vertices))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in g.endpoints:
+        if hub != a and hub != b:
+            parent[root(a)] = root(b)
+    branches: dict[int, list[tuple[int, int]]] = {}
+    for a, b in g.endpoints:
+        branches.setdefault(root(b if a == hub else a), []).append((a, b))
+    w, states, tallies = max(d, 1).bit_length(), {1: 1}, {}
+    for ends in branches.values():
+        slot = {v: w * i for i, v in enumerate(sorted({v for e in ends for v in e} - {hub}))}
+        edges = tuple(sum(1 << slot[v] for v in e if v != hub) for e in ends)
+        if edges not in tallies:  # equal cycles of a bouquet pack alike
+            tallies[edges] = _mask_tally(edges, d)
+        states = _minkowski(states, tallies[edges], d)
+    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
+
+
+def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
+    """Dimensions of the degree-0..d pieces of the edge subring.
+
+    Counted branch by branch at the hub, the vertex of largest degree
+    (lowest index on ties).  Hub lemma: a degree-t vertex exponent vector
+    is fixed by its projections u_1..u_n onto the components of G - hub,
+    since the hub's exponent is 2t - sum |u_i|; and it exists iff t lies in
+    the Minkowski sum D(u_1) + ... + D(u_n), where D(u) is the set of
+    degrees at which u is the image of an edge multiset of its branch.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    g = labeled_graph(c)
+    return _hub_series(g, d, max(range(g.n_vertices), key=g.degree))
 
 
 def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:

@@ -1,16 +1,18 @@
 """Rewritten oracles and certificates against the straightforward code they replaced.
 
 facets_brute_force is a pruned include/exclude search, the edge subring
-Hilbert series is one multiset-ordered breadth-first pass over exponent
-vectors packed into ints, s_pair_reduces_to_zero divides packed-int monomials
-by a basis packed once per list, standard_monomial_series is a recursion over
-bitmask supports memoised across degrees, h_from_f sums binomials, and the
-decomposition's intersection check is a subset test.  The references here
-are the plain versions: a scan over all 2^E subsets, breadth-first searches
-over exponent tuples and over whole levels of packed ints, division on dicts
-of Monomial objects ordered by grlex_cmp, the unmemoised recursion over
-frozenset supports, the f-to-h transform by polynomial powers, and the
-decomposition check by maximal pairwise intersections.  The references hold
+Hilbert series is counted branch by branch at a vertex (a multiset-ordered
+breadth-first pass per branch, then a DP over the branches' degree masks),
+s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
+per list, standard_monomial_series is a recursion over bitmask supports
+memoised across degrees, h_from_f sums binomials, and the decomposition's
+intersection check is a subset test.  The references here are the plain
+versions: a scan over all 2^E subsets, breadth-first searches over
+whole-graph exponent tuples and over whole levels of whole-graph packed
+ints, division on dicts of Monomial objects ordered by grlex_cmp, the
+unmemoised recursion over frozenset supports, the f-to-h transform by
+polynomial powers, and the decomposition check by maximal pairwise
+intersections.  The references hold
 squarefree sets as frozensets and meet the bitmask results only at the
 comparison.
 """
@@ -25,7 +27,7 @@ import pytest
 
 from oddbouquet import srcomplex
 from oddbouquet.certify import sweep_compositions
-from oddbouquet.composition import CycleParts, build_from_k, cycle_parts, labeled_graph
+from oddbouquet.composition import CycleParts, LabeledGraph, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
 from oddbouquet.ringinv import h_closed_form
 from oddbouquet.srcomplex import (
@@ -41,6 +43,8 @@ from oddbouquet.toric import (
     Binomial,
     Monomial,
     _PackedBasis,
+    _hub_series,
+    _minkowski,
     _packer,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
@@ -95,11 +99,11 @@ def _tuple_hilbert(c, d):
     return len(level)
 
 
-def _full_level_series(c, d):
-    """Breadth-first closure over packed ints that adds every edge to every vector."""
-    g = labeled_graph(c)
+def _full_level_series(endpoints, d):
+    """Breadth-first closure over whole-graph vectors packed into ints that
+    adds every edge to every vector."""
     w = max(d, 1).bit_length()
-    edges = [(1 << w * a) + (1 << w * b) for a, b in g.endpoints]
+    edges = [(1 << w * a) + (1 << w * b) for a, b in endpoints]
     level, series = {0}, [1]
     for _ in range(d):
         level = {v + e for v in level for e in edges}
@@ -163,11 +167,15 @@ def test_packed_hilbert_matches_tuples_across_bit_widths(k):
         assert edge_subring_hilbert(c, d) == _tuple_hilbert(c, d), (k, d)
 
 
+def _series(c, d):
+    return _full_level_series(labeled_graph(c).endpoints, d)
+
+
 def test_hilbert_series_matches_full_levels_every_order():
     for order in ORDERS:
         c = build_from_k(order)
         series = edge_subring_hilbert_series(c, 6)
-        assert series == _full_level_series(c, 6), order
+        assert series == _series(c, 6), order
         assert [edge_subring_hilbert(c, d) for d in range(4)] == series[:4], order
 
 
@@ -175,7 +183,64 @@ def test_hilbert_series_matches_full_levels_every_order():
 def test_hilbert_series_matches_full_levels_across_bit_widths(k):
     c = build_from_k(k)
     for d in range(9):
-        assert edge_subring_hilbert_series(c, d) == _full_level_series(c, d), (k, d)
+        assert edge_subring_hilbert_series(c, d) == _series(c, d), (k, d)
+
+
+def test_hub_split_matches_full_levels_every_order_of_the_sweep():
+    # reordering the cycles gives an isomorphic graph, so one reference serves all orders
+    for c in sweep_compositions(5, 8):
+        expected = _series(c, 4)
+        for order in set(permutations(c.k)):
+            for d in range(5):
+                assert edge_subring_hilbert_series(build_from_k(order), d) == expected[:d + 1], (order, d)
+
+
+@pytest.mark.parametrize("k", [(3, 2, 1), (2, 2, 2), (2, 2, 2, 1), (1, 1, 1, 1)])
+def test_hub_split_matches_full_levels_to_degree_seven(k):
+    c = build_from_k(k)
+    expected = _series(c, 7)
+    for d in range(8):
+        assert edge_subring_hilbert_series(c, d) == expected[:d + 1], d
+
+
+def _graph(n_vertices, endpoints):
+    return LabeledGraph(n_vertices, tuple((1, j) for j in range(len(endpoints))), tuple(endpoints))
+
+
+def _random_graphs(count, seed=0):
+    """Simple graphs on at most 8 vertices, with edges kept at a random density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv, keep = rng.randint(1, 8), rng.random()
+        yield _graph(nv, [e for e in combinations(range(nv), 2) if rng.random() < keep]), rng.randint(0, 5)
+
+
+SHAPED_GRAPHS = [
+    _graph(5, []),  # edgeless
+    _graph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]),  # disconnected, isolated 3
+    _graph(4, list(combinations(range(4), 2))),  # K4: no cut vertex
+    _graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # a pentagon with a chord
+    _graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (4, 5), (5, 6)]),  # a bow tie with a tail
+]
+
+
+def test_hub_split_matches_full_levels_on_graphs_at_every_vertex():
+    for g, d in [*((g, 5) for g in SHAPED_GRAPHS), *_random_graphs(300)]:
+        expected = _full_level_series(g.endpoints, d)
+        for hub in range(g.n_vertices):
+            assert _hub_series(g, d, hub) == expected, (g.endpoints, d, hub)
+
+
+def test_edgeless_graph_has_only_the_constants():
+    for d in range(6):
+        assert _hub_series(_graph(3, []), d, 0) == [1] + [0] * d
+
+
+def test_minkowski_step_shifts_truncates_and_multiplies():
+    # {0, 1} + {1, 2} = {1, 2, 3}, cut to {1, 2} at d = 2; {0, 1} + {0} = {0, 1}
+    assert _minkowski({0b11: 2}, {0b110: 3, 0b1: 5}, 2) == {0b110: 6, 0b11: 10}
+    # two reachable-degree sets that meet one mask in the same set add up
+    assert _minkowski({0b1: 1, 0b11: 4}, {0b11: 1}, 1) == {0b11: 5}
 
 
 # ------------------------------------------------------------------ toric certificates

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oddbouquet.cli import main  # noqa: E402
-from oddbouquet.composition import build_from_k  # noqa: E402
+from oddbouquet.composition import build_from_k, labeled_graph  # noqa: E402
 from oddbouquet.ringinv import h_closed_form  # noqa: E402
 from oddbouquet.srcomplex import (  # noqa: E402
     facets_brute_force,
@@ -19,13 +19,15 @@ from oddbouquet.srcomplex import (  # noqa: E402
     hilbert_from_h,
 )
 from oddbouquet.toric import (  # noqa: E402
+    _hub_series,
     edge_subring_hilbert,
+    edge_subring_hilbert_series,
     generators,
     initial_monomials,
     s_pair_reduces_to_zero,
     standard_monomial_count,
 )
-from test_oracle_rewrites import dict_s_pair_reduces_to_zero  # noqa: E402
+from test_oracle_rewrites import _full_level_series, _graph, dict_s_pair_reduces_to_zero  # noqa: E402
 
 MAX_EDGES = 18  # the brute-force oracle's cap
 
@@ -56,6 +58,26 @@ def test_brute_facets_equal_closed_form(c):
 def test_three_hilbert_counters_agree(c, d):
     expected = hilbert_from_h(h_closed_form(c), c.vertex_count, d)
     assert edge_subring_hilbert(c, d) == standard_monomial_count(c, d) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(bouquets, st.integers(0, 4))
+def test_hub_split_series_equals_whole_graph_levels(c, d):
+    assert edge_subring_hilbert_series(c, d) == _full_level_series(labeled_graph(c).endpoints, d)
+
+
+@st.composite
+def small_graphs(draw):
+    nv = draw(st.integers(1, 7))
+    pairs = list(combinations(range(nv), 2))
+    return _graph(nv, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.data(), st.integers(0, 5))
+def test_hub_split_of_any_graph_at_any_vertex_equals_whole_graph_levels(g, data, d):
+    hub = data.draw(st.integers(0, g.n_vertices - 1))
+    assert _hub_series(g, d, hub) == _full_level_series(g.endpoints, d)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,13 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from oddbouquet.composition import build_from_k, labeled_graph
+from oddbouquet.ringinv import h_closed_form
+from oddbouquet.srcomplex import hilbert_from_h
 from oddbouquet.toric import (
     Binomial,
     Monomial,
     edge_subring_hilbert,
+    edge_subring_hilbert_series,
     generators,
     grlex_cmp,
     initial_monomials,
@@ -215,9 +218,19 @@ def test_hilbert_counters_agree():
             assert standard_monomial_count(c, d) == edge_subring_hilbert(c, d)
 
 
+@pytest.mark.parametrize("k", [(2,) * 6, (1,) * 6])
+def test_hilbert_series_to_degree_N_matches_the_closed_form(k):
+    # out of reach of a whole-graph search: (2,)*6 has 7.8e9 vectors in degree 12
+    c = build_from_k(k)
+    h = h_closed_form(c)
+    assert edge_subring_hilbert_series(c, c.N) == [hilbert_from_h(h, c.vertex_count, t) for t in range(c.N + 1)]
+
+
 def test_degree_validation():
     c = build_from_k([1, 1])
     with pytest.raises(ValueError):
         standard_monomial_count(c, -1)
     with pytest.raises(ValueError):
         edge_subring_hilbert(c, -1)
+    with pytest.raises(ValueError):
+        edge_subring_hilbert_series(c, -1)
