@@ -21,13 +21,16 @@ closed-form facet enumeration, certify that claim at desk scale:
   vector is fixed by its projections u_1..u_n onto the components of
   G - hub (the hub's exponent is 2t - sum |u_i|), and it exists iff t lies
   in the Minkowski sum of the sets D(u_i) of degrees at which each u_i
-  occurs.  A multiset-ordered breadth-first pass over packed ints per
-  branch finds the D(u), and a DP over the branches combines them.
+  occurs.  At a bouquet's hub each branch is a path from the hub back to
+  the hub, so binomials count its u by D(u), O(d^2) of them per distinct
+  cycle length with no vector listed, and a DP over the branches combines
+  the counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from itertools import combinations
@@ -345,35 +348,32 @@ def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     return _standard_counts(c, [d], [plus for plus, _ in _pair_supports(c)])[0]
 
 
-def _mask_tally(edges: Sequence[int], d: int) -> dict[int, int]:
-    """For each degree mask D, the number of vectors u whose degree-0..d
-    occurrences as sums of the packed edge vectors are the degrees in D.
+def _path_tally(L: int, d: int) -> dict[int, int]:
+    """For each degree mask D, the number of vectors u on the inner vertices
+    of a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to
+    d are those in D.
 
-    Level t maps each degree-t vector v to m(v), the least largest edge
-    index of an edge multiset with image v.  Edge j is added only where
-    m(v) <= j: no vector is missed, as dropping the largest edge e of a
-    multiset leaves an image with m <= e.  Edges run last to first, so the
-    least j reaching a vector is its m.
+    With edge multiplicities a_1..a_L, u_i = a_i + a_{i+1}, so a_1 fixes a
+    given u: the odd-position a's rise with it and the even ones fall.  Take
+    the canonical a, with odd positions of minimum 0, its sum t and the
+    minimum m of its even positions.  For L = 2k + 1 each step up in a_1
+    adds 1 to the sum, so D(u) = [t, t + m], cut at d, and C(s + 2k, 2k) -
+    C(s + k - 1, 2k) of the u with sum t have m >= m0, s = t - k*m0.  For
+    L = 2k, D(u) = {t}, for C(t + L - 1, L - 1) - C(t + k - 1, L - 1) u's.
     """
-    level, seen = {0: 0}, {0: 1}
-    for t in range(1, d + 1):
-        by_m = [[] for _ in edges]
-        for v, m in level.items():
-            by_m[m].append(v)
-        order, ends = [], []
-        for bucket in by_m:
-            order += bucket
-            ends.append(len(order))
-        level = {}
-        for j in range(len(edges) - 1, -1, -1):
-            level.update(dict.fromkeys([v + edges[j] for v in order[:ends[j]]], j))
-        again = level.keys() & seen.keys()
-        seen.update(dict.fromkeys(level.keys() - again, 1 << t))
-        for v in again:
-            seen[v] |= 1 << t
-    tally: dict[int, int] = {}
-    for mask in seen.values():
-        tally[mask] = tally.get(mask, 0) + 1
+    k = L // 2
+
+    def comb(n: int, r: int) -> int:
+        return math.comb(n, r) if n >= 0 else 0
+
+    if L % 2 == 0:
+        return {1 << t: comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
+    tally = {}
+    for t in range(d + 1):
+        at_least = [comb(s + 2 * k, 2 * k) - comb(s + k - 1, 2 * k) for s in range(t, t - k * (d - t + 1), -k)]
+        for m, (n, above) in enumerate(zip(at_least, at_least[1:] + [0])):
+            if n > above:
+                tally[(1 << m + 1) - 1 << t] = n - above
     return tally
 
 
@@ -397,14 +397,11 @@ def _hub_series(g: LabeledGraph, d: int, hub: int) -> list[int]:
     """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub.
 
     The branches are the components of g - hub, and each edge joins the
-    branch of its non-hub endpoint.  Each branch gives its tally of degree
-    masks D(u), hub coordinate dropped from u, and a DP over the branches
-    maps each set of degrees a tuple (u_1, ...) can reach, truncated at d,
-    to the number of such tuples; HF(t) sums the sets that hold t (see
-    edge_subring_hilbert_series).  Right at any vertex: at one that cuts
-    nothing there is one branch, and this is the whole-graph search.
-    Coordinates are packed into ints, w = bit_length(max(d, 1)) bits per
-    branch vertex, so sums never carry.
+    branch of its non-hub endpoint.  Each branch must be a path from the hub
+    back to the hub (else ValueError) and gives the tally of its degree
+    masks D(u); a DP over the branches maps each set of degrees a tuple
+    (u_1, ...) can reach, truncated at d, to the number of such tuples, and
+    HF(t) sums the sets that hold t (see edge_subring_hilbert_series).
     """
     parent = list(range(g.n_vertices))
 
@@ -420,13 +417,16 @@ def _hub_series(g: LabeledGraph, d: int, hub: int) -> list[int]:
     branches: dict[int, list[tuple[int, int]]] = {}
     for a, b in g.endpoints:
         branches.setdefault(root(b if a == hub else a), []).append((a, b))
-    w, states, tallies = max(d, 1).bit_length(), {1: 1}, {}
+    degree = Counter(v for e in g.endpoints for v in e)
+    states, tallies = {1: 1}, {}
     for ends in branches.values():
-        slot = {v: w * i for i, v in enumerate(sorted({v for e in ends for v in e} - {hub}))}
-        edges = tuple(sum(1 << slot[v] for v in e if v != hub) for e in ends)
-        if edges not in tallies:  # equal cycles of a bouquet pack alike
-            tallies[edges] = _mask_tally(edges, d)
-        states = _minkowski(states, tallies[edges], d)
+        inner = {v for e in ends for v in e} - {hub}
+        if (len(ends) != len(inner) + 1 or sum(hub in e for e in ends) != 2
+                or any(degree[v] != 2 for v in inner)):
+            raise ValueError(f"branch {ends} is not a path from the hub back to the hub")
+        if len(ends) not in tallies:  # equal cycles of a bouquet share one tally
+            tallies[len(ends)] = _path_tally(len(ends), d)
+        states = _minkowski(states, tallies[len(ends)], d)
     return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
 
 

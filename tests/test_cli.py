@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from oddbouquet import certify, cli, ringinv, srcomplex
+from oddbouquet import certify, cli, composition, ringinv, srcomplex, toric
 from oddbouquet.certify import ROUTES, sweep_compositions
 from oddbouquet.cli import canonical_json, main
-from oddbouquet.composition import build_from_k
+from oddbouquet.composition import LabeledGraph, build_from_k
 from oddbouquet.polyarith import IntPoly
 from oddbouquet.ringinv import GorensteinReport
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
@@ -293,6 +293,29 @@ def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
         assert dict(zip(cli.CHECK_NAMES, row)) == expected, k
 
 
+def test_verify_malformed_graph_fails_its_hilbert_cell(capsys, monkeypatch):
+    # an extra edge between two outer vertices leaves a branch at the hub that
+    # is no hub path: the split raises ValueError, the hilbert cell says FAIL,
+    # every other cell is as before and the sweep goes on to the last row
+    code, clean, _ = run(capsys, "verify", "--max-n", "2", "--max-N", "3")
+    assert code == 0
+
+    def with_chord(c):
+        g = composition.labeled_graph(c)
+        return LabeledGraph(g.n_vertices, g.labels + ((0, 0),), g.endpoints + ((1, g.n_vertices - 1),))
+
+    monkeypatch.setattr(toric, "labeled_graph", with_chord)
+    with pytest.raises(ValueError, match="not a path from the hub back to the hub"):
+        toric.edge_subring_hilbert_series(build_from_k((2, 1)), 3)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "3")
+    assert (code, err) == (1, "")
+    rows, clean_rows = _verify_rows(out), _verify_rows(clean)
+    assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(3)", "(1, 1)", "(2, 1)"]
+    for k, row in rows.items():
+        expected = {**dict(zip(cli.CHECK_NAMES, clean_rows[k])), "hilbert": "FAIL"}
+        assert dict(zip(cli.CHECK_NAMES, row)) == expected, k
+
+
 def test_verify_recursion_error_still_exits_2(capsys, monkeypatch):
     # RecursionError is a RuntimeError, but it says the instance is too large
     def too_deep(*args):
@@ -376,6 +399,25 @@ def test_huge_cycle_exits_2_under_memory_cap():
         capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large\n")
+
+
+def test_hilbert_degree_14_on_long_cycles_fits_in_512_mb():
+    # one or two cycles, up to 29 edges in one cycle, counted to degree 14: the
+    # hub split counts each cycle's degree masks without listing its vectors
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddbouquet.cli", "verify", "--max-n", "2", "--max-N", "14",
+         "--hilbert-degree", "14"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("all checks passed\n")
 
 
 @pytest.mark.parametrize("argv, classifications, closed_forms", [

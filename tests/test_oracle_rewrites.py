@@ -1,15 +1,16 @@
 """Rewritten oracles and certificates against the straightforward code they replaced.
 
 facets_brute_force is a pruned include/exclude search, the edge subring
-Hilbert series is counted branch by branch at a vertex (a multiset-ordered
-breadth-first pass per branch, then a DP over the branches' degree masks),
+Hilbert series is counted branch by branch at the hub (binomial counts of
+each hub path's degree masks, then a DP over the branches),
 s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
 per list, standard_monomial_series is a recursion over bitmask supports
 memoised across degrees, h_from_f sums binomials, and the decomposition's
 intersection check is a subset test.  The references here are the plain
 versions: a scan over all 2^E subsets, breadth-first searches over
 whole-graph exponent tuples and over whole levels of whole-graph packed
-ints, division on dicts of Monomial objects ordered by grlex_cmp, the
+ints, the hub split of any graph at any vertex with each branch's vectors
+listed, division on dicts of Monomial objects ordered by grlex_cmp, the
 unmemoised recursion over frozenset supports, the f-to-h transform by
 polynomial powers, and the decomposition check by maximal pairwise
 intersections.  The references hold
@@ -46,6 +47,7 @@ from oddbouquet.toric import (
     _hub_series,
     _minkowski,
     _packer,
+    _path_tally,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
     generators,
@@ -224,11 +226,123 @@ SHAPED_GRAPHS = [
 ]
 
 
+def _mask_tally(edges, d):
+    """For each degree mask D, the number of vectors u whose degree-0..d
+    occurrences as sums of the packed edge vectors are the degrees in D,
+    found by listing every vector.
+
+    Level t maps each degree-t vector v to m(v), the least largest edge
+    index of an edge multiset with image v.  Edge j is added only where
+    m(v) <= j: no vector is missed, as dropping the largest edge e of a
+    multiset leaves an image with m <= e.  Edges run last to first, so the
+    least j reaching a vector is its m.
+    """
+    level, seen = {0: 0}, {0: 1}
+    for t in range(1, d + 1):
+        by_m = [[] for _ in edges]
+        for v, m in level.items():
+            by_m[m].append(v)
+        order, ends = [], []
+        for bucket in by_m:
+            order += bucket
+            ends.append(len(order))
+        level = {}
+        for j in range(len(edges) - 1, -1, -1):
+            level.update(dict.fromkeys([v + edges[j] for v in order[:ends[j]]], j))
+        again = level.keys() & seen.keys()
+        seen.update(dict.fromkeys(level.keys() - again, 1 << t))
+        for v in again:
+            seen[v] |= 1 << t
+    tally = {}
+    for mask in seen.values():
+        tally[mask] = tally.get(mask, 0) + 1
+    return tally
+
+
+def _listing_hub_series(g, d, hub):
+    """The hub split of any graph at any vertex: each component of g - hub,
+    with the edges that join it to the hub, gives the listed tally of its
+    degree masks (hub coordinate dropped), and the DP combines them.
+    Coordinates are packed w = bit_length(max(d, 1)) bits per branch vertex,
+    so sums never carry."""
+    parent = list(range(g.n_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in g.endpoints:
+        if hub not in (a, b):
+            parent[root(a)] = root(b)
+    branches = {}
+    for a, b in g.endpoints:
+        branches.setdefault(root(b if a == hub else a), []).append((a, b))
+    w, states = max(d, 1).bit_length(), {1: 1}
+    for ends in branches.values():
+        slot = {v: w * i for i, v in enumerate(sorted({v for e in ends for v in e} - {hub}))}
+        edges = [sum(1 << slot[v] for v in e if v != hub) for e in ends]
+        states = _minkowski(states, _mask_tally(edges, d), d)
+    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
+
+
+def _path_edges(length, d):
+    """The edges of a hub-to-hub path with the given number of edges, packed
+    as _listing_hub_series packs them, hub coordinate dropped."""
+    w = max(d, 1).bit_length()
+    return [sum(1 << w * (v - 1) for v in (j, j + 1) if 0 < v < length) for j in range(length)]
+
+
+def test_path_tally_matches_the_listing():
+    for length in range(2, 16):
+        for d in range(9):
+            assert _path_tally(length, d) == _mask_tally(_path_edges(length, d), d), (length, d)
+
+
 def test_hub_split_matches_full_levels_on_graphs_at_every_vertex():
     for g, d in [*((g, 5) for g in SHAPED_GRAPHS), *_random_graphs(300)]:
         expected = _full_level_series(g.endpoints, d)
         for hub in range(g.n_vertices):
-            assert _hub_series(g, d, hub) == expected, (g.endpoints, d, hub)
+            assert _listing_hub_series(g, d, hub) == expected, (g.endpoints, d, hub)
+
+
+def _glued_cycles(lengths, rng):
+    """Cycles of the given lengths (2 is a double edge) glued at one vertex,
+    with the vertex labels, the edge order and each edge's ends shuffled.
+    Returns the graph and its glue vertex."""
+    endpoints, nv = [], 1
+    for length in lengths:
+        ring = [0, *range(nv, nv + length - 1), 0]
+        endpoints += list(zip(ring, ring[1:]))
+        nv += length - 1
+    label = rng.sample(range(nv), nv)
+    endpoints = [(label[a], label[b])[::rng.choice((1, -1))] for a, b in endpoints]
+    rng.shuffle(endpoints)
+    return _graph(nv, endpoints), label[0]
+
+
+def test_hub_split_of_glued_cycles_matches_full_levels():
+    rng = random.Random(1)
+    for _ in range(200):
+        lengths = [rng.randint(2, 7) for _ in range(rng.randint(1, 4))]
+        while sum(lengths) - len(lengths) > 11:
+            lengths.pop()
+        g, hub = _glued_cycles(lengths, rng)
+        d = rng.randint(0, 5)
+        assert _hub_series(g, d, hub) == _full_level_series(g.endpoints, d), (g.endpoints, d, hub)
+
+
+@pytest.mark.parametrize("endpoints", [
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)],  # a pentagon with a chord
+    [(0, 1), (1, 2), (2, 0), (2, 3)],  # a triangle with a pendant edge
+    [(0, 1), (1, 2), (2, 0), (0, 3)],  # a pendant edge at the hub
+    [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (2, 4)],  # two triangles joined off the hub
+    [(0, 1), (1, 2), (2, 0), (0, 0)],  # a loop at the hub
+])
+def test_hub_split_rejects_a_branch_that_is_not_a_hub_path(endpoints):
+    g = _graph(1 + max(v for e in endpoints for v in e), endpoints)
+    with pytest.raises(ValueError, match="not a path from the hub back to the hub"):
+        _hub_series(g, 3, 0)
 
 
 def test_edgeless_graph_has_only_the_constants():

@@ -19,7 +19,6 @@ from oddbouquet.srcomplex import (  # noqa: E402
     hilbert_from_h,
 )
 from oddbouquet.toric import (  # noqa: E402
-    _hub_series,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
     generators,
@@ -27,7 +26,12 @@ from oddbouquet.toric import (  # noqa: E402
     s_pair_reduces_to_zero,
     standard_monomial_count,
 )
-from test_oracle_rewrites import _full_level_series, _graph, dict_s_pair_reduces_to_zero  # noqa: E402
+from test_oracle_rewrites import (  # noqa: E402
+    _full_level_series,
+    _graph,
+    _listing_hub_series,
+    dict_s_pair_reduces_to_zero,
+)
 
 MAX_EDGES = 18  # the brute-force oracle's cap
 
@@ -77,7 +81,7 @@ def small_graphs(draw):
 @given(small_graphs(), st.data(), st.integers(0, 5))
 def test_hub_split_of_any_graph_at_any_vertex_equals_whole_graph_levels(g, data, d):
     hub = data.draw(st.integers(0, g.n_vertices - 1))
-    assert _hub_series(g, d, hub) == _full_level_series(g.endpoints, d)
+    assert _listing_hub_series(g, d, hub) == _full_level_series(g.endpoints, d)
 
 
 @settings(max_examples=40, deadline=None)
