@@ -9,8 +9,9 @@ bitmasks over that index, bit v set iff edge v is in.  Facets come in two ways:
   exactly one even-position edge from every later cycle;
 * a brute-force search straight from the monomial generators: a depth-first
   include/exclude search over the ground set that uses only the supports,
-  prunes branches that cannot end in a facet, and serves as an oracle for
-  ground sets up to ORACLE_CAP = 18.
+  prunes branches that cannot end in a facet by two masks it carries down
+  (the blocked vertices and the union of the supports that meet no excluded
+  vertex), and serves as an oracle for ground sets up to ORACLE_CAP = 18.
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
@@ -113,9 +114,12 @@ def facets_brute_force(monomials: list[Monomial], ground_size: int) -> Simplicia
     support through v, and excluded only while some support through v has
     no excluded element, since otherwise nothing could block v.  A leaf is a
     face by construction and a facet iff every vertex outside it is blocked,
-    i.e. some support lies in the leaf plus that vertex.  Each facet is
-    reached by exactly one path, and the facets come out in the order the
-    search reaches them.  Only meant for small ground sets, hence
+    i.e. some support lies in the leaf plus that vertex.  The search carries
+    both tests down as masks: blocked holds each u with s - inside = {u} for
+    some support s (only the supports through v change when v goes in), and
+    live is the union of the supports that meet no excluded vertex.  Each
+    facet is reached by exactly one path, and the facets come out in the
+    order the search reaches them.  Only meant for small ground sets, hence
     ORACLE_CAP.
     """
     if ground_size > ORACLE_CAP:
@@ -130,22 +134,25 @@ def facets_brute_force(monomials: list[Monomial], ground_size: int) -> Simplicia
     through = [[s for s in support_masks if s >> v & 1] for v in range(ground_size)]
     facet_masks: list[int] = []
 
-    def search(v: int, inside: int, outside: int) -> None:
+    def search(v: int, inside: int, outside: int, blocked: int, live: int) -> None:
         if v == ground_size:
-            if all(
-                any(s & ~inside == 1 << u for s in through[u])
-                for u in range(ground_size) if outside >> u & 1
-            ):
+            if not outside & ~blocked:
                 facet_masks.append(inside)
             return
         bit = 1 << v
-        grown = inside | bit
-        if not any(s & ~grown == 0 for s in through[v]):
-            search(v + 1, grown, outside)
-        if any(s & outside == 0 for s in through[v]):
-            search(v + 1, inside, outside | bit)
+        if not blocked & bit:
+            grown, grown_blocked = inside | bit, blocked
+            for s in through[v]:
+                rest = s & ~grown
+                if not rest & (rest - 1):
+                    grown_blocked |= rest
+            search(v + 1, grown, outside, grown_blocked, live)
+        if live & bit:
+            out = outside | bit
+            search(v + 1, inside, out, blocked, reduce(or_, [s for s in support_masks if not s & out], 0))
 
-    search(0, 0, 0)
+    singles = [s for s in support_masks if not s & (s - 1)]
+    search(0, 0, 0, reduce(or_, singles, 0), reduce(or_, support_masks, 0))
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facet_masks))
 
 

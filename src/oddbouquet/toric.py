@@ -15,16 +15,17 @@ closed-form facet enumeration, certify that claim at desk scale:
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, one counting monomials outside the
-  monomial ideal by a pruned recursion memoised on bitmask supports, the
-  other counting distinct vertex exponent vectors in the edge subring
-  branch by branch at the hub.  Hub lemma: split at any vertex, a degree-t
-  vector is fixed by its projections u_1..u_n onto the components of
-  G - hub (the hub's exponent is 2t - sum |u_i|), and it exists iff t lies
-  in the Minkowski sum of the sets D(u_i) of degrees at which each u_i
-  occurs.  At a bouquet's hub each branch is a path from the hub back to
-  the hub, so binomials count its u by D(u), O(d^2) of them per distinct
-  cycle length with no vector listed, and a DP over the branches combines
-  the counts.
+  monomial ideal by a pruned recursion memoised on the bitmask supports
+  that the degree left can still complete, the other counting distinct
+  vertex exponent vectors in the edge subring branch by branch at the hub.
+  Hub lemma: split at any vertex, a degree-t vector is fixed by its
+  projections u_1..u_n onto the components of G - hub (the hub's exponent
+  is 2t - sum |u_i|), and it exists iff t lies in the Minkowski sum of the
+  sets D(u_i) of degrees at which each u_i occurs.  At a bouquet's hub each
+  branch is a path from the hub back to the hub, so binomials count its u
+  by D(u), O(d^2) of them per distinct cycle length with no vector listed,
+  each D(u) an interval, and a DP over the branches combines the counts by
+  shifting whole intervals.
 """
 
 from __future__ import annotations
@@ -312,12 +313,17 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
     squarefree monomials with the given supports.
 
     Pruned recursion over the variables, memoised for all the degrees on
-    (variable, degree left, what each live support lacks as a bitmask); once
-    no support can complete, stars and bars count the rest.
+    (variable, degree left, what each live support lacks as a bitmask).  A
+    support that lacks more variables than the degree left can no longer
+    complete, so it leaves the key at once; once none is left, stars and
+    bars count the rest.
     """
     if not degrees or min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
     nvars = c.edge_count
+
+    def fits(alive: Iterable[int], rem: int) -> tuple[int, ...]:
+        return tuple(s for s in alive if s.bit_count() <= rem)
 
     @cache
     def count(idx: int, rem: int, alive: tuple[int, ...]) -> int:
@@ -331,11 +337,11 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
         total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
         if bit in alive:
             return total  # variable idx completes a monomial
-        pos = tuple(s & ~bit for s in alive)
-        return total + sum(count(idx + 1, rem - e, pos) for e in range(1, rem + 1))
+        pos = [s & ~bit for s in alive]
+        return total + sum(count(idx + 1, r, fits(pos, r)) for r in range(rem))
 
     alive = tuple(supports)
-    return [0 if 0 in alive else count(0, j, alive) for j in degrees]
+    return [0 if 0 in alive else count(0, j, fits(alive, j)) for j in degrees]
 
 
 def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
@@ -348,10 +354,10 @@ def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     return _standard_counts(c, [d], [plus for plus, _ in _pair_supports(c)])[0]
 
 
-def _path_tally(L: int, d: int) -> dict[int, int]:
-    """For each degree mask D, the number of vectors u on the inner vertices
-    of a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to
-    d are those in D.
+def _path_tally(L: int, d: int) -> dict[tuple[int, int], int]:
+    """For each run (t, m), the number of vectors u on the inner vertices of
+    a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to d
+    are the interval [t, t + m].
 
     With edge multiplicities a_1..a_L, u_i = a_i + a_{i+1}, so a_1 fixes a
     given u: the odd-position a's rise with it and the even ones fall.  Take
@@ -367,42 +373,48 @@ def _path_tally(L: int, d: int) -> dict[int, int]:
         return math.comb(n, r) if n >= 0 else 0
 
     if L % 2 == 0:
-        return {1 << t: comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
+        return {(t, 0): comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
     tally = {}
     for t in range(d + 1):
         at_least = [comb(s + 2 * k, 2 * k) - comb(s + k - 1, 2 * k) for s in range(t, t - k * (d - t + 1), -k)]
         for m, (n, above) in enumerate(zip(at_least, at_least[1:] + [0])):
             if n > above:
-                tally[(1 << m + 1) - 1 << t] = n - above
+                tally[t, m] = n - above
     return tally
 
 
-def _minkowski(states: dict[int, int], tally: dict[int, int], d: int) -> dict[int, int]:
+def _minkowski(states: dict[int, int], runs: dict[tuple[int, int], int], d: int) -> dict[int, int]:
     """One branch step of the hub DP: each counted set S of reachable
-    degrees and each counted degree mask M give the union of S << t over t
-    in M, truncated at d, counted by the product of the two counts."""
+    degrees and each counted run (t, m) give the union of S << t' over t'
+    in [t, t + m], truncated at d, counted by the product of the two counts.
+    Per S, spread[m] = S | S << 1 | ... | S << m serves every run."""
     full, out = (1 << d + 1) - 1, {}
-    shifts = [(bits(mask), k) for mask, k in tally.items()]
+    widest = max((m for _, m in runs), default=0)
     for s, n in states.items():
-        for ts, k in shifts:
-            reach = 0
-            for t in ts:
-                reach |= s << t
-            reach &= full
+        spread = [s]
+        for _ in range(widest):
+            spread.append(spread[-1] | spread[-1] << 1)
+        for (t, m), k in runs.items():
+            reach = spread[m] << t & full
             out[reach] = out.get(reach, 0) + n * k
     return out
 
 
-def _hub_series(g: LabeledGraph, d: int, hub: int) -> list[int]:
-    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub.
+def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:
+    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub,
+    by default the vertex of largest degree (lowest index on ties).
 
     The branches are the components of g - hub, and each edge joins the
     branch of its non-hub endpoint.  Each branch must be a path from the hub
     back to the hub (else ValueError) and gives the tally of its degree
-    masks D(u); a DP over the branches maps each set of degrees a tuple
-    (u_1, ...) can reach, truncated at d, to the number of such tuples, and
-    HF(t) sums the sets that hold t (see edge_subring_hilbert_series).
+    runs D(u) = [t, t + m]; a DP over the branches maps each set of degrees
+    a tuple (u_1, ...) can reach, truncated at d, to the number of such
+    tuples, and HF(t) sums the sets that hold t (see
+    edge_subring_hilbert_series).
     """
+    degree = Counter(v for e in g.endpoints for v in e)
+    if hub is None:
+        hub = max(range(g.n_vertices), key=degree.__getitem__)
     parent = list(range(g.n_vertices))
 
     def root(v: int) -> int:
@@ -417,7 +429,6 @@ def _hub_series(g: LabeledGraph, d: int, hub: int) -> list[int]:
     branches: dict[int, list[tuple[int, int]]] = {}
     for a, b in g.endpoints:
         branches.setdefault(root(b if a == hub else a), []).append((a, b))
-    degree = Counter(v for e in g.endpoints for v in e)
     states, tallies = {1: 1}, {}
     for ends in branches.values():
         inner = {v for e in ends for v in e} - {hub}
@@ -442,8 +453,7 @@ def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    g = labeled_graph(c)
-    return _hub_series(g, d, max(range(g.n_vertices), key=g.degree))
+    return _hub_series(labeled_graph(c), d)
 
 
 def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:

@@ -1,25 +1,29 @@
 """Rewritten oracles and certificates against the straightforward code they replaced.
 
-facets_brute_force is a pruned include/exclude search, the edge subring
-Hilbert series is counted branch by branch at the hub (binomial counts of
-each hub path's degree masks, then a DP over the branches),
-s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
-per list, standard_monomial_series is a recursion over bitmask supports
-memoised across degrees, h_from_f sums binomials, and the decomposition's
-intersection check is a subset test.  The references here are the plain
-versions: a scan over all 2^E subsets, breadth-first searches over
-whole-graph exponent tuples and over whole levels of whole-graph packed
-ints, the hub split of any graph at any vertex with each branch's vectors
-listed, division on dicts of Monomial objects ordered by grlex_cmp, the
-unmemoised recursion over frozenset supports, the f-to-h transform by
-polynomial powers, and the decomposition check by maximal pairwise
-intersections.  The references hold
+facets_brute_force is a pruned include/exclude search that carries its
+pruning masks down, the edge subring Hilbert series is counted branch by
+branch at the hub (binomial counts of each hub path's degree runs, then a
+DP over the branches that shifts whole runs), s_pair_reduces_to_zero
+divides packed-int monomials by a basis packed once per list,
+standard_monomial_series is a recursion over bitmask supports memoised
+across degrees and pruned by the degree left, h_from_f sums binomials, and
+the decomposition's intersection check is a subset test.  The references
+here are the plain versions: a scan over all 2^E subsets and the search
+that tests the supports with any(...) at every node, breadth-first
+searches over whole-graph exponent tuples and over whole levels of
+whole-graph packed ints, the hub split of any graph at any vertex with
+each branch's vectors listed and a DP over degree masks, division on dicts
+of Monomial objects ordered by grlex_cmp, the unmemoised recursion over
+frozenset supports, the f-to-h transform by polynomial powers, and the
+decomposition check by maximal pairwise intersections.  Apart from the
+two facet searches, which share the bitmask supports, the references hold
 squarefree sets as frozensets and meet the bitmask results only at the
 comparison.
 """
 
 import math
 import random
+import sys
 import types
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
@@ -28,7 +32,7 @@ import pytest
 
 from oddbouquet import srcomplex
 from oddbouquet.certify import sweep_compositions
-from oddbouquet.composition import CycleParts, LabeledGraph, build_from_k, cycle_parts, labeled_graph
+from oddbouquet.composition import CycleParts, LabeledGraph, bits, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
 from oddbouquet.ringinv import h_closed_form
 from oddbouquet.srcomplex import (
@@ -113,6 +117,45 @@ def _full_level_series(endpoints, d):
     return series
 
 
+def _plain_facet_search(monomials, ground_size):
+    """The include/exclude search that tests the supports through v with
+    any(...) at every node and the blocked vertices at every leaf."""
+    supports = [m.support for m in monomials]
+    if 0 in supports:
+        return ()
+    through = [[s for s in supports if s >> v & 1] for v in range(ground_size)]
+    facets = []
+
+    def search(v, inside, outside):
+        if v == ground_size:
+            if all(any(s & ~inside == 1 << u for s in through[u])
+                   for u in range(ground_size) if outside >> u & 1):
+                facets.append(inside)
+            return
+        bit = 1 << v
+        grown = inside | bit
+        if not any(s & ~grown == 0 for s in through[v]):
+            search(v + 1, grown, outside)
+        if any(s & outside == 0 for s in through[v]):
+            search(v + 1, inside, outside | bit)
+
+    search(0, 0, 0)
+    return tuple(facets)
+
+
+def _random_supports(rng, ground_size):
+    """A few supports on up to two vertices past the ground set, some of one
+    element, now and then the monomial 1."""
+    pool, supports = range(ground_size + 2), []
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < 0.03:
+            supports.append(MONOMIAL_ONE)
+        else:
+            size = rng.choice((1, 1, 2, 2, 3, 4))
+            supports.append(Monomial.squarefree(rng.sample(pool, min(size, len(pool)))))
+    return supports
+
+
 def test_orders_cover_the_small_bouquets():
     assert len(ORDERS) == 36
     assert max(build_from_k(order).edge_count for order in ORDERS) == 14
@@ -144,6 +187,53 @@ def test_facet_search_matches_scan_by_hand(monomials, ground_size):
     brute = facets_brute_force(monomials, ground_size)
     assert len(brute.facets) == len(_facet_sets(brute))
     assert _facet_sets(brute) == _scan_facets(monomials, ground_size)
+
+
+def _brute_facets(monomials, ground_size):
+    return facets_brute_force(monomials, ground_size).facets
+
+
+def _traced(search, monomials, ground_size):
+    """The facet tuple search returns and the number of calls it makes to
+    its nested function named search, one per node of its search tree."""
+    nodes = 0
+
+    def tally(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code.co_name == "search"
+
+    sys.setprofile(tally)
+    try:
+        facets = search(monomials, ground_size)
+    finally:
+        sys.setprofile(None)
+    return facets, nodes
+
+
+def _same_search(monomials, ground_size):
+    """The facet tuple and node count of the search, equal to the plain one's."""
+    traced = _traced(_brute_facets, monomials, ground_size)
+    assert traced == _traced(_plain_facet_search, monomials, ground_size), (monomials, ground_size)
+    return traced
+
+
+def test_facet_search_matches_plain_search_in_order_every_order():
+    for order in ORDERS:
+        c = build_from_k(order)
+        _same_search(initial_monomials(c), c.edge_count)
+
+
+def test_facet_search_matches_plain_search_in_order_on_the_sweep():
+    searchable = [c for c in sweep_compositions(5, 8) if c.edge_count <= srcomplex.ORACLE_CAP]
+    assert len(searchable) == 44
+    assert sum(_same_search(initial_monomials(c), c.edge_count)[1] for c in searchable) == 7119
+
+
+def test_facet_search_matches_plain_search_in_order_on_random_families():
+    rng = random.Random(14)
+    for _ in range(2000):
+        ground_size = rng.randint(0, 10)
+        _same_search(_random_supports(rng, ground_size), ground_size)
 
 
 def test_facet_search_empty_ground_and_constant_monomial():
@@ -259,6 +349,26 @@ def _mask_tally(edges, d):
     return tally
 
 
+def _mask_minkowski(states, tally, d):
+    """One branch step of the hub DP on degree masks: each counted set S and
+    each counted mask M give the union of S << t over t in M, cut at d."""
+    full, out = (1 << d + 1) - 1, {}
+    shifts = [(bits(mask), k) for mask, k in tally.items()]
+    for s, n in states.items():
+        for ts, k in shifts:
+            reach = 0
+            for t in ts:
+                reach |= s << t
+            reach &= full
+            out[reach] = out.get(reach, 0) + n * k
+    return out
+
+
+def _run_masks(runs):
+    """A tally of runs (t, m) as a tally of the degree masks [t, t + m]."""
+    return {(1 << m + 1) - 1 << t: k for (t, m), k in runs.items()}
+
+
 def _listing_hub_series(g, d, hub):
     """The hub split of any graph at any vertex: each component of g - hub,
     with the edges that join it to the hub, gives the listed tally of its
@@ -282,7 +392,7 @@ def _listing_hub_series(g, d, hub):
     for ends in branches.values():
         slot = {v: w * i for i, v in enumerate(sorted({v for e in ends for v in e} - {hub}))}
         edges = [sum(1 << slot[v] for v in e if v != hub) for e in ends]
-        states = _minkowski(states, _mask_tally(edges, d), d)
+        states = _mask_minkowski(states, _mask_tally(edges, d), d)
     return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
 
 
@@ -296,7 +406,8 @@ def _path_edges(length, d):
 def test_path_tally_matches_the_listing():
     for length in range(2, 16):
         for d in range(9):
-            assert _path_tally(length, d) == _mask_tally(_path_edges(length, d), d), (length, d)
+            expected = _mask_tally(_path_edges(length, d), d)
+            assert _run_masks(_path_tally(length, d)) == expected, (length, d)
 
 
 def test_hub_split_matches_full_levels_on_graphs_at_every_vertex():
@@ -351,10 +462,24 @@ def test_edgeless_graph_has_only_the_constants():
 
 
 def test_minkowski_step_shifts_truncates_and_multiplies():
-    # {0, 1} + {1, 2} = {1, 2, 3}, cut to {1, 2} at d = 2; {0, 1} + {0} = {0, 1}
-    assert _minkowski({0b11: 2}, {0b110: 3, 0b1: 5}, 2) == {0b110: 6, 0b11: 10}
-    # two reachable-degree sets that meet one mask in the same set add up
-    assert _minkowski({0b1: 1, 0b11: 4}, {0b11: 1}, 1) == {0b11: 5}
+    # {0, 1} + [1, 2] = {1, 2, 3}, cut to {1, 2} at d = 2; {0, 1} + [0, 0] = {0, 1}
+    assert _minkowski({0b11: 2}, {(1, 1): 3, (0, 0): 5}, 2) == {0b110: 6, 0b11: 10}
+    # two reachable-degree sets that meet one run in the same set add up
+    assert _minkowski({0b1: 1, 0b11: 4}, {(0, 1): 1}, 1) == {0b11: 5}
+
+
+def test_minkowski_runs_match_masks_on_random_interval_tallies():
+    rng = random.Random(13)
+    for _ in range(500):
+        d = rng.randint(0, 9)
+        full = (1 << d + 1) - 1
+        states = {rng.randint(1, full): rng.randint(1, 9) for _ in range(rng.randint(1, 6))}
+        runs = {}
+        for _ in range(rng.randint(0, 6)):
+            t = rng.randint(0, d)
+            runs[t, rng.randint(0, d - t)] = rng.randint(1, 9)
+        expected = _mask_minkowski(states, _run_masks(runs), d)
+        assert _minkowski(states, runs, d) == expected, (states, runs, d)
 
 
 # ------------------------------------------------------------------ toric certificates
@@ -415,7 +540,10 @@ def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000):
 def _frozenset_standard_count(c, d, monomials=None):
     """The unmemoised recursion over frozenset supports."""
     nvars = c.edge_count
-    supports = tuple(frozenset(i for i, _ in m.exps) for m in monomials or initial_monomials(c))
+    supports = tuple(frozenset(i for i, _ in m.exps)
+                     for m in (initial_monomials(c) if monomials is None else monomials))
+    if frozenset() in supports:
+        return 0  # the monomial 1 divides every monomial
 
     def count(idx, rem, alive):
         if rem == 0:
@@ -657,6 +785,28 @@ def test_standard_series_matches_counts_every_order():
         inits = initial_monomials(c)
         assert standard_monomial_series(c, 5, inits) == [
             standard_monomial_count(c, d) for d in range(6)], order
+
+
+@pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)])
+def test_degree_pruned_count_matches_frozensets_to_degree_seven(k):
+    c = build_from_k(k)
+    for d in range(8):
+        assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (k, d)
+
+
+def test_degree_pruned_series_matches_frozensets_on_random_families():
+    # supports longer than the degree, of one element, and now and then empty
+    rng = random.Random(16)
+    for _ in range(60):
+        c = build_from_k(rng.choice([(1,), (2,), (1, 1), (2, 1)]))
+        nvars = c.edge_count
+        sizes = [min(rng.choice((1, 1, 2, 3, 5, 8, 9)), nvars) for _ in range(rng.randint(0, 5))]
+        monomials = [Monomial.squarefree(rng.sample(range(nvars), size)) for size in sizes]
+        if rng.random() < 0.1:
+            monomials.append(MONOMIAL_ONE)
+        rng.shuffle(monomials)
+        expected = [_frozenset_standard_count(c, d, monomials) for d in range(8)]
+        assert standard_monomial_series(c, 7, monomials) == expected, (c.k, monomials)
 
 
 def test_standard_series_counts_the_monomials_it_is_given():
