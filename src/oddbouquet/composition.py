@@ -156,9 +156,6 @@ class LabeledGraph(Record):
         _set(self, "labels", labels)
         _set(self, "endpoints", endpoints)
 
-    def degree(self, v: int) -> int:
-        return sum((a == v) + (b == v) for a, b in self.endpoints)
-
 
 def labeled_graph(c: OddCycleComposition) -> LabeledGraph:
     """Build the bouquet graph with the shared edge indexing."""

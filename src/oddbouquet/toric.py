@@ -11,7 +11,9 @@ closed-form facet enumeration, certify that claim at desk scale:
 
 * S-pair reduction of every generator pair down to zero, on monomials
   packed into ints: the basis is packed once per list, f and g are looked
-  up in it by identity, and the lcm of their leads is a field-wise max,
+  up in it by identity, the lcm of their leads is a field-wise max, and
+  each term's first divisor is memoised on its exponents clipped at the
+  largest exponent of a basis part,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, one counting monomials outside the
@@ -35,7 +37,6 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from itertools import combinations
-from operator import is_
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph
 from .record import Record, _set
@@ -211,17 +212,32 @@ def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
 class _PackedBasis:
     """A basis packed once, with fields for twice the largest degree of it and
     of one f and g: no term of a reduction exceeds deg lcm(LT f, LT g).
-    members maps each element's id to its packed (lead, tail); holding the
-    basis keeps those ids from being reused."""
+    basis is a copy of the list it was packed from; members maps each
+    element's id to its packed (lead, tail), and holding the copy keeps those
+    ids from being reused.  first maps a term's key to its first divisor in
+    basis order, or None when no lead divides it.
 
-    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "divisors", "members")
+    The key is the term's exponents, each clipped at cap, the largest
+    exponent of a basis part: the guard bits of term - t for t = 1..cap
+    (clips holds guard - t * ones), summed, hold min(e, cap) times the guard
+    bit in each field.  A lead divides a term iff it divides the clipped
+    term, as no lead exponent exceeds cap; for squarefree parts the key is
+    the support."""
 
-    def __init__(self, basis: tuple[Binomial, ...], deg: int, nvars: int) -> None:
-        self.basis, self.deg, self.nvars, self.width = basis, deg, nvars, (2 * deg).bit_length() + 1
+    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "low", "top_shift",
+                 "field", "clips", "divisors", "members", "first")
+
+    def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
+        self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
+        w, top = self.width, self.width * nvars
         self.pack, self.guard = _packer(2 * deg, nvars)
-        self.ones = sum(1 << self.width * j for j in range(nvars))
-        self.divisors = [self.lead_tail(b) for b in basis]
-        self.members = dict(zip(map(id, basis), self.divisors))
+        self.ones = sum(1 << w * j for j in range(nvars))
+        self.low, self.top_shift, self.field = (1 << top) - 1, max(top - w, 0), (1 << w) - 1
+        cap = max((e for b in self.basis for m in (b.plus, b.minus) for _, e in m.exps), default=1)
+        self.clips = tuple(self.guard - t * self.ones for t in range(1, cap + 1))
+        self.divisors = [self.lead_tail(b) for b in self.basis]
+        self.members = dict(zip(map(id, self.basis), self.divisors))
+        self.first: dict[int, tuple[int, int] | None] = {}
 
     def lead_tail(self, b: Binomial) -> tuple[int, int]:
         p, m = self.pack(b.plus), self.pack(b.minus)
@@ -232,15 +248,23 @@ class _PackedBasis:
         survives a - b iff a's exponent is at least b's, which selects the
         field-wise max mx; field nvars - 1 of mx * ones sums mx's exponents,
         and no field of that product carries."""
-        w, top = self.width, self.width * self.nvars
-        a, b = a & (1 << top) - 1, b & (1 << top) - 1
+        a, b = a & self.low, b & self.low
         ge = (a + self.guard - b) & self.guard
-        mask = (ge << 1) - (ge >> w - 1)
+        mask = (ge << 1) - (ge >> self.width - 1)
         mx = a & mask | b & ~mask
-        return (mx * self.ones >> max(top - w, 0) & (1 << w) - 1) << top | mx
+        return (mx * self.ones >> self.top_shift & self.field) << self.width * self.nvars | mx
+
+    def first_divisor(self, term: int) -> tuple[int, int] | None:
+        """The first (lead, tail) in basis order whose lead divides term."""
+        guard = self.guard
+        for lm_tail in self.divisors:
+            if not (term - lm_tail[0]) & guard:
+                return lm_tail
+        return None
 
 
 _PACKED = _PackedBasis((), 0, 0)
+_UNSEEN = object()
 
 
 def s_pair_reduces_to_zero(
@@ -257,39 +281,48 @@ def s_pair_reduces_to_zero(
     hang, distinct from a mere nonzero remainder.
 
     Monomials are packed ints (see _packer).  The basis is packed once and
-    reused while the list holds the same objects in the same order; f and g
-    are looked up in it by identity, packed only when not members, and the
-    lcm of their leads is taken on the packed ints.
+    reused while the list compares equal to the packed copy; f and g are
+    looked up in it by identity, packed only when not members, and the lcm
+    of their leads is taken on the packed ints.  Each term's first divisor
+    is looked up by its clipped key and scanned for only on a miss.
     """
     global _PACKED
     pb = _PACKED
-    fits = len(pb.basis) == len(basis) and all(map(is_, pb.basis, basis))
+    if basis.__class__ is not list:
+        basis = list(basis)
+    fits = pb.basis == basis
     if fits and not (id(f) in pb.members and id(g) in pb.members):
         deg, nvars = _bounds((f, g))
         fits = deg <= pb.deg and nvars <= pb.nvars
     if not fits:
-        pb = _PACKED = _PackedBasis(tuple(basis), *_bounds((f, g, *basis)))
+        pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
     lf, tf = pb.members.get(id(f)) or pb.lead_tail(f)
     lg, tg = pb.members.get(id(g)) or pb.lead_tail(g)
     lcm = pb.lcm(lf, lg)
     tf, tg = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
     work = {} if tf == tg else {tf: -1, tg: 1}  # lcm/LT f * f - lcm/LT g * g, leads scaled to 1
-    guard, divisors, remainder, steps = pb.guard, pb.divisors, False, 0
+    guard, clip, deeper = pb.guard, pb.clips[0], pb.clips[1:]
+    first, remainder, steps = pb.first, False, 0
     while work:
         lead = max(work)
         c = work.pop(lead)
-        for lm, tail in divisors:
-            if not (lead - lm) & guard:
-                steps += 1
-                if steps > max_steps:
-                    raise RuntimeError("reduction did not terminate")
-                key = lead - lm + tail
-                total = work.pop(key, 0) + c
-                if total:
-                    work[key] = total
-                break
-        else:
+        key = (lead + clip) & guard
+        for deep in deeper:
+            key += (lead + deep) & guard
+        hit = first.get(key, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = first[key] = pb.first_divisor(lead)
+        if hit is None:
             remainder = True
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("reduction did not terminate")
+        lm, tail = hit
+        term = lead - lm + tail
+        total = work.pop(term, 0) + c
+        if total:
+            work[term] = total
     return not remainder
 
 

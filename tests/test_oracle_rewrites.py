@@ -4,9 +4,10 @@ facets_brute_force is a pruned include/exclude search that carries its
 pruning masks down, the edge subring Hilbert series is counted branch by
 branch at the hub (binomial counts of each hub path's degree runs, then a
 DP over the branches that shifts whole runs), s_pair_reduces_to_zero
-divides packed-int monomials by a basis packed once per list,
-standard_monomial_series is a recursion over bitmask supports memoised
-across degrees and pruned by the degree left, h_from_f sums binomials, and
+divides packed-int monomials by a basis packed once per list and
+memoises each term's first divisor, standard_monomial_series is a
+recursion over bitmask supports memoised across degrees and pruned by the
+degree left, h_from_f sums binomials, and
 the decomposition's intersection check is a subset test.  The references
 here are the plain versions: a scan over all 2^E subsets and the search
 that tests the supports with any(...) at every node, breadth-first
@@ -30,7 +31,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from oddbouquet import srcomplex
+from oddbouquet import srcomplex, toric
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import CycleParts, LabeledGraph, bits, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
@@ -729,6 +730,57 @@ def test_division_matches_dicts_on_copies_of_members():
             assert assert_same_division(basis[f], basis[g], copies)[0], order
     g01, g02, _ = generators(build_from_k([1, 1, 1]))
     assert assert_same_division(_copy(g01), _copy(g02), [g01, g02])[0] is False
+
+
+def test_division_memo_matches_dicts_on_a_wide_basis():
+    # 28 generators on 18 edges: the memo is filled and read across all 378 pairs
+    gens = generators(build_from_k((2, 2, 1, 1, 1, 1, 1, 1)))
+    assert len(gens) == 28
+    for f, g in combinations(gens, 2):
+        assert assert_same_division(f, g, gens)[0]
+    # with one generator dropped, some terms have no divisor: the memo keeps
+    # None for them and some S-pairs leave a nonzero remainder
+    basis = gens[1:]
+    nonzero = sum(not assert_same_division(f, g, basis)[0] for f, g in combinations(gens, 2))
+    assert nonzero > 0
+    assert toric._PACKED.basis == basis and None in toric._PACKED.first.values()
+
+
+def test_division_memo_key_clips_exponents_at_the_basis_cap():
+    # basis parts reach exponent 2, so x0^2 x1, x0^3 x1 and x0^5 x1 share a
+    # key (first divisor h1) while x0 x1, equal to them in support, does not
+    # (first divisor h2).  Each S-polynomial is t - q with q what the right
+    # divisor turns t into, so it reduces to zero in one step; a key on the
+    # support alone would divide x0 x1 by h1 and leave a remainder.
+    def x(**exps):
+        return Monomial.from_map({int(v[1:]): e for v, e in exps.items()})
+
+    h1 = Binomial(x(x0=2, x1=1), x(x3=1, x4=1, x5=1))
+    h2 = Binomial(x(x1=1), x(x5=1))
+    basis = [h1, h2]
+    top = x(x6=7)  # the lead of every f and g below, so one packing serves all
+    reductions = [
+        (x(x0=5, x1=1), x(x0=3, x3=1, x4=1, x5=1)),
+        (x(x0=3, x1=1), x(x0=1, x3=1, x4=1, x5=1)),
+        (x(x0=1, x1=1), x(x0=1, x5=1)),
+        (x(x0=2, x1=1), x(x3=1, x4=1, x5=1)),
+    ]
+    pairs = [(Binomial(t, top), Binomial(q, top)) for t, q in reductions]
+    s_pair_reduces_to_zero(*pairs[0], basis)  # a fresh packing, for degree 7
+    pb = toric._PACKED
+    for f, g in pairs:
+        assert assert_same_division(f, g, basis) == (True, 1)
+        assert assert_same_division(g, f, basis) == (True, 1)
+        assert toric._PACKED is pb
+    pack = pb.pack
+
+    def key(m):
+        return sum((pack(m) + c) & pb.guard for c in pb.clips)
+
+    terms = [t for t, _ in reductions]
+    assert key(terms[0]) == key(terms[1]) == key(terms[3]) != key(terms[2])
+    assert pb.first[key(terms[0])] == pb.lead_tail(h1)
+    assert pb.first[key(terms[2])] == pb.lead_tail(h2)
 
 
 def _monomial_up_to(rng, nvars, deg):
