@@ -163,7 +163,7 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
         "kernel": kernel,
         "buchberger": buchberger,
         "hilbert": hilbert,
-        "decompose": lambda: verify_decomposition(c).ok if c.k[0] >= 2 else None,
+        "decompose": lambda: verify_decomposition(c, cx()).ok if c.k[0] >= 2 else None,
         "classify": lambda: report()[2],
         "brutefacets": brutefacets,
     }

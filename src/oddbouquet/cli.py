@@ -10,7 +10,8 @@ Subcommands:
 * ``table``    CSV summary over a parameter sweep
 
 Exit codes are a stable contract: 0 success, 1 mathematical disagreement
-(a route that raises ValueError included), 2 usage or I/O error.  All
+(a route that raises ValueError included), 2 usage or I/O error or an
+instance too large (MemoryError, OverflowError, RecursionError).  All
 numeric output is exact decimal integers.
 """
 
@@ -324,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, RecursionError):
+    except (MemoryError, OverflowError, RecursionError):
         print("error: instance too large", file=sys.stderr)
         return 2
 

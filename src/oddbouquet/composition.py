@@ -12,11 +12,15 @@ position; flat index 0 is x_{1,1}, the largest variable of the monomial
 order used for the toric ideal.  A squarefree set of edges (a cycle part, a
 monomial's support, a facet) is an int bitmask over that index: bit v is set
 iff flat index v is in the set.
+
+Per-bouquet structure (cycle parts, the graph, whatever per_bouquet wraps)
+is computed once per instance and kept in its __dict__, which equality,
+hashing, repr and pickling ignore; equal instances share none of it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .record import Record, _set
 
@@ -67,6 +71,16 @@ class OddCycleComposition(Record):
             acc += 2 * ki + 1
         return tuple(out)
 
+    @cached_property
+    def _parts(self) -> tuple[CycleParts, ...]:
+        # in cycle i's own positions, the odd part is bits 0, 2, ..., 2k and
+        # the even part bits 1, 3, ..., 2k - 1
+        out = []
+        for off, ki in zip(self._offsets, self.k):
+            odd = ((1 << 2 * ki + 2) - 1) // 3
+            out.append(CycleParts(odd=odd << off, even=odd >> 2 << off + 1))
+        return tuple(out)
+
     def flat_index(self, i: int, j: int) -> int:
         """Flat position of label x_{i,j} (both 1-based)."""
         if not 1 <= i <= self.n:
@@ -85,6 +99,20 @@ class OddCycleComposition(Record):
     def edge_name(self, flat: int) -> str:
         i, j = self.edge_labels[flat]
         return f"x{i},{j}"
+
+
+def per_bouquet(fn):
+    """fn(c) computed once per composition instance and kept in its __dict__."""
+    key = f"{fn.__module__}.{fn.__qualname__}"  # a dotted name is no attribute
+
+    @wraps(fn)
+    def get(c: OddCycleComposition):
+        try:
+            return c.__dict__[key]
+        except KeyError:
+            return c.__dict__.setdefault(key, fn(c))
+
+    return get
 
 
 def bits(mask: int) -> list[int]:
@@ -134,10 +162,7 @@ def cycle_parts(c: OddCycleComposition, i: int) -> CycleParts:
     x_{i,1}, x_{i,3}, ...) versus even positions (the k_i edges x_{i,2}, ...)."""
     if not 1 <= i <= c.n:
         raise IndexError("cycle index out of range")
-    ki = c.k[i - 1]
-    odd = sum(1 << c.flat_index(i, j) for j in range(1, 2 * ki + 2, 2))
-    even = sum(1 << c.flat_index(i, j) for j in range(2, 2 * ki + 1, 2))
-    return CycleParts(odd=odd, even=even)
+    return c._parts[i - 1]
 
 
 class LabeledGraph(Record):
@@ -157,8 +182,9 @@ class LabeledGraph(Record):
         _set(self, "endpoints", endpoints)
 
 
+@per_bouquet
 def labeled_graph(c: OddCycleComposition) -> LabeledGraph:
-    """Build the bouquet graph with the shared edge indexing."""
+    """The bouquet graph with the shared edge indexing, built once per bouquet."""
     endpoints = []
     base = 1
     for i in range(1, c.n + 1):

@@ -289,8 +289,9 @@ def _intersection_ok(cone: set[int], join: set[int], x: int) -> bool:
             and expected <= {a & b for a in cone for b in join})
 
 
-def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
-    """Check that growing cycle 1 by two edges splits the complex as expected.
+def verify_decomposition(c: OddCycleComposition, cx: SimplicialComplex) -> DecompositionReport:
+    """Check that growing cycle 1 by two edges splits the complex cx of the
+    bouquet c, its closed-form complex, as expected.
 
     Write the bouquet as an extension of the bouquet with cycle 1 two edges
     shorter.  Its complex must be the union of two families:
@@ -311,7 +312,7 @@ def verify_decomposition(c: OddCycleComposition) -> DecompositionReport:
     x = c.flat_index(1, 2 * k1 + 1)
     y = c.flat_index(1, 2 * k1)
 
-    target = set(facets_closed_form(c).facets)
+    target = set(cx.facets)
 
     # the shorter cycle 1 ends just below y, and every later edge moves up by two
     shorter = build_from_k((k1 - 1,) + k[1:])

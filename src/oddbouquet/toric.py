@@ -11,9 +11,10 @@ closed-form facet enumeration, certify that claim at desk scale:
 
 * S-pair reduction of every generator pair down to zero, on monomials
   packed into ints: the basis is packed once per list, f and g are looked
-  up in it by identity, the lcm of their leads is a field-wise max, and
-  each term's first divisor is memoised on its exponents clipped at the
-  largest exponent of a basis part,
+  up in it by identity, the lcm of their leads is a field-wise max, the
+  division walks the S-polynomial's two terms as two ints, and each
+  term's first divisor is memoised on its exponents in the fields some
+  lead uses, clipped at the largest exponent of a basis part,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, one counting monomials outside the
@@ -28,6 +29,9 @@ closed-form facet enumeration, certify that claim at desk scale:
   by D(u), O(d^2) of them per distinct cycle length with no vector listed,
   each D(u) an interval, and a DP over the branches combines the counts by
   shifting whole intervals.
+
+A bouquet's generator supports and its validated branch split at the hub
+are computed once per composition instance (see composition.per_bouquet).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from itertools import combinations
 
-from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph
+from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph, per_bouquet
 from .record import Record, _set
 
 
@@ -164,10 +168,11 @@ def grlex_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-def _pair_supports(c: OddCycleComposition) -> list[tuple[int, int]]:
+@per_bouquet
+def _pair_supports(c: OddCycleComposition) -> tuple[tuple[int, int], ...]:
     """Plus and minus supports of the generator of each cycle pair i < j."""
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
-    return [(p.odd | q.even, p.even | q.odd) for p, q in combinations(parts, 2)]
+    return tuple((p.odd | q.even, p.even | q.odd) for p, q in combinations(parts, 2))
 
 
 def generators(c: OddCycleComposition) -> list[Binomial]:
@@ -217,15 +222,16 @@ class _PackedBasis:
     ids from being reused.  first maps a term's key to its first divisor in
     basis order, or None when no lead divides it.
 
-    The key is the term's exponents, each clipped at cap, the largest
-    exponent of a basis part: the guard bits of term - t for t = 1..cap
-    (clips holds guard - t * ones), summed, hold min(e, cap) times the guard
-    bit in each field.  A lead divides a term iff it divides the clipped
-    term, as no lead exponent exceeds cap; for squarefree parts the key is
-    the support."""
+    The key is the term's exponents in the fields some lead uses, each
+    clipped at cap, the largest exponent of a basis part: the bits of used,
+    the guard bits of those fields, of term - t for t = 1..cap (clips holds
+    guard - t * ones), summed, hold min(e, cap) times the guard bit in each
+    used field.  A lead divides a term iff it divides the clipped term, as
+    no lead exponent exceeds cap, and a field no lead uses cannot stop it;
+    for squarefree parts the key is the support within the used fields."""
 
     __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "low", "top_shift",
-                 "field", "clips", "divisors", "members", "first")
+                 "field", "clips", "divisors", "used", "members", "first")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
@@ -236,6 +242,9 @@ class _PackedBasis:
         cap = max((e for b in self.basis for m in (b.plus, b.minus) for _, e in m.exps), default=1)
         self.clips = tuple(self.guard - t * self.ones for t in range(1, cap + 1))
         self.divisors = [self.lead_tail(b) for b in self.basis]
+        self.used = 0
+        for lm, _ in self.divisors:
+            self.used |= (lm + self.clips[0]) & self.guard
         self.members = dict(zip(map(id, self.basis), self.divisors))
         self.first: dict[int, tuple[int, int] | None] = {}
 
@@ -284,7 +293,14 @@ def s_pair_reduces_to_zero(
     reused while the list compares equal to the packed copy; f and g are
     looked up in it by identity, packed only when not members, and the lcm
     of their leads is taken on the packed ints.  Each term's first divisor
-    is looked up by its clipped key and scanned for only on a miss.
+    is looked up by its clipped, masked key (see _PackedBasis) and scanned
+    for only on a miss.
+
+    The S-polynomial of two binomials with unit coefficients is b - a, and
+    a rewrite keeps the coefficient of the term it rewrites, so the walk
+    holds two terms, a and b, that cancel when they meet.  A term that no
+    lead divides goes to the remainder and becomes -1, below every packed
+    monomial, and the other term goes on alone.
     """
     global _PACKED
     pb = _PACKED
@@ -299,30 +315,28 @@ def s_pair_reduces_to_zero(
     lf, tf = pb.members.get(id(f)) or pb.lead_tail(f)
     lg, tg = pb.members.get(id(g)) or pb.lead_tail(g)
     lcm = pb.lcm(lf, lg)
-    tf, tg = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
-    work = {} if tf == tg else {tf: -1, tg: 1}  # lcm/LT f * f - lcm/LT g * g, leads scaled to 1
-    guard, clip, deeper = pb.guard, pb.clips[0], pb.clips[1:]
+    a, b = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
+    if a < b:
+        a, b = b, a
+    used, clip, deeper = pb.used, pb.clips[0], pb.clips[1:]
     first, remainder, steps = pb.first, False, 0
-    while work:
-        lead = max(work)
-        c = work.pop(lead)
-        key = (lead + clip) & guard
+    while a > b:  # a is the lead; the walk ends when the terms cancel or both are -1
+        key = (a + clip) & used
         for deep in deeper:
-            key += (lead + deep) & guard
+            key += (a + deep) & used
         hit = first.get(key, _UNSEEN)
         if hit is _UNSEEN:
-            hit = first[key] = pb.first_divisor(lead)
+            hit = first[key] = pb.first_divisor(a)
         if hit is None:
             remainder = True
+            a, b = b, -1
             continue
         steps += 1
         if steps > max_steps:
             raise RuntimeError("reduction did not terminate")
-        lm, tail = hit
-        term = lead - lm + tail
-        total = work.pop(term, 0) + c
-        if total:
-            work[term] = total
+        a += hit[1] - hit[0]
+        if a < b:
+            a, b = b, a
     return not remainder
 
 
@@ -433,17 +447,13 @@ def _minkowski(states: dict[int, int], runs: dict[tuple[int, int], int], d: int)
     return out
 
 
-def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:
-    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub,
-    by default the vertex of largest degree (lowest index on ties).
+def _hub_branches(g: LabeledGraph, hub: int | None = None) -> tuple[int, ...]:
+    """Edge counts of the branches of g at the vertex hub, by default the
+    vertex of largest degree (lowest index on ties).
 
     The branches are the components of g - hub, and each edge joins the
     branch of its non-hub endpoint.  Each branch must be a path from the hub
-    back to the hub (else ValueError) and gives the tally of its degree
-    runs D(u) = [t, t + m]; a DP over the branches maps each set of degrees
-    a tuple (u_1, ...) can reach, truncated at d, to the number of such
-    tuples, and HF(t) sums the sets that hold t (see
-    edge_subring_hilbert_series).
+    back to the hub, else ValueError.
     """
     degree = Counter(v for e in g.endpoints for v in e)
     if hub is None:
@@ -462,16 +472,41 @@ def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:
     branches: dict[int, list[tuple[int, int]]] = {}
     for a, b in g.endpoints:
         branches.setdefault(root(b if a == hub else a), []).append((a, b))
-    states, tallies = {1: 1}, {}
     for ends in branches.values():
         inner = {v for e in ends for v in e} - {hub}
         if (len(ends) != len(inner) + 1 or sum(hub in e for e in ends) != 2
                 or any(degree[v] != 2 for v in inner)):
             raise ValueError(f"branch {ends} is not a path from the hub back to the hub")
-        if len(ends) not in tallies:  # equal cycles of a bouquet share one tally
-            tallies[len(ends)] = _path_tally(len(ends), d)
-        states = _minkowski(states, tallies[len(ends)], d)
+    return tuple(map(len, branches.values()))
+
+
+def _hub_counts(lengths: Iterable[int], d: int) -> list[int]:
+    """Dimensions of the degree-0..d pieces of the edge ring of hub paths
+    with the given edge counts glued at the hub.
+
+    Each path gives the tally of its degree runs D(u) = [t, t + m]; a DP
+    over the paths maps each set of degrees a tuple (u_1, ...) can reach,
+    truncated at d, to the number of such tuples, and HF(t) sums the sets
+    that hold t (see edge_subring_hilbert_series).
+    """
+    states, tallies = {1: 1}, {}
+    for L in lengths:
+        if L not in tallies:  # equal cycles of a bouquet share one tally
+            tallies[L] = _path_tally(L, d)
+        states = _minkowski(states, tallies[L], d)
     return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
+
+
+def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:
+    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub
+    (see _hub_branches and _hub_counts)."""
+    return _hub_counts(_hub_branches(g, hub), d)
+
+
+@per_bouquet
+def _bouquet_branches(c: OddCycleComposition) -> tuple[int, ...]:
+    """The validated branch edge counts of the bouquet graph at its hub."""
+    return _hub_branches(labeled_graph(c))
 
 
 def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
@@ -486,7 +521,7 @@ def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return _hub_series(labeled_graph(c), d)
+    return _hub_counts(_bouquet_branches(c), d)
 
 
 def edge_subring_hilbert(c: OddCycleComposition, d: int) -> int:

@@ -401,6 +401,20 @@ def test_huge_cycle_exits_2_under_memory_cap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large\n")
 
 
+HUGE = "99999999999999999999"  # more cycle counts than a list can index
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--k", HUGE] for cmd in ("hvec", "classify", "gens", "facets")),
+    ["hvec", "--r", HUGE],
+    ["classify", "--r", f"1,{HUGE}"],
+])
+def test_overflowing_instance_exits_2(capsys, argv):
+    # building the cycle counts raises OverflowError before any allocation
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: instance too large\n")
+
+
 def test_hilbert_degree_14_on_long_cycles_fits_in_512_mb():
     # one or two cycles, up to 29 edges in one cycle, counted to degree 14: the
     # hub split counts each cycle's degree masks without listing its vectors

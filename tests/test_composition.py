@@ -1,7 +1,10 @@
+import pickle
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import (
     bits,
     build_from_k,
@@ -9,6 +12,15 @@ from oddbouquet.composition import (
     cycle_parts,
     labeled_graph,
 )
+from oddbouquet.toric import (
+    _bouquet_branches,
+    _hub_series,
+    _pair_supports,
+    edge_subring_hilbert_series,
+    generators,
+)
+
+SWEEP = sweep_compositions(8, 16)  # 794 bouquets, up to 40 edges
 
 
 def test_build_from_r_examples():
@@ -139,3 +151,55 @@ def test_size_identities():
         c = build_from_k(k)
         assert sum(2 * ki + 1 for ki in c.k) == 2 * c.N + c.n == c.edge_count
         assert 1 + sum(2 * ki for ki in c.k) == 2 * c.N + 1 == c.vertex_count
+
+
+# Per-bouquet structure: computed once per instance, equal to what its
+# definition gives, and invisible to the value semantics.
+
+def _defined_parts(c, i):
+    """Cycle i's odd and even parts, by label position through flat_index."""
+    ki = c.k[i - 1]
+    odd = sum(1 << c.flat_index(i, j) for j in range(1, 2 * ki + 2, 2))
+    even = sum(1 << c.flat_index(i, j) for j in range(2, 2 * ki + 1, 2))
+    return odd, even
+
+
+def test_cached_parts_and_pair_supports_match_their_definitions():
+    for c in SWEEP:
+        parts = [_defined_parts(c, i) for i in range(1, c.n + 1)]
+        assert [(cycle_parts(c, i).odd, cycle_parts(c, i).even) for i in range(1, c.n + 1)] == parts
+        pairs = tuple((p[0] | q[1], p[1] | q[0]) for p, q in combinations(parts, 2))
+        assert _pair_supports(c) == pairs, c.k
+        assert _pair_supports(c) is _pair_supports(c)
+
+
+def test_labeled_graph_is_built_once_per_bouquet():
+    for c in SWEEP:
+        g = labeled_graph(c)
+        assert labeled_graph(c) is g
+        assert g == labeled_graph.__wrapped__(c) == labeled_graph(build_from_k(c.k))
+        assert labeled_graph(build_from_k(c.k)) is not g
+
+
+def test_cached_hub_split_gives_the_graph_series():
+    for c in SWEEP:
+        expected = _hub_series(labeled_graph(c), 4)
+        assert edge_subring_hilbert_series(c, 4) == expected, c.k
+        assert _bouquet_branches(c) == tuple(2 * k + 1 for k in c.k)
+        assert edge_subring_hilbert_series(c, 4) == expected  # from the warm split
+
+
+def test_warm_caches_leave_value_semantics_alone():
+    for c in SWEEP:
+        gens = generators(c)
+        edge_subring_hilbert_series(c, 2)
+        labeled_graph(c)
+        c.edge_labels
+        fresh = build_from_k(c.k)
+        assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+        assert pickle.dumps(c) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(c)).__dict__ == {}
+        # generators are built afresh from the cached supports on every call
+        again = generators(c)
+        assert again == gens and again is not gens
+        assert not any(a is b or a.plus is b.plus for a, b in zip(again, gens))

@@ -774,13 +774,53 @@ def test_division_memo_key_clips_exponents_at_the_basis_cap():
         assert toric._PACKED is pb
     pack = pb.pack
 
-    def key(m):
-        return sum((pack(m) + c) & pb.guard for c in pb.clips)
+    def key(m):  # clipped, and masked to the fields some lead uses
+        return sum((pack(m) + c) & pb.used for c in pb.clips)
 
     terms = [t for t, _ in reductions]
     assert key(terms[0]) == key(terms[1]) == key(terms[3]) != key(terms[2])
     assert pb.first[key(terms[0])] == pb.lead_tail(h1)
     assert pb.first[key(terms[2])] == pb.lead_tail(h2)
+
+
+def _x(**exps):
+    """The monomial with the given exponents, as x0=2, x3=1."""
+    return Monomial.from_map({int(v[1:]): e for v, e in exps.items()})
+
+
+def test_division_memo_key_ignores_fields_no_lead_uses():
+    # x4 is in no lead, so x0 x1 and x0 x1 x4 share one memo entry, whose
+    # divisor h1 serves both; with the unused field in the key they would
+    # not.  Each S-polynomial is t - q with q what h1 turns t into.
+    h1 = Binomial(_x(x0=1, x1=1), _x(x4=1, x5=1))
+    h2 = Binomial(_x(x2=1), _x(x5=1))
+    basis = [h1, h2]
+    top = _x(x6=7)
+    pairs = [(Binomial(_x(x0=1, x1=1), top), Binomial(_x(x4=1, x5=1), top)),
+             (Binomial(_x(x0=1, x1=1, x4=1), top), Binomial(_x(x4=2, x5=1), top))]
+    s_pair_reduces_to_zero(*pairs[0], basis)  # a fresh packing, for degree 7
+    pb = toric._PACKED
+    for f, g in pairs:
+        assert assert_same_division(f, g, basis) == (True, 1)
+        assert assert_same_division(g, f, basis) == (True, 1)
+        assert toric._PACKED is pb
+    terms = [pb.pack(f.plus) for f, _ in pairs]
+    assert pb.first == {(terms[0] + pb.clips[0]) & pb.used: pb.lead_tail(h1)}
+    assert (terms[0] + pb.clips[0]) & pb.guard != (terms[1] + pb.clips[0]) & pb.guard
+
+
+def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():
+    # the S-polynomial is x0^2 - x1 x2: no lead divides x0^2, which goes to
+    # the remainder, and x1 x2 goes on alone, to x2 x4 by h1 and x4 x5 by
+    # h2, where no lead divides it either.  With one step fewer allowed,
+    # the cap is reached after the remainder is nonzero.
+    h1 = Binomial(_x(x1=1), _x(x4=1))
+    h2 = Binomial(_x(x2=1), _x(x5=1))
+    top = _x(x6=7)
+    f, g = Binomial(_x(x0=2), top), Binomial(_x(x1=1, x2=1), top)
+    assert assert_same_division(f, g, [h1, h2]) == (False, 2)
+    assert assert_same_division(g, f, [h1, h2]) == (False, 2)
+    assert assert_same_division(f, g, [h2, h1]) == (False, 2)
 
 
 def _monomial_up_to(rng, nvars, deg):
@@ -937,7 +977,7 @@ def test_decomposition_matches_maximal_sets():
     checked = [c for c in SMALL if c.k[0] >= 2]
     assert len(checked) == 48
     for c in checked:
-        rep = verify_decomposition(c)
+        rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
         assert rep.ok and rep == _maximal_decomposition(c), c.k
 
 
@@ -969,7 +1009,8 @@ def test_intersection_subset_test_matches_maximal_sets_on_random_families():
 
 def _intersection_oks(c):
     """intersection_ok of verify_decomposition and of the maximal-set reference."""
-    return verify_decomposition(c).intersection_ok, _maximal_decomposition(c).intersection_ok
+    rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
+    return rep.intersection_ok, _maximal_decomposition(c).intersection_ok
 
 
 def _patch_facets(monkeypatch, k, edit):
@@ -1013,7 +1054,7 @@ def test_decomposition_catches_a_join_facet_outside_the_cone(monkeypatch, k):
     # one cycle: the join facet must lie inside the cone facet
     c = build_from_k(k)
     _patch_join_facets(monkeypatch, c, c.edge_count)
-    assert not verify_decomposition(c).union_ok
+    assert not verify_decomposition(c, srcomplex.facets_closed_form(c)).union_ok
     assert not _maximal_decomposition(c).union_ok
 
 

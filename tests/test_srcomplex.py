@@ -1,8 +1,9 @@
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
-from oddbouquet import srcomplex
+from oddbouquet import certify, srcomplex
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import build_from_k, cycle_parts
 from oddbouquet.polyarith import ONE
@@ -234,37 +235,60 @@ def test_face_counts_predict_monomial_counts():
             assert standard_monomial_count(c, d) == expected, (k, d)
 
 
+def _decompose(k):
+    """verify_decomposition of bouquet k with its own closed-form complex."""
+    c = build_from_k(k)
+    return verify_decomposition(c, facets_closed_form(c))
+
+
 def test_decomposition_small_cases():
-    rep = verify_decomposition(build_from_k([2, 1]))
+    rep = _decompose([2, 1])
     assert rep.ok
     assert rep.facet_count == 4
     assert rep.cone_family_size == 3
     assert rep.join_family_size == 1
-    assert verify_decomposition(build_from_k([3, 2, 1])).ok
+    assert _decompose([3, 2, 1]).ok
 
 
 def test_decomposition_single_cycle():
-    assert verify_decomposition(build_from_k([2])).ok
-    assert verify_decomposition(build_from_k([4])).ok
+    assert _decompose([2]).ok
+    assert _decompose([4]).ok
 
 
 def test_decomposition_longer_later_cycle():
     # only cycle 1 needs to be extendable; later cycles may be longer
-    assert verify_decomposition(build_from_k([2, 3])).ok
-    assert verify_decomposition(build_from_k([2, 3, 1])).ok
+    assert _decompose([2, 3]).ok
+    assert _decompose([2, 3, 1]).ok
 
 
 def test_decomposition_sweep():
     for k in SWEEP_KS:
         if k[0] >= 2:
-            assert verify_decomposition(build_from_k(k)).ok, k
+            assert _decompose(k).ok, k
 
 
 def test_decomposition_requires_long_first_cycle():
     with pytest.raises(ValueError, match="not extendable"):
-        verify_decomposition(build_from_k([1, 1]))
+        _decompose([1, 1])
     with pytest.raises(ValueError, match="not extendable"):
-        verify_decomposition(build_from_k([1, 2]))
+        _decompose([1, 2])
+
+
+def test_verify_builds_the_bouquet_complex_once(monkeypatch):
+    # decompose takes the complex that verify already holds, and builds only
+    # those of the shorter bouquet and of the bouquet with cycle 1 dropped
+    built = []
+
+    def counting(comp, original=srcomplex.facets_closed_form):
+        built.append(comp.k)
+        return original(comp)
+
+    monkeypatch.setattr(srcomplex, "facets_closed_form", counting)
+    monkeypatch.setattr(certify, "facets_closed_form", counting)
+    rng = SimpleNamespace(hilbert_degree=4, enable_buchberger=True, enable_bruteforce_complex=True)
+    statuses = certify.verify_composition(build_from_k((3, 2, 1)), rng)
+    assert set(statuses.values()) == {"ok"}
+    assert sorted(built) == [(2, 1), (2, 2, 1), (3, 2, 1)]
 
 
 def test_shelling_matches_f_vector_reference_every_order():
