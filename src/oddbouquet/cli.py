@@ -212,12 +212,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         enable_buchberger=not args.no_buchberger,
         enable_bruteforce_complex=not args.no_bruteforce,
     )
-    comps = sweep_compositions(rng.max_n, rng.max_N)
+    comps = sweep_compositions(rng.max_n, rng.max_N)[::-1]
+    count = len(comps)
     failures: list[tuple[tuple[int, ...], str]] = []
     started = time.perf_counter()
     header = f"{'k':<22}" + "".join(f"{name:>12}" for name in CHECK_NAMES)
     print(header)
-    for c in comps:
+    while comps:
+        c = comps.pop()  # each bouquet and its cached structure go after its row
         results = verify_composition(c, rng)
         row = f"{_fmt_ints(c.k):<22}" + "".join(f"{results[name]:>12}" for name in CHECK_NAMES)
         print(row)
@@ -225,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if status == "FAIL":
                 failures.append((c.k, name))
     elapsed = time.perf_counter() - started
-    print(f"{len(comps)} compositions checked in {elapsed:.2f}s")
+    print(f"{count} compositions checked in {elapsed:.2f}s")
     if failures:
         print("FAILURES:")
         for ks, name in failures:

@@ -17,18 +17,24 @@ closed-form facet enumeration, certify that claim at desk scale:
   lead uses, clipped at the largest exponent of a basis part,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
-* equality of two Hilbert series, one counting monomials outside the
-  monomial ideal by a pruned recursion memoised on the bitmask supports
-  that the degree left can still complete, the other counting distinct
-  vertex exponent vectors in the edge subring branch by branch at the hub.
-  Hub lemma: split at any vertex, a degree-t vector is fixed by its
+* equality of two Hilbert series, each summed from one-dimensional
+  tallies.  One counts monomials outside the squarefree initial ideal P
+  from the face numbers f_i of its Stanley-Reisner complex Delta(P): a
+  size-i face is the exact support of C(t - 1, i - 1) of them in degree t,
+  and a recursion over the variables, memoised on the bitmask supports
+  still live, counts the faces by size.  The other counts distinct vertex
+  exponent vectors in the edge subring branch by branch at the hub.  Hub
+  lemma: split at any vertex, a degree-t vector is fixed by its
   projections u_1..u_n onto the components of G - hub (the hub's exponent
   is 2t - sum |u_i|), and it exists iff t lies in the Minkowski sum of the
   sets D(u_i) of degrees at which each u_i occurs.  At a bouquet's hub each
-  branch is a path from the hub back to the hub, so binomials count its u
-  by D(u), O(d^2) of them per distinct cycle length with no vector listed,
-  each D(u) an interval, and a DP over the branches combines the counts by
-  shifting whole intervals.
+  branch is a path from the hub back to the hub, so each D(u) is an
+  interval, and binomials count the u whose interval starts at each degree
+  and those whose interval ends there, O(d) of them per distinct cycle
+  length with no vector listed.  A tuple then occurs in exactly the degrees
+  from X, the sum of its low ends, to Y, the sum of its high ends, so
+  HF(t) = #{X <= t} - #{Y < t}: one convolution of the low ends and one of
+  the high ends.
 
 A bouquet's generator supports and its validated branch split at the hub
 are computed once per composition instance (see composition.per_bouquet).
@@ -37,10 +43,9 @@ are computed once per composition instance (see composition.per_bouquet).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph, per_bouquet
 from .record import Record, _set
@@ -87,35 +92,6 @@ class Monomial(Record):
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for i, e in other.exps:
-            out[i] = out.get(i, 0) + e
-        return Monomial.from_map(out)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(i, 0) >= e for i, e in self.exps)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for i, e in other.exps:
-            out[i] = max(out.get(i, 0), e)
-        return Monomial.from_map(out)
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; other must divide self."""
-        out = dict(self.exps)
-        for i, e in other.exps:
-            have = out.get(i, 0)
-            if have < e:
-                raise ValueError("quotient is not a monomial")
-            out[i] = have - e
-        return Monomial.from_map(out)
-
-
-MONOMIAL_ONE = Monomial(())
 
 
 class Binomial(Record):
@@ -359,36 +335,49 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
     """Numbers of monomials of each of the degrees divisible by none of the
     squarefree monomials with the given supports.
 
-    Pruned recursion over the variables, memoised for all the degrees on
-    (variable, degree left, what each live support lacks as a bitmask).  A
-    support that lacks more variables than the degree left can no longer
-    complete, so it leaves the key at once; once none is left, stars and
-    bars count the rest.
+    Those monomials are the standard monomials of the squarefree ideal P
+    the supports generate, and a monomial is one iff its support is a face
+    of the complex Delta(P) of the sets that hold no support.  A size-i face
+    is the exact support of C(t - 1, i - 1) monomials of degree t >= 1, so
+    HF(t) = sum_i f_i C(t - 1, i - 1), where f_i counts the size-i faces
+    (Stanley-Reisner).  f_0..f_D, D = min(max degree, nvars), come from an
+    include/exclude recursion over the variables, memoised on (variable,
+    what each live support lacks as a bitmask).  A node counts the faces it
+    can still grow up to the size left, size = D - the variables included,
+    as one vector packed into an int, a w-bit field per size; a support that
+    lacks more variables than that lies in no face counted and leaves the
+    key, and a node met again with at most its size left reads a prefix of
+    its vector.  Once no support is live, binomials count the rest.
     """
     if not degrees or min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
     nvars = c.edge_count
+    top, w = min(max(degrees), nvars), nvars + 1  # no face count reaches 2^w
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
-    def fits(alive: Iterable[int], rem: int) -> tuple[int, ...]:
-        return tuple(s for s in alive if s.bit_count() <= rem)
-
-    @cache
-    def count(idx: int, rem: int, alive: tuple[int, ...]) -> int:
-        if rem == 0:
-            return 1
-        if idx == nvars:
-            return 0
+    def faces(idx: int, size: int, alive: tuple[int, ...]) -> int:
         if not alive:
-            return math.comb(nvars - idx + rem - 1, rem)
+            return sum(math.comb(nvars - idx, i) << w * i for i in range(size + 1))
+        if idx == nvars:
+            return 1
+        full = (1 << w * (size + 1)) - 1
+        known, out = memo.get((idx, alive), (-1, 0))
+        if known >= size:
+            return out & full
         bit = 1 << idx
-        total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
-        if bit in alive:
-            return total  # variable idx completes a monomial
-        pos = [s & ~bit for s in alive]
-        return total + sum(count(idx + 1, r, fits(pos, r)) for r in range(rem))
+        kept = tuple(s for s in alive if not s & bit)
+        out = faces(idx + 1, size, kept)
+        if len(kept) == len(alive):  # idx is in no live support
+            out += out << w & full
+        elif size and bit not in alive:  # else variable idx completes a support
+            out += faces(idx + 1, size - 1, tuple(s & ~bit for s in alive if s & bit or s.bit_count() < size)) << w
+        memo[idx, alive] = size, out
+        return out
 
-    alive = tuple(supports)
-    return [0 if 0 in alive else count(0, j, fits(alive, j)) for j in degrees]
+    alive = tuple(s for s in supports if s.bit_count() <= top)
+    packed = 0 if 0 in alive else faces(0, top, alive)
+    f = [packed >> w * i & (1 << w) - 1 for i in range(top + 1)]
+    return [sum(fi * math.comb(t - 1, i - 1) for i, fi in enumerate(f) if i) if t else f[0] for t in degrees]
 
 
 def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
@@ -401,100 +390,84 @@ def standard_monomial_count(c: OddCycleComposition, d: int) -> int:
     return _standard_counts(c, [d], [plus for plus, _ in _pair_supports(c)])[0]
 
 
-def _path_tally(L: int, d: int) -> dict[tuple[int, int], int]:
-    """For each run (t, m), the number of vectors u on the inner vertices of
-    a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to d
-    are the interval [t, t + m].
+def _path_ends(L: int, d: int) -> tuple[list[int], list[int]]:
+    """For t = 0..d, the numbers of vectors u on the inner vertices of a
+    hub-to-hub path with L >= 2 edges whose run D(u) of degrees of
+    occurrence starts at t, and whose run ends at t.
 
     With edge multiplicities a_1..a_L, u_i = a_i + a_{i+1}, so a_1 fixes a
-    given u: the odd-position a's rise with it and the even ones fall.  Take
-    the canonical a, with odd positions of minimum 0, its sum t and the
-    minimum m of its even positions.  For L = 2k + 1 each step up in a_1
-    adds 1 to the sum, so D(u) = [t, t + m], cut at d, and C(s + 2k, 2k) -
-    C(s + k - 1, 2k) of the u with sum t have m >= m0, s = t - k*m0.  For
-    L = 2k, D(u) = {t}, for C(t + L - 1, L - 1) - C(t + k - 1, L - 1) u's.
+    given u: one step up in it raises the odd-position a's and lowers the
+    even ones, which adds 1 to the sum for odd L and 0 for even L.  So D(u)
+    is an interval from the sum of the a with some odd-position a_i = 0 to
+    the sum of the a with some even-position a_i = 0, and of the
+    C(t + L - 1, L - 1) a of sum t, all but C(t + L - 1 - j, L - 1) have a
+    zero among j given positions.
     """
-    k = L // 2
-
-    def comb(n: int, r: int) -> int:
-        return math.comb(n, r) if n >= 0 else 0
-
-    if L % 2 == 0:
-        return {(t, 0): comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
-    tally = {}
-    for t in range(d + 1):
-        at_least = [comb(s + 2 * k, 2 * k) - comb(s + k - 1, 2 * k) for s in range(t, t - k * (d - t + 1), -k)]
-        for m, (n, above) in enumerate(zip(at_least, at_least[1:] + [0])):
-            if n > above:
-                tally[t, m] = n - above
-    return tally
-
-
-def _minkowski(states: dict[int, int], runs: dict[tuple[int, int], int], d: int) -> dict[int, int]:
-    """One branch step of the hub DP: each counted set S of reachable
-    degrees and each counted run (t, m) give the union of S << t' over t'
-    in [t, t + m], truncated at d, counted by the product of the two counts.
-    Per S, spread[m] = S | S << 1 | ... | S << m serves every run."""
-    full, out = (1 << d + 1) - 1, {}
-    widest = max((m for _, m in runs), default=0)
-    for s, n in states.items():
-        spread = [s]
-        for _ in range(widest):
-            spread.append(spread[-1] | spread[-1] << 1)
-        for (t, m), k in runs.items():
-            reach = spread[m] << t & full
-            out[reach] = out.get(reach, 0) + n * k
-    return out
+    low, high = ([math.comb(t + L - 1, L - 1) - math.comb(t + L - 1 - j, L - 1) for t in range(d + 1)]
+                 for j in (L - L // 2, L // 2))
+    return low, high
 
 
 def _hub_branches(g: LabeledGraph, hub: int | None = None) -> tuple[int, ...]:
     """Edge counts of the branches of g at the vertex hub, by default the
     vertex of largest degree (lowest index on ties).
 
-    The branches are the components of g - hub, and each edge joins the
-    branch of its non-hub endpoint.  Each branch must be a path from the hub
-    back to the hub, else ValueError.
+    Each branch must be a path from the hub back to the hub, else
+    ValueError: a walk from each hub edge not yet walked goes on through
+    vertices of degree 2 until it is back at the hub, it must take at least
+    two edges, and the walks must take every edge.
     """
-    degree = Counter(v for e in g.endpoints for v in e)
+    incident: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for i, (a, b) in enumerate(g.endpoints):
+        incident[a].append(i)
+        incident[b].append(i)
     if hub is None:
-        hub = max(range(g.n_vertices), key=degree.__getitem__)
-    parent = list(range(g.n_vertices))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in g.endpoints:
-        if hub != a and hub != b:
-            parent[root(a)] = root(b)
-    branches: dict[int, list[tuple[int, int]]] = {}
-    for a, b in g.endpoints:
-        branches.setdefault(root(b if a == hub else a), []).append((a, b))
-    for ends in branches.values():
-        inner = {v for e in ends for v in e} - {hub}
-        if (len(ends) != len(inner) + 1 or sum(hub in e for e in ends) != 2
-                or any(degree[v] != 2 for v in inner)):
-            raise ValueError(f"branch {ends} is not a path from the hub back to the hub")
-    return tuple(map(len, branches.values()))
+        hub = max(range(g.n_vertices), key=lambda v: len(incident[v]))
+    lengths, walked = [], set()
+    for first in incident[hub]:
+        if first in walked:
+            continue
+        path, v = [first], sum(g.endpoints[first]) - hub  # v: the edge's other end
+        while v != hub and len(incident[v]) == 2:
+            i, j = incident[v]
+            path.append(j if i == path[-1] else i)
+            v = sum(g.endpoints[path[-1]]) - v
+        walked.update(path)
+        if v != hub or len(path) < 2:
+            raise ValueError(f"branch {[g.endpoints[i] for i in path]} is not a path from the hub back to the hub")
+        lengths.append(len(path))
+    if len(walked) < len(g.endpoints):
+        rest = [e for i, e in enumerate(g.endpoints) if i not in walked]
+        raise ValueError(f"branch {rest} is not a path from the hub back to the hub")
+    return tuple(lengths)
 
 
-def _hub_counts(lengths: Iterable[int], d: int) -> list[int]:
+def _run_counts(ends: Sequence[tuple[Sequence[int], Sequence[int]]], d: int) -> list[int]:
+    """HF(0..d) of the tuples that take one run from each branch, given for
+    each branch the numbers of its runs with each low end and with each
+    high end, 0..d.  A tuple is counted in degree t iff t lies in the sum
+    [X, Y] of its runs, X the sum of the low ends and Y of the high ends.
+    As X <= Y, HF(t) = #{X <= t} - #{Y < t}, and each side is one
+    convolution of the branches' ends, truncated at d: a product of ints
+    with one w-bit field per degree, where 2^w exceeds the number of
+    tuples, so no field carries."""
+    w = max(math.prod(sum(lo) for lo, _ in ends), 1).bit_length()
+    full, field = (1 << w * (d + 1)) - 1, (1 << w) - 1
+    low = high = 1
+    for lo, hi in ends:
+        low = low * sum(n << w * t for t, n in enumerate(lo)) & full
+        high = high * sum(n << w * t for t, n in enumerate(hi)) & full
+    at_most = accumulate(low >> w * t & field for t in range(d + 1))
+    below = accumulate(high >> w * t & field for t in range(d))
+    return [x - y for x, y in zip(at_most, chain([0], below))]
+
+
+def _hub_counts(lengths: Sequence[int], d: int) -> list[int]:
     """Dimensions of the degree-0..d pieces of the edge ring of hub paths
-    with the given edge counts glued at the hub.
-
-    Each path gives the tally of its degree runs D(u) = [t, t + m]; a DP
-    over the paths maps each set of degrees a tuple (u_1, ...) can reach,
-    truncated at d, to the number of such tuples, and HF(t) sums the sets
-    that hold t (see edge_subring_hilbert_series).
-    """
-    states, tallies = {1: 1}, {}
-    for L in lengths:
-        if L not in tallies:  # equal cycles of a bouquet share one tally
-            tallies[L] = _path_tally(L, d)
-        states = _minkowski(states, tallies[L], d)
-    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
+    with the given edge counts glued at the hub: each path's run ends (see
+    _path_ends), equal lengths sharing them, counted by _run_counts."""
+    ends = {L: _path_ends(L, d) for L in set(lengths)}
+    return _run_counts([ends[L] for L in lengths], d)
 
 
 def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:

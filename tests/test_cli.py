@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -184,6 +185,34 @@ def test_verify_small_sweeps(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "4")
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_full_degree_on_the_default_sweep(capsys):
+    # both Hilbert series to degree V = 17 on every bouquet of the default sweep
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-N", "8", "--hilbert-degree", "17")
+    assert code == 0
+    assert "59 compositions checked in " in out
+    assert out.endswith("all checks passed\n")
+
+
+def test_verify_releases_each_bouquet_after_its_row(capsys, monkeypatch):
+    # a bouquet, with the structure cached on it, must not outlive its row;
+    # ids are unique among live objects, so a bouquet is released once its
+    # id has been dropped by a finalizer
+    live = set()
+    monkeypatch.setattr(composition.OddCycleComposition, "__del__",
+                        lambda self: live.discard(id(self)), raising=False)
+
+    def verify(c, rng):
+        gc.collect()
+        assert not live, c.k
+        live.add(id(c))
+        return certify.verify_composition(c, rng)
+
+    monkeypatch.setattr(cli, "verify_composition", verify)
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-N", "4")
+    assert code == 0 and "all checks passed" in out
+    assert out.count("\n") == len(sweep_compositions(3, 4)) + 3
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

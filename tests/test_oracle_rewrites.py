@@ -2,22 +2,26 @@
 
 facets_brute_force is a pruned include/exclude search that carries its
 pruning masks down, the edge subring Hilbert series is counted branch by
-branch at the hub (binomial counts of each hub path's degree runs, then a
-DP over the branches that shifts whole runs), s_pair_reduces_to_zero
-divides packed-int monomials by a basis packed once per list and
-memoises each term's first divisor, standard_monomial_series is a
-recursion over bitmask supports memoised across degrees and pruned by the
-degree left, h_from_f sums binomials, and
-the decomposition's intersection check is a subset test.  The references
-here are the plain versions: a scan over all 2^E subsets and the search
-that tests the supports with any(...) at every node, breadth-first
-searches over whole-graph exponent tuples and over whole levels of
-whole-graph packed ints, the hub split of any graph at any vertex with
-each branch's vectors listed and a DP over degree masks, division on dicts
-of Monomial objects ordered by grlex_cmp, the unmemoised recursion over
-frozenset supports, the f-to-h transform by polynomial powers, and the
-decomposition check by maximal pairwise intersections.  Apart from the
-two facet searches, which share the bitmask supports, the references hold
+branch at the hub (binomial counts of each hub path's degree runs, then
+one convolution of the runs' low ends and one of their high ends),
+s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
+per list and memoises each term's first divisor,
+standard_monomial_series sums the face numbers of the Stanley-Reisner
+complex, counted by a recursion over bitmask supports, h_from_f sums
+binomials, and the decomposition's intersection check is a subset test.
+The references here are the plain versions: a scan over all 2^E subsets
+and the search that tests the supports with any(...) at every node,
+breadth-first searches over whole-graph exponent tuples and over whole
+levels of whole-graph packed ints, the hub split of any graph at any
+vertex with each branch's vectors listed and a DP over degree masks,
+division on dicts of Monomial objects ordered by grlex_cmp, the
+unmemoised recursion over frozenset supports, the f-to-h transform by
+polynomial powers, and the decomposition check by maximal pairwise
+intersections.  The two kernels the Hilbert series were summed by before
+are kept as references too: the DP over sets of reachable degrees that
+shifts whole runs (_minkowski), and the recursion memoised on (variable,
+degree left, live supports).  Apart from the two facet searches and the
+degree memo, which take the bitmask supports, the references hold
 squarefree sets as frozensets and meet the bitmask results only at the
 comparison.
 """
@@ -26,7 +30,7 @@ import math
 import random
 import sys
 import types
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, permutations, product
 
 import pytest
@@ -45,14 +49,16 @@ from oddbouquet.srcomplex import (
     verify_decomposition,
 )
 from oddbouquet.toric import (
-    MONOMIAL_ONE,
     Binomial,
     Monomial,
     _PackedBasis,
+    _hub_branches,
+    _hub_counts,
     _hub_series,
-    _minkowski,
     _packer,
-    _path_tally,
+    _path_ends,
+    _run_counts,
+    _standard_counts,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
     generators,
@@ -72,6 +78,40 @@ ORDERS = sorted({
     if c.edge_count <= 14
     for order in permutations(c.k)
 })
+
+
+MONOMIAL_ONE = Monomial(())
+
+
+def monomial_mul(a, b):
+    out = dict(a.exps)
+    for i, e in b.exps:
+        out[i] = out.get(i, 0) + e
+    return Monomial.from_map(out)
+
+
+def monomial_divides(a, b):
+    """True iff a divides b."""
+    it = dict(b.exps)
+    return all(it.get(i, 0) >= e for i, e in a.exps)
+
+
+def monomial_lcm(a, b):
+    out = dict(a.exps)
+    for i, e in b.exps:
+        out[i] = max(out.get(i, 0), e)
+    return Monomial.from_map(out)
+
+
+def monomial_quotient(a, b):
+    """a / b; b must divide a."""
+    out = dict(a.exps)
+    for i, e in b.exps:
+        have = out.get(i, 0)
+        if have < e:
+            raise ValueError("quotient is not a monomial")
+        out[i] = have - e
+    return Monomial.from_map(out)
 
 
 def _members(mask):
@@ -370,6 +410,73 @@ def _run_masks(runs):
     return {(1 << m + 1) - 1 << t: k for (t, m), k in runs.items()}
 
 
+def _path_tally(L, d):
+    """For each run (t, m), the number of vectors u on the inner vertices of
+    a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to d
+    are the interval [t, t + m]: the binomial tally the run DP was fed.
+
+    Take the a with odd positions of minimum 0, its sum t and the minimum m
+    of its even positions.  For L = 2k + 1, D(u) = [t, t + m], cut at d, and
+    C(s + 2k, 2k) - C(s + k - 1, 2k) of the u with sum t have m >= m0,
+    s = t - k*m0.  For L = 2k, D(u) = {t}, for C(t + L - 1, L - 1) -
+    C(t + k - 1, L - 1) u's.
+    """
+    k = L // 2
+
+    def comb(n, r):
+        return math.comb(n, r) if n >= 0 else 0
+
+    if L % 2 == 0:
+        return {(t, 0): comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
+    tally = {}
+    for t in range(d + 1):
+        at_least = [comb(s + 2 * k, 2 * k) - comb(s + k - 1, 2 * k) for s in range(t, t - k * (d - t + 1), -k)]
+        for m, (n, above) in enumerate(zip(at_least, at_least[1:] + [0])):
+            if n > above:
+                tally[t, m] = n - above
+    return tally
+
+
+def _run_ends(runs, d):
+    """A tally of runs (t, m), t + m <= d, as its counts of low and high ends."""
+    lo, hi = [0] * (d + 1), [0] * (d + 1)
+    for (t, m), n in runs.items():
+        lo[t] += n
+        hi[t + m] += n
+    return lo, hi
+
+
+def _minkowski(states, runs, d):
+    """One branch step of the run DP the hub counts were first summed by:
+    each counted set S of reachable degrees and each counted run (t, m) give
+    the union of S << t' over t' in [t, t + m], truncated at d, counted by
+    the product of the two counts.  Per S, spread[m] = S | S << 1 | ... |
+    S << m serves every run."""
+    full, out = (1 << d + 1) - 1, {}
+    widest = max((m for _, m in runs), default=0)
+    for s, n in states.items():
+        spread = [s]
+        for _ in range(widest):
+            spread.append(spread[-1] | spread[-1] << 1)
+        for (t, m), k in runs.items():
+            reach = spread[m] << t & full
+            out[reach] = out.get(reach, 0) + n * k
+    return out
+
+
+def _minkowski_run_counts(tallies, d):
+    """The run DP: each set of degrees a tuple of runs reaches, truncated at
+    d, mapped to its number of tuples; HF(t) sums the sets that hold t."""
+    states = {1: 1}
+    for runs in tallies:
+        states = _minkowski(states, runs, d)
+    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
+
+
+def _minkowski_hub_counts(lengths, d):
+    return _minkowski_run_counts([_path_tally(L, d) for L in lengths], d)
+
+
 def _listing_hub_series(g, d, hub):
     """The hub split of any graph at any vertex: each component of g - hub,
     with the edges that join it to the hub, gives the listed tally of its
@@ -411,6 +518,20 @@ def test_path_tally_matches_the_listing():
             assert _run_masks(_path_tally(length, d)) == expected, (length, d)
 
 
+def test_path_ends_match_the_listing():
+    # listed to degree d + 1, every run that ends at d or below shows its end
+    for length in range(2, 16):
+        for d in range(8):
+            lo, hi = [0] * (d + 1), [0] * (d + 1)
+            for mask, n in _mask_tally(_path_edges(length, d + 1), d + 1).items():
+                low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+                if low <= d:
+                    lo[low] += n
+                if high <= d:
+                    hi[high] += n
+            assert _path_ends(length, d) == (lo, hi), (length, d)
+
+
 def test_hub_split_matches_full_levels_on_graphs_at_every_vertex():
     for g, d in [*((g, 5) for g in SHAPED_GRAPHS), *_random_graphs(300)]:
         expected = _full_level_series(g.endpoints, d)
@@ -450,6 +571,7 @@ def test_hub_split_of_glued_cycles_matches_full_levels():
     [(0, 1), (1, 2), (2, 0), (0, 3)],  # a pendant edge at the hub
     [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (2, 4)],  # two triangles joined off the hub
     [(0, 1), (1, 2), (2, 0), (0, 0)],  # a loop at the hub
+    [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],  # a triangle apart from the hub
 ])
 def test_hub_split_rejects_a_branch_that_is_not_a_hub_path(endpoints):
     g = _graph(1 + max(v for e in endpoints for v in e), endpoints)
@@ -483,6 +605,38 @@ def test_minkowski_runs_match_masks_on_random_interval_tallies():
         assert _minkowski(states, runs, d) == expected, (states, runs, d)
 
 
+def test_run_ends_count_the_runs_by_hand():
+    # runs [0, 1] (twice) and [1, 1], then [0, 0] and [1, 2], at d = 3:
+    # sums [0, 1] x2, [1, 3] x2, [1, 1] and [2, 3]
+    ends = [([2, 1, 0, 0], [0, 3, 0, 0]), ([1, 1, 0, 0], [1, 0, 1, 0])]
+    assert ends == [_run_ends({(0, 1): 2, (1, 0): 1}, 3), _run_ends({(0, 0): 1, (1, 1): 1}, 3)]
+    assert _run_counts(ends, 3) == [2, 5, 3, 3]
+    assert _run_counts([], 2) == [1, 0, 0]
+    assert _run_counts([([0, 0, 0], [0, 0, 0])], 2) == [0, 0, 0]
+
+
+def test_run_ends_match_the_run_dp_on_every_order_of_the_sweep():
+    for c in sweep_compositions(5, 8):
+        V = c.vertex_count
+        for order in set(permutations(c.k)):
+            lengths = _hub_branches(labeled_graph(build_from_k(order)))
+            assert sorted(lengths) == sorted(2 * k + 1 for k in order), order
+            expected = _minkowski_hub_counts(lengths, V)
+            for d in range(V + 1):
+                assert _hub_counts(lengths, d) == expected[:d + 1], (order, d)
+
+
+def test_run_ends_match_the_run_dp_on_random_path_lengths():
+    # even lengths (double edges at the hub for 2), and no branch at all
+    rng = random.Random(21)
+    for _ in range(150):
+        lengths = [rng.randint(2, 9) for _ in range(rng.randint(0, 5))]
+        top = min(1 + sum(L - 1 for L in lengths), 20)  # V, at most 20
+        expected = _minkowski_hub_counts(lengths, top)
+        for d in range(top + 1):
+            assert _hub_counts(lengths, d) == expected[:d + 1], (lengths, d)
+
+
 # ------------------------------------------------------------------ toric certificates
 
 _GRLEX_KEY = cmp_to_key(grlex_cmp)
@@ -495,15 +649,15 @@ def _as_poly(b):
 def _s_polynomial(f, g):
     fp, gp = _as_poly(f), _as_poly(g)
     lf, lg = leading_monomial(f), leading_monomial(g)
-    lcm = lf.lcm(lg)
-    uf, ug = lcm.quotient(lf), lcm.quotient(lg)
+    lcm = monomial_lcm(lf, lg)
+    uf, ug = monomial_quotient(lcm, lf), monomial_quotient(lcm, lg)
     out = {}
     # leading coefficients are +-1, so dividing by them is multiplying by them
     for m, cm in fp.items():
-        key = m.mul(uf)
+        key = monomial_mul(m, uf)
         out[key] = out.get(key, 0) + cm * fp[lf]
     for m, cm in gp.items():
-        key = m.mul(ug)
+        key = monomial_mul(m, ug)
         out[key] = out.get(key, 0) - cm * gp[lg]
     return {m: cv for m, cv in out.items() if cv}
 
@@ -518,14 +672,14 @@ def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000):
         lead = max(work, key=_GRLEX_KEY)
         c = work[lead]
         for lm, hp in prepared:
-            if lm.divides(lead):
+            if monomial_divides(lm, lead):
                 steps += 1
                 if steps > max_steps:
                     raise RuntimeError("reduction did not terminate")
-                u = lead.quotient(lm)
+                u = monomial_quotient(lead, lm)
                 factor = c * hp[lm]  # == c / leading coefficient, both signs +-1
                 for m, cm in hp.items():
-                    key = m.mul(u)
+                    key = monomial_mul(m, u)
                     nv = work.get(key, 0) - factor * cm
                     if nv:
                         work[key] = nv
@@ -569,6 +723,35 @@ def _frozenset_standard_count(c, d, monomials=None):
         return total
 
     return count(0, d, supports)
+
+
+def _degree_memo_counts(nvars, degrees, supports):
+    """The recursion over the variables that the standard counts were first
+    summed by, memoised for all the degrees on (variable, degree left, what
+    each live support lacks as a bitmask); a support that lacks more
+    variables than the degree left leaves the key, and once none is left,
+    stars and bars count the rest."""
+
+    def fits(alive, rem):
+        return tuple(s for s in alive if s.bit_count() <= rem)
+
+    @cache
+    def count(idx, rem, alive):
+        if rem == 0:
+            return 1
+        if idx == nvars:
+            return 0
+        if not alive:
+            return math.comb(nvars - idx + rem - 1, rem)
+        bit = 1 << idx
+        total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
+        if bit in alive:
+            return total
+        pos = [s & ~bit for s in alive]
+        return total + sum(count(idx + 1, r, fits(pos, r)) for r in range(rem))
+
+    alive = tuple(supports)
+    return [0 if 0 in alive else count(0, j, fits(alive, j)) for j in degrees]
 
 
 def _steps(fn, f, g, basis):
@@ -840,7 +1023,7 @@ def test_packed_lcm_matches_monomial_lcm():
         monomials = [MONOMIAL_ONE] + [Monomial.from_map({i: deg}) for i in range(nvars)]
         monomials += [_monomial_up_to(rng, nvars, deg) for _ in range(12 if nvars else 0)]
         for a, b in product(monomials, repeat=2):
-            assert packed.lcm(pack(a), pack(b)) == pack(a.lcm(b)), (deg, nvars, a, b)
+            assert packed.lcm(pack(a), pack(b)) == pack(monomial_lcm(a, b)), (deg, nvars, a, b)
 
 
 def test_packed_order_divisibility_and_product_agree_with_monomials():
@@ -852,9 +1035,9 @@ def test_packed_order_divisibility_and_product_agree_with_monomials():
         pack, guard = _packer(a.degree + b.degree, nvars)
         pa, pb = pack(a), pack(b)
         assert (pa > pb) - (pa < pb) == grlex_cmp(a, b), (a, b)
-        assert (not (pb - pa) & guard) == a.divides(b), (a, b)
-        assert (not (pa - pb) & guard) == b.divides(a), (a, b)
-        assert pa + pb == pack(a.mul(b)), (a, b)
+        assert (not (pb - pa) & guard) == monomial_divides(a, b), (a, b)
+        assert (not (pa - pb) & guard) == monomial_divides(b, a), (a, b)
+        assert pa + pb == pack(monomial_mul(a, b)), (a, b)
 
 
 def test_memoised_standard_count_matches_frozensets_every_order():
@@ -910,6 +1093,35 @@ def test_standard_series_counts_the_monomials_it_is_given():
     assert standard_monomial_series(c, 3, [MONOMIAL_ONE]) == [0, 0, 0, 0]
     with pytest.raises(ValueError, match="nonnegative"):
         standard_monomial_series(c, -1, inits)
+
+
+def test_face_counts_match_the_degree_memo_on_every_order_of_the_sweep():
+    for c in sweep_compositions(5, 8):
+        V = c.vertex_count
+        for order in set(permutations(c.k)):
+            supports = [plus for plus, _ in toric._pair_supports(build_from_k(order))]
+            expected = _degree_memo_counts(c.edge_count, range(V + 1), supports)
+            assert _standard_counts(c, range(V + 1), supports) == expected, order
+            for d in range(V + 1):
+                assert _standard_counts(c, [d], supports) == expected[d:d + 1], (order, d)
+
+
+def test_face_counts_match_the_degree_memo_on_random_families():
+    # one-element supports, supports longer than the degree, supports on two
+    # variables past the ground set, the monomial 1 (support 0) and the
+    # empty family
+    rng = random.Random(22)
+    for trial in range(300):
+        c = build_from_k(rng.choice([(1,), (2,), (1, 1), (2, 1), (3, 1), (1, 1, 1)]))
+        nvars, V = c.edge_count, c.vertex_count
+        sizes = [rng.choice((1, 1, 2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 6) if trial else 0)]
+        supports = [sum(1 << v for v in rng.sample(range(nvars + 2), min(size, nvars))) for size in sizes]
+        if rng.random() < 0.05:
+            supports.append(0)
+        rng.shuffle(supports)
+        expected = _degree_memo_counts(nvars, range(V + 1), supports)
+        for d in range(V + 1):
+            assert _standard_counts(c, range(d + 1), supports) == expected[:d + 1], (c.k, supports, d)
 
 
 # ------------------------------------------------------------------ f-to-h and decomposition

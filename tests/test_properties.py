@@ -19,6 +19,7 @@ from oddbouquet.srcomplex import (  # noqa: E402
     hilbert_from_h,
 )
 from oddbouquet.toric import (  # noqa: E402
+    _run_counts,
     edge_subring_hilbert,
     edge_subring_hilbert_series,
     generators,
@@ -30,6 +31,8 @@ from test_oracle_rewrites import (  # noqa: E402
     _full_level_series,
     _graph,
     _listing_hub_series,
+    _minkowski_run_counts,
+    _run_ends,
     dict_s_pair_reduces_to_zero,
 )
 
@@ -82,6 +85,23 @@ def small_graphs(draw):
 def test_hub_split_of_any_graph_at_any_vertex_equals_whole_graph_levels(g, data, d):
     hub = data.draw(st.integers(0, g.n_vertices - 1))
     assert _listing_hub_series(g, d, hub) == _full_level_series(g.endpoints, d)
+
+
+@st.composite
+def run_tallies(draw):
+    """A degree d and a few tallies of runs (t, m), t + m <= d, with counts."""
+    d = draw(st.integers(0, 9))
+    run = st.integers(0, d).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, d - t)))
+    tally = st.dictionaries(run, st.integers(1, 9), max_size=5)
+    return draw(st.lists(tally, max_size=4)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_tallies())
+def test_run_ends_count_the_tuples_whose_sum_holds_each_degree(tallies_d):
+    # HF(t) = #{X <= t} - #{Y < t}, X and Y the sums of the low and high ends
+    tallies, d = tallies_d
+    assert _run_counts([_run_ends(runs, d) for runs in tallies], d) == _minkowski_run_counts(tallies, d)
 
 
 @settings(max_examples=40, deadline=None)
