@@ -129,7 +129,7 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     def initial() -> bool:
         pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
         return all(
-            leading_monomial(g) == m and m.is_squarefree() and m.degree == deg
+            leading_monomial(g) == m and m.degree == deg
             for g, m, deg in zip(gens(), inits(), pair_degrees)
         )
 

@@ -67,12 +67,12 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def composition_from_args(args: argparse.Namespace) -> OddCycleComposition:
-    if getattr(args, "r", None):
+    if getattr(args, "r", None) is not None:
         try:
             return build_from_r(_parse_ints(args.r))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         try:
             return build_from_k(_parse_ints(args.k))
         except ValueError as exc:
@@ -174,7 +174,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _monomial_names(c: OddCycleComposition, m) -> list[str]:
-    return [c.edge_name(i) for i, _ in m.exps]
+    return [c.edge_name(i) for i in bits(m.mask)]
 
 
 def cmd_gens(args: argparse.Namespace) -> int:

@@ -33,7 +33,9 @@ class OddCycleComposition(Record):
     def __init__(self, r: tuple[int, ...], k: tuple[int, ...]) -> None:
         if not k or any(v < 1 for v in k):
             raise ValueError("invalid cycle length")
-        if not r or r[-1] == 0 or any(v < 0 for v in r):
+        if any(v < 0 for v in r):
+            raise ValueError("negative cycle count")
+        if not r or r[-1] == 0:
             raise ValueError("empty composition")
         counts = [0] * len(r)
         for v in k:
@@ -123,11 +125,11 @@ def bits(mask: int) -> list[int]:
 def build_from_r(r) -> OddCycleComposition:
     """Bouquet with r[j-1] cycles of length 2j+1; cycles ordered by descending length."""
     r = list(r)
+    if any(v < 0 for v in r):
+        raise ValueError("negative cycle count")
     while r and r[-1] == 0:
         r.pop()
     if not r:
-        raise ValueError("empty composition")
-    if any(v < 0 for v in r):
         raise ValueError("empty composition")
     k = []
     for j in range(len(r), 0, -1):

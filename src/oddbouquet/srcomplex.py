@@ -124,10 +124,7 @@ def facets_brute_force(monomials: list[Monomial], ground_size: int) -> Simplicia
     """
     if ground_size > ORACLE_CAP:
         raise ValueError("instance too large for oracle")
-    for m in monomials:
-        if not m.is_squarefree():
-            raise ValueError("oracle needs squarefree monomials")
-    support_masks = [m.support for m in monomials]
+    support_masks = [m.mask for m in monomials]
     if 0 in support_masks:
         # the monomial 1 lies in every set: no faces at all
         return SimplicialComplex(ground_size=ground_size, facets=())
@@ -281,12 +278,12 @@ def _intersection_ok(cone: set[int], join: set[int], x: int) -> bool:
 
     Sets are bitmasks and x is an element.  With x in no b, each a & b lies
     in a - {x}; sets a - {x} of one size form an antichain, so they are the
-    maximal ones iff each is an a & b.
+    maximal ones iff each is an a & b, that is iff each lies in some b.
     """
     xbit = 1 << x
     expected = {a & ~xbit for a in cone}
     return (not any(b & xbit for b in join) and len({e.bit_count() for e in expected}) == 1
-            and expected <= {a & b for a in cone for b in join})
+            and all(any(not e & ~b for b in join) for e in expected))
 
 
 def verify_decomposition(c: OddCycleComposition, cx: SimplicialComplex) -> DecompositionReport:

@@ -4,7 +4,8 @@ For cycles i < j the ideal has one generator: the binomial whose plus part
 multiplies the odd-position edges of cycle i with the even-position edges of
 cycle j, and whose minus part swaps the roles.  Under the graded lex order
 that makes x_{1,1} the largest variable, the plus parts generate the initial
-ideal.  Supports are int bitmasks over the flat edge index (see composition).
+ideal.  Every part is squarefree, and a Monomial is the int bitmask of its
+variables over the flat edge index (see composition).
 
 Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
@@ -13,8 +14,8 @@ closed-form facet enumeration, certify that claim at desk scale:
   packed into ints: the basis is packed once per list, f and g are looked
   up in it by identity, the lcm of their leads is a field-wise max, the
   division walks the S-polynomial's two terms as two ints, and each
-  term's first divisor is memoised on its exponents in the fields some
-  lead uses, clipped at the largest exponent of a basis part,
+  term's first divisor is memoised on its support among the variables
+  some lead uses,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, each summed from one-dimensional
@@ -43,8 +44,7 @@ are computed once per composition instance (see composition.per_bouquet).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
-from functools import cache, cached_property
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, chain, combinations
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph, per_bouquet
@@ -52,46 +52,31 @@ from .record import Record, _set
 
 
 class Monomial(Record):
-    """Sparse monomial over flat edge-variable indices; exponents all >= 1."""
+    """Squarefree monomial over flat edge-variable indices: the bitmask of its variables."""
 
-    __slots__ = ("exps", "__dict__")
+    __slots__ = ("mask",)
 
-    def __init__(self, exps: tuple[tuple[int, int], ...]) -> None:
-        _set(self, "exps", exps)
+    def __init__(self, mask: int) -> None:
+        if mask < 0:
+            raise ValueError("negative variable mask")
+        _set(self, "mask", mask)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.exps == other.exps
+            return self.mask == other.mask
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.exps,))
+        return hash((self.mask,))
 
-    @staticmethod
-    def from_map(m: Mapping[int, int]) -> "Monomial":
-        items = []
-        for idx, e in sorted(m.items()):
-            if e < 0:
-                raise ValueError("negative exponent")
-            if e > 0:
-                items.append((idx, e))
-        return Monomial(tuple(items))
-
-    @staticmethod
-    def squarefree(indices: Iterable[int]) -> "Monomial":
-        return Monomial(tuple((i, 1) for i in sorted(set(indices))))
-
-    @cached_property
+    @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self.mask.bit_count()
 
-    @cached_property
-    def support(self) -> int:
-        """The variables that occur, as a bitmask."""
-        return sum(1 << i for i, _ in self.exps)
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """(variable, exponent) pairs, variables ascending, each exponent 1."""
+        return tuple((i, 1) for i in bits(self.mask))
 
 
 class Binomial(Record):
@@ -117,31 +102,16 @@ class Binomial(Record):
 def grlex_cmp(a: Monomial, b: Monomial) -> int:
     """Graded lex comparison: -1, 0 or 1 as a <, =, > b.
 
-    Total degree decides first.  Ties break at the smallest flat index where
-    the exponents differ; the larger exponent there wins, so the variable at
-    flat index 0 is the largest one.
+    Total degree decides first.  Ties break at the smallest flat index in
+    one monomial only, and the one holding it wins, so the variable at flat
+    index 0 is the largest one.
     """
     if a.degree != b.degree:
         return -1 if a.degree < b.degree else 1
-    ia, ib = 0, 0
-    ea, eb = a.exps, b.exps
-    while ia < len(ea) and ib < len(eb):
-        idx_a, exp_a = ea[ia]
-        idx_b, exp_b = eb[ib]
-        if idx_a == idx_b:
-            if exp_a != exp_b:
-                return 1 if exp_a > exp_b else -1
-            ia += 1
-            ib += 1
-        elif idx_a < idx_b:
-            return 1  # a has a positive exponent at a smaller index
-        else:
-            return -1
-    if ia < len(ea):
-        return 1
-    if ib < len(eb):
-        return -1
-    return 0
+    diff = a.mask ^ b.mask
+    if not diff:
+        return 0
+    return 1 if a.mask & diff & -diff else -1
 
 
 @per_bouquet
@@ -153,8 +123,7 @@ def _pair_supports(c: OddCycleComposition) -> tuple[tuple[int, int], ...]:
 
 def generators(c: OddCycleComposition) -> list[Binomial]:
     """One binomial per cycle pair i < j, in lexicographic pair order."""
-    return [Binomial(plus=Monomial.squarefree(bits(plus)), minus=Monomial.squarefree(bits(minus)))
-            for plus, minus in _pair_supports(c)]
+    return [Binomial(plus=Monomial(plus), minus=Monomial(minus)) for plus, minus in _pair_supports(c)]
 
 
 def initial_monomials(c: OddCycleComposition) -> list[Monomial]:
@@ -168,17 +137,19 @@ def leading_monomial(b: Binomial) -> Monomial:
 
 
 def _packer(deg: int, nvars: int):
-    """pack(m) into one int for degree <= deg in nvars variables, and a guard mask.
+    """pack(m) into one int in nvars variables, and a guard mask.
 
     Degree on top, then exponents with x_0 most significant: int order is
-    grlex and + multiplies.  Each exponent field has a guard bit; a divides
-    b iff b - a sets none.
+    grlex and + multiplies.  A field holds any exponent up to deg, so every
+    monomial of degree <= deg that sums of packed ones make fits, squares
+    included.  Each exponent field has a guard bit; a divides b iff b - a
+    sets none.
     """
     w = deg.bit_length() + 1
     top, shifts = w * nvars, [w * (nvars - 1 - i) for i in range(nvars)]
 
     def pack(m: Monomial) -> int:
-        return (m.degree << top) + sum(e << shifts[i] for i, e in m.exps)
+        return (m.degree << top) + sum(1 << shifts[i] for i in bits(m.mask))
 
     return pack, sum(1 << w * j + w - 1 for j in range(nvars))
 
@@ -187,7 +158,7 @@ def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
     """Largest degree of a part, and 1 + the largest variable index in one."""
     parts = [m for b in binomials for m in (b.plus, b.minus)]
     return (max((m.degree for m in parts), default=0),
-            max((i + 1 for m in parts for i, _ in m.exps), default=0))
+            max((m.mask.bit_length() for m in parts), default=0))
 
 
 class _PackedBasis:
@@ -198,29 +169,26 @@ class _PackedBasis:
     ids from being reused.  first maps a term's key to its first divisor in
     basis order, or None when no lead divides it.
 
-    The key is the term's exponents in the fields some lead uses, each
-    clipped at cap, the largest exponent of a basis part: the bits of used,
-    the guard bits of those fields, of term - t for t = 1..cap (clips holds
-    guard - t * ones), summed, hold min(e, cap) times the guard bit in each
-    used field.  A lead divides a term iff it divides the clipped term, as
-    no lead exponent exceeds cap, and a field no lead uses cannot stop it;
-    for squarefree parts the key is the support within the used fields."""
+    The key is the term's support among the variables some lead uses: the
+    guard bits of term + nonzero (guard - ones) that lie in used, the guard
+    bits of those variables' fields.  Leads are squarefree, so a lead
+    divides a term iff its variables lie in the term's support, and a
+    variable in no lead cannot stop it."""
 
-    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "low", "top_shift",
-                 "field", "clips", "divisors", "used", "members", "first")
+    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "nonzero", "low",
+                 "top_shift", "field", "divisors", "used", "members", "first")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
         w, top = self.width, self.width * nvars
         self.pack, self.guard = _packer(2 * deg, nvars)
         self.ones = sum(1 << w * j for j in range(nvars))
+        self.nonzero = self.guard - self.ones
         self.low, self.top_shift, self.field = (1 << top) - 1, max(top - w, 0), (1 << w) - 1
-        cap = max((e for b in self.basis for m in (b.plus, b.minus) for _, e in m.exps), default=1)
-        self.clips = tuple(self.guard - t * self.ones for t in range(1, cap + 1))
         self.divisors = [self.lead_tail(b) for b in self.basis]
         self.used = 0
         for lm, _ in self.divisors:
-            self.used |= (lm + self.clips[0]) & self.guard
+            self.used |= (lm + self.nonzero) & self.guard
         self.members = dict(zip(map(id, self.basis), self.divisors))
         self.first: dict[int, tuple[int, int] | None] = {}
 
@@ -269,8 +237,10 @@ def s_pair_reduces_to_zero(
     reused while the list compares equal to the packed copy; f and g are
     looked up in it by identity, packed only when not members, and the lcm
     of their leads is taken on the packed ints.  Each term's first divisor
-    is looked up by its clipped, masked key (see _PackedBasis) and scanned
-    for only on a miss.
+    is looked up by its support among the leads' variables (see
+    _PackedBasis) and scanned for only on a miss.  The parts are
+    squarefree, but a rewrite can square a variable of a term, and the
+    packed ints hold any exponent up to the lcm's degree.
 
     The S-polynomial of two binomials with unit coefficients is b - a, and
     a rewrite keeps the coefficient of the term it rewrites, so the walk
@@ -294,12 +264,9 @@ def s_pair_reduces_to_zero(
     a, b = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
     if a < b:
         a, b = b, a
-    used, clip, deeper = pb.used, pb.clips[0], pb.clips[1:]
-    first, remainder, steps = pb.first, False, 0
+    used, nonzero, first, remainder, steps = pb.used, pb.nonzero, pb.first, False, 0
     while a > b:  # a is the lead; the walk ends when the terms cancel or both are -1
-        key = (a + clip) & used
-        for deep in deeper:
-            key += (a + deep) & used
+        key = (a + nonzero) & used
         hit = first.get(key, _UNSEEN)
         if hit is _UNSEEN:
             hit = first[key] = pb.first_divisor(a)
@@ -319,10 +286,10 @@ def s_pair_reduces_to_zero(
 def vertex_exponent_vector(m: Monomial, g: LabeledGraph) -> tuple[int, ...]:
     """Image of an edge monomial under the edge map, as exponents per vertex."""
     vec = [0] * g.n_vertices
-    for idx, e in m.exps:
+    for idx in bits(m.mask):
         a, b = g.endpoints[idx]
-        vec[a] += e
-        vec[b] += e
+        vec[a] += 1
+        vec[b] += 1
     return tuple(vec)
 
 
@@ -382,7 +349,7 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
 
 def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
     """Numbers of degree-0..d monomials divisible by none of the squarefree monomials."""
-    return _standard_counts(c, range(d + 1), [m.support for m in monomials])
+    return _standard_counts(c, range(d + 1), [m.mask for m in monomials])
 
 
 def standard_monomial_count(c: OddCycleComposition, d: int) -> int:

@@ -59,7 +59,7 @@ class _Timer:
 
 
 def _mono(c, labels):
-    return Monomial.squarefree(c.flat_index(i, j) for i, j in labels)
+    return Monomial(sum(1 << c.flat_index(i, j) for i, j in labels))
 
 
 def _mask(indices):

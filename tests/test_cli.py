@@ -684,6 +684,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "--max-n", "0", "--max-N", "4")[0] == 2
     assert run(capsys, "verify", "--max-n", "3", "--max-N", "2")[0] == 2
     assert run(capsys, "nope")[0] == 2                       # unknown subcommand
+    for flag in ("--r", "--k"):                              # an empty list is no list
+        assert run(capsys, "hvec", flag, "") == (2, "", "error: cannot parse integer list ''\n")
+    assert run(capsys, "hvec", "--r", "0,-1") == (2, "", "error: negative cycle count\n")
 
 
 def test_version_of_r_and_k_agree(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import (
+    OddCycleComposition,
     bits,
     build_from_k,
     build_from_r,
@@ -42,8 +43,14 @@ def test_build_from_r_rejects_empty():
     for bad in ([], [0], [0, 0]):
         with pytest.raises(ValueError, match="empty composition"):
             build_from_r(bad)
-    with pytest.raises(ValueError):
-        build_from_r([-1, 2])
+
+
+def test_negative_cycle_counts_are_named():
+    for bad in ([-1, 2], [1, -1], [0, -1], [-1]):
+        with pytest.raises(ValueError, match="negative cycle count"):
+            build_from_r(bad)
+    with pytest.raises(ValueError, match="negative cycle count"):
+        OddCycleComposition((1, -1), (1,))
 
 
 def test_build_from_k_examples():

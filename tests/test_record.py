@@ -19,8 +19,8 @@ from oddbouquet.ringinv import GorensteinReport, classify
 from oddbouquet.srcomplex import DecompositionReport, FVector, SimplicialComplex
 from oddbouquet.toric import Binomial, Monomial
 
-X0 = Monomial(((0, 1),))
-X1 = Monomial(((1, 1),))
+X0 = Monomial(0b01)
+X1 = Monomial(0b10)
 REPORT = classify(build_from_k((1, 1, 1)))
 
 # class, field names in constructor order, one valid set of field values,
@@ -32,7 +32,7 @@ CASES = [
      (3, ((1, 1), (1, 2), (1, 3)), ((0, 1), (1, 2), (0, 2))),
      (3, ((1, 1), (1, 2), (1, 3)), ((0, 1), (1, 2), (0, 1)))),
     (IntPoly, ["coeffs"], ((1, 2, 1),), ((1, 2),)),
-    (Monomial, ["exps"], (((0, 2), (3, 1)),), (((0, 1), (3, 1)),)),
+    (Monomial, ["mask"], (0b1001,), (0b1011,)),
     (Binomial, ["plus", "minus"], (X0, X1), (X1, X0)),
     (GorensteinReport,
      ["h", "s", "cm_type", "e_tilde", "h_prime", "is_gorenstein",
@@ -93,7 +93,7 @@ def test_record_semantics(cls, fields, values, other):
 @pytest.mark.parametrize("first, second", [
     (IntPoly(()), FVector(())),
     (IntPoly((1, 2)), FVector((1, 2))),
-    (FVector(((0, 1),)), Monomial(((0, 1),))),
+    (FVector(0b1001), Monomial(0b1001)),
     (CycleParts(0b01, 0b10), Binomial(0b01, 0b10)),
     (OddCycleComposition((1,), (1,)), CycleParts((1,), (1,))),
 ])
@@ -116,10 +116,11 @@ def test_defaults():
     (lambda: OddCycleComposition((1,), (1, 1)), ValueError),
     (lambda: OddCycleComposition((-1, 1), (2,)), ValueError),
     (lambda: OddCycleComposition((1, 0), (1,)), ValueError),
-    (lambda: Binomial(X0, Monomial(((0, 1),))), ValueError),
+    (lambda: Binomial(X0, Monomial(0b01)), ValueError),
     (lambda: SimplicialComplex(2, (0b100,)), ValueError),
     (lambda: SimplicialComplex(3, (0b001, 0b001),), ValueError),
     (lambda: SimplicialComplex(3, (0b001, 0b011)), ValueError),
+    (lambda: Monomial(-1), ValueError),
     (lambda: SweepRange(0, 4), UsageError),
     (lambda: SweepRange(3, 2), UsageError),
     (lambda: SweepRange(2, 2, hilbert_degree=-1), UsageError),
@@ -146,12 +147,6 @@ def test_cached_properties_are_stable():
     with pytest.raises(AttributeError):
         c.N = 7
     assert c.N == 6
-
-    m = Monomial(((0, 2), (3, 1)))
-    assert m.degree == 3 and m.support == 0b1001
-    assert m.support is m.support
-    assert m == Monomial(((0, 2), (3, 1)))
-    assert pickle.loads(pickle.dumps(m)).degree == 3
 
 
 def test_record_subclass_must_declare_slots():

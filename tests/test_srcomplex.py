@@ -21,7 +21,7 @@ from oddbouquet.srcomplex import (
     shelling_h_vector,
     verify_decomposition,
 )
-from oddbouquet.toric import Monomial, initial_monomials
+from oddbouquet.toric import initial_monomials
 
 SWEEP_KS = [
     (1,), (2,), (3,),
@@ -118,8 +118,6 @@ def test_brute_force_no_generators():
 def test_brute_force_guards():
     with pytest.raises(ValueError, match="too large"):
         facets_brute_force([], 19)
-    with pytest.raises(ValueError, match="squarefree"):
-        facets_brute_force([Monomial.from_map({0: 2})], 3)
 
 
 def test_simplicial_complex_validates():

@@ -26,7 +26,7 @@ SMALL_KS = [(1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2, 1), (2, 1, 1)]
 
 
 def _mono(c, labels):
-    return Monomial.squarefree(c.flat_index(i, j) for i, j in labels)
+    return Monomial(sum(1 << c.flat_index(i, j) for i, j in labels))
 
 
 def _naive_standard_count(c, d):
@@ -41,24 +41,23 @@ def _naive_standard_count(c, d):
 
 
 def test_monomial_basics():
-    m = Monomial.from_map({3: 2, 1: 1, 5: 0})
-    assert m.exps == ((1, 1), (3, 2))
+    m = Monomial(0b101010)
+    assert Monomial.__slots__ == ("mask",)
+    assert m.exps == ((1, 1), (3, 1), (5, 1))
     assert m.degree == 3
-    assert m.support == 0b1010
-    assert not m.is_squarefree()
-    assert Monomial.squarefree([4, 2, 2]).exps == ((2, 1), (4, 1))
-    with pytest.raises(ValueError):
-        Monomial.from_map({0: -1})
+    assert Monomial(0).exps == () and Monomial(0).degree == 0
+    with pytest.raises(ValueError, match="negative"):
+        Monomial(-1)
 
 
 def test_monomial_arithmetic():
-    a = Monomial.from_map({0: 1, 2: 2})
-    b = Monomial.from_map({2: 1, 3: 1})
-    # the reference arithmetic the dict division oracle is built on
-    assert monomial_mul(a, b).exps == ((0, 1), (2, 3), (3, 1))
+    a = ((0, 1), (2, 2))
+    b = ((2, 1), (3, 1))
+    # the reference arithmetic the dict division oracle is built on, on exponent tuples
+    assert monomial_mul(a, b) == ((0, 1), (2, 3), (3, 1))
     assert monomial_divides(b, monomial_mul(a, b))
     assert not monomial_divides(b, a)
-    assert monomial_lcm(a, b).exps == ((0, 1), (2, 2), (3, 1))
+    assert monomial_lcm(a, b) == ((0, 1), (2, 2), (3, 1))
     assert monomial_quotient(monomial_mul(a, b), b) == a
     with pytest.raises(ValueError):
         monomial_quotient(a, b)
@@ -95,21 +94,23 @@ def test_generator_shape():
         for (i, j), g in zip(combinations(range(c.n), 2), generators(c)):
             want = c.k[i] + c.k[j] + 1
             assert g.plus.degree == g.minus.degree == want
-            assert g.plus.is_squarefree() and g.minus.is_squarefree()
 
 
 def test_grlex_examples():
-    x11 = Monomial.squarefree([0])
-    x12 = Monomial.squarefree([1])
+    x11 = Monomial(0b1)
+    x12 = Monomial(0b10)
     assert grlex_cmp(x11, x12) == 1
-    assert grlex_cmp(Monomial.from_map({1: 2}), x11) == 1  # degree dominates
+    assert grlex_cmp(Monomial(0b110), x11) == 1  # degree dominates
     assert grlex_cmp(x11, x11) == 0
     assert grlex_cmp(x12, x11) == -1
+    # equal degrees: the smallest index in one monomial only decides
+    assert grlex_cmp(Monomial(0b10101), Monomial(0b01011)) == -1
+    assert grlex_cmp(Monomial(0b11001), Monomial(0b10110)) == 1
 
 
 def test_leading_monomials():
-    synthetic = Binomial(Monomial.squarefree([0]), Monomial.squarefree([1]))
-    assert leading_monomial(synthetic) == Monomial.squarefree([0])
+    synthetic = Binomial(Monomial(0b1), Monomial(0b10))
+    assert leading_monomial(synthetic) == Monomial(0b1)
     for k in SMALL_KS:
         c = build_from_k(k)
         for g, m in zip(generators(c), initial_monomials(c)):
@@ -118,7 +119,7 @@ def test_leading_monomials():
 
 def test_binomial_rejects_equal_parts():
     with pytest.raises(ValueError):
-        Binomial(Monomial.squarefree([0]), Monomial.squarefree([0]))
+        Binomial(Monomial(0b1), Monomial(0b1))
 
 
 def test_s_pair_with_itself_is_zero():
@@ -132,14 +133,14 @@ def test_s_pair_with_itself_is_zero():
 def test_s_pair_coprime_leading_monomials():
     # leading monomials on disjoint variables reduce to zero by the product criterion;
     # confirm by explicit division as well
-    f = Binomial(Monomial.squarefree([0, 2]), Monomial.squarefree([1, 3]))
-    g = Binomial(Monomial.squarefree([4, 6]), Monomial.squarefree([5, 7]))
+    f = Binomial(Monomial(0b0101), Monomial(0b1010))
+    g = Binomial(Monomial(0b01010000), Monomial(0b10100000))
     assert s_pair_reduces_to_zero(f, g, [f, g])
     c = build_from_k([1, 1, 1])
     basis = generators(c)
     lead_01 = leading_monomial(basis[0])
     lead_12 = leading_monomial(basis[2])
-    assert not lead_01.support & lead_12.support
+    assert not lead_01.mask & lead_12.mask
     assert s_pair_reduces_to_zero(basis[0], basis[2], basis)
 
 
