@@ -118,8 +118,13 @@ def per_bouquet(fn):
 
 
 def bits(mask: int) -> list[int]:
-    """The flat indices in a bitmask, ascending."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """The flat indices in a bitmask, ascending: the lowest set bit, cleared in turn."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def build_from_r(r) -> OddCycleComposition:

@@ -12,10 +12,11 @@ closed-form facet enumeration, certify that claim at desk scale:
 
 * S-pair reduction of every generator pair down to zero, on monomials
   packed into ints: the basis is packed once per list, f and g are looked
-  up in it by identity, the lcm of their leads is a field-wise max, the
-  division walks the S-polynomial's two terms as two ints, and each
-  term's first divisor is memoised on its support among the variables
-  some lead uses,
+  up in it by identity, each start term is a tail plus the bits of the
+  other lead that its own lead lacks, the division walks the
+  S-polynomial's two terms as two ints, and each term's first divisor is
+  memoised on its support among the variables some lead uses and, on a
+  miss, found through runs of consecutive leads that share a variable,
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, each summed from one-dimensional
@@ -172,47 +173,63 @@ class _PackedBasis:
     The key is the term's support among the variables some lead uses: the
     guard bits of term + nonzero (guard - ones) that lie in used, the guard
     bits of those variables' fields.  Leads are squarefree, so a lead
-    divides a term iff its variables lie in the term's support, and a
-    variable in no lead cannot stop it."""
+    divides a term iff its variables, as guard bits, lie in the key, and a
+    variable in no lead cannot stop it.
 
-    __slots__ = ("basis", "deg", "nvars", "width", "pack", "guard", "ones", "nonzero", "low",
-                 "top_shift", "field", "divisors", "used", "members", "first")
+    runs splits the leads, in basis order, into maximal runs of consecutive
+    leads that share a variable: (the run's common variables as guard bits,
+    [(lead's variables as guard bits, (lead, tail)), ...]).  A run whose
+    common variables are not all in a key holds no divisor of it, so a miss
+    skips it whole.  In a bouquet basis the pairs (i, j) of each cycle
+    i < n make one run, whose leads share the odd part of cycle i."""
+
+    __slots__ = ("basis", "deg", "nvars", "width", "top", "pack", "guard", "nonzero", "low",
+                 "used", "members", "runs", "first")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
-        w, top = self.width, self.width * nvars
+        w = self.width
+        self.top = w * nvars
         self.pack, self.guard = _packer(2 * deg, nvars)
-        self.ones = sum(1 << w * j for j in range(nvars))
-        self.nonzero = self.guard - self.ones
-        self.low, self.top_shift, self.field = (1 << top) - 1, max(top - w, 0), (1 << w) - 1
-        self.divisors = [self.lead_tail(b) for b in self.basis]
+        self.nonzero = self.guard - sum(1 << w * j for j in range(nvars))
+        self.low = (1 << self.top) - 1
+        divisors = [self.lead_tail(b) for b in self.basis]
+        self.members = dict(zip(map(id, self.basis), divisors))
         self.used = 0
-        for lm, _ in self.divisors:
-            self.used |= (lm + self.nonzero) & self.guard
-        self.members = dict(zip(map(id, self.basis), self.divisors))
+        self.runs: list[tuple[int, list[tuple[int, tuple[int, int]]]]] = []
+        for lm_tail in divisors:
+            vs = (lm_tail[0] + self.nonzero) & self.guard
+            self.used |= vs
+            if self.runs and self.runs[-1][0] & vs:
+                common, leads = self.runs[-1]
+                self.runs[-1] = common & vs, leads
+                leads.append((vs, lm_tail))
+            else:
+                self.runs.append((vs, [(vs, lm_tail)]))
         self.first: dict[int, tuple[int, int] | None] = {}
 
     def lead_tail(self, b: Binomial) -> tuple[int, int]:
         p, m = self.pack(b.plus), self.pack(b.minus)
         return (p, m) if p > m else (m, p)
 
-    def lcm(self, a: int, b: int) -> int:
-        """lcm of packed monomials of degree <= deg.  A field's guard bit
-        survives a - b iff a's exponent is at least b's, which selects the
-        field-wise max mx; field nvars - 1 of mx * ones sums mx's exponents,
-        and no field of that product carries."""
-        a, b = a & self.low, b & self.low
-        ge = (a + self.guard - b) & self.guard
-        mask = (ge << 1) - (ge >> self.width - 1)
-        mx = a & mask | b & ~mask
-        return (mx * self.ones >> self.top_shift & self.field) << self.width * self.nvars | mx
+    def start_terms(self, lf: int, tf: int, lg: int, tg: int) -> tuple[int, int]:
+        """tf * lcm / lf and tg * lcm / lg, lcm = lcm(lf, lg), for squarefree
+        leads: lcm / lf is the variables of lg that lf lacks, one exponent
+        bit each, and its degree is their number."""
+        low, top = self.low, self.top
+        xg, xf = lg & ~lf & low, lf & ~lg & low
+        return tf + xg + (xg.bit_count() << top), tg + xf + (xf.bit_count() << top)
 
-    def first_divisor(self, term: int) -> tuple[int, int] | None:
-        """The first (lead, tail) in basis order whose lead divides term."""
-        guard = self.guard
-        for lm_tail in self.divisors:
-            if not (term - lm_tail[0]) & guard:
-                return lm_tail
+    def first_divisor(self, key: int) -> tuple[int, int] | None:
+        """The first (lead, tail) in basis order whose lead divides the terms
+        with this key: the runs whose common variables are all in the key
+        are scanned, in order."""
+        absent = self.used ^ key
+        for common, leads in self.runs:
+            if not common & absent:
+                for vs, lm_tail in leads:
+                    if not vs & absent:
+                        return lm_tail
         return None
 
 
@@ -235,10 +252,11 @@ def s_pair_reduces_to_zero(
 
     Monomials are packed ints (see _packer).  The basis is packed once and
     reused while the list compares equal to the packed copy; f and g are
-    looked up in it by identity, packed only when not members, and the lcm
-    of their leads is taken on the packed ints.  Each term's first divisor
-    is looked up by its support among the leads' variables (see
-    _PackedBasis) and scanned for only on a miss.  The parts are
+    looked up in it by identity, packed only when not members, and their
+    start terms are read off the packed leads' bits (see
+    _PackedBasis.start_terms).  Each term's first divisor is looked up by
+    its support among the leads' variables and, only on a miss, searched
+    for through the runs of leads (see _PackedBasis).  The parts are
     squarefree, but a rewrite can square a variable of a term, and the
     packed ints hold any exponent up to the lcm's degree.
 
@@ -260,8 +278,7 @@ def s_pair_reduces_to_zero(
         pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
     lf, tf = pb.members.get(id(f)) or pb.lead_tail(f)
     lg, tg = pb.members.get(id(g)) or pb.lead_tail(g)
-    lcm = pb.lcm(lf, lg)
-    a, b = lcm - lf + tf, lcm - lg + tg  # each tail times lcm / its lead
+    a, b = pb.start_terms(lf, tf, lg, tg)
     if a < b:
         a, b = b, a
     used, nonzero, first, remainder, steps = pb.used, pb.nonzero, pb.first, False, 0
@@ -269,7 +286,7 @@ def s_pair_reduces_to_zero(
         key = (a + nonzero) & used
         hit = first.get(key, _UNSEEN)
         if hit is _UNSEEN:
-            hit = first[key] = pb.first_divisor(a)
+            hit = first[key] = pb.first_divisor(key)
         if hit is None:
             remainder = True
             a, b = b, -1

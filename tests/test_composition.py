@@ -1,4 +1,5 @@
 import pickle
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -139,6 +140,18 @@ def test_bits_lists_the_set_indices_ascending():
     assert bits(0) == []
     assert bits(0b1011) == [0, 1, 3]
     assert bits(1 << 70 | 1 << 2) == [2, 70]
+
+
+def test_bits_matches_a_scan_of_every_position():
+    def scan(mask):
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    rng = random.Random(23)
+    masks = [0, 1 << 200 | 1, 2**64 - 1]
+    masks += [sum(1 << v for v in rng.sample(range(size), rng.randint(0, min(size, 12))))
+              for size in (rng.randint(1, 300) for _ in range(500))]
+    for mask in masks:
+        assert bits(mask) == scan(mask), mask
 
 
 def test_cycle_parts_partition():

@@ -5,7 +5,8 @@ pruning masks down, the edge subring Hilbert series is counted branch by
 branch at the hub (binomial counts of each hub path's degree runs, then
 one convolution of the runs' low ends and one of their high ends),
 s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
-per list and memoises each term's first divisor,
+per list and memoises each term's first divisor, found through runs of
+leads that share a variable,
 standard_monomial_series sums the face numbers of the Stanley-Reisner
 complex, counted by a recursion over bitmask supports, h_from_f sums
 binomials, and the decomposition's intersection check is a subset test.
@@ -14,7 +15,8 @@ and the search that tests the supports with any(...) at every node,
 breadth-first searches over whole-graph exponent tuples and over whole
 levels of whole-graph packed ints, the hub split of any graph at any
 vertex with each branch's vectors listed and a DP over degree masks,
-division on dicts of exponent tuples in graded lex order, the
+division on dicts of exponent tuples in graded lex order and the first
+divisor by a scan of the basis in order, the
 unmemoised recursion over frozenset supports, the f-to-h transform by
 polynomial powers, and the decomposition check by maximal pairwise
 intersections.  The two kernels the Hilbert series were summed by before
@@ -1008,6 +1010,60 @@ def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():
     assert assert_same_division(f, g, [h2, h1]) == (False, 2)
 
 
+def _packed_leads(leads, nvars=8):
+    """A basis packed over nvars variables whose leads have the given masks,
+    each with its own tail: the constant for a lead's first occurrence, and
+    x_{nvars - 1} or the constant once more for a repeat, so that repeated
+    leads are told apart by their tails."""
+    seen, basis = set(), []
+    for lead in leads:
+        tail = 1 << nvars - 1 if lead in seen and lead != 1 << nvars - 1 else 0
+        seen.add(lead)
+        basis.append(Binomial(Monomial(lead), Monomial(tail)))
+    return _PackedBasis(basis, nvars, nvars)
+
+
+def _assert_runs_match_a_scan(pb, nvars=8):
+    for mask in range(1 << nvars):
+        key = (pb.pack(Monomial(mask)) + pb.nonzero) & pb.used
+        want = next((pb.lead_tail(b) for b in pb.basis if b.plus.mask & ~mask == 0), None)
+        assert pb.first_divisor(key) == want, (pb.basis, mask)
+
+
+def test_run_lookup_matches_a_basis_order_scan():
+    # x0 x1, x2 x3 and x0 x4 are runs of one: x0 x4 shares x0 with the lead
+    # two back only.  x5 x6, x0 x6, x5 x6, x5 x6 make one run on x6, the
+    # repeats of x5 x6 with another tail, after another lead and then next
+    # to each other.  x7 stands alone.
+    leads = [0b11, 0b1100, 0b10001, 0b1100000, 0b1000001, 0b1100000, 0b1100000, 0b10000000]
+    pb = _packed_leads(leads)
+    assert [len(run) for _, run in pb.runs] == [1, 1, 1, 4, 1]
+    _assert_runs_match_a_scan(pb)
+    empty = _PackedBasis((), 8, 8)
+    assert empty.runs == [] and empty.first_divisor(0) is None
+    _assert_runs_match_a_scan(empty)
+    # seeded random bases over 1..8 variables, with leads drawn from a few
+    # of them so that long runs, broken runs and repeats all occur
+    rng = random.Random(19)
+    for _ in range(200):
+        nvars = rng.randint(1, 8)
+        pool = rng.sample(range(nvars), rng.randint(1, nvars))
+        leads = [sum(1 << v for v in rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+                 for _ in range(rng.randint(0, 12))]
+        pb = _packed_leads(leads, nvars)
+        in_runs = [vs for _, run in pb.runs for vs, _ in run]
+        assert in_runs == [(pb.lead_tail(b)[0] + pb.nonzero) & pb.guard for b in pb.basis]
+        _assert_runs_match_a_scan(pb, nvars)
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (2, 1, 1, 3), (1,) * 7])
+def test_bouquet_basis_splits_into_a_run_per_cycle(k):
+    gens = generators(build_from_k(k))
+    pb = _PackedBasis(gens, *toric._bounds(gens))
+    n = len(k)
+    assert [len(run) for _, run in pb.runs] == list(range(n - 1, 0, -1))
+
+
 def _pack(m, width, nvars):
     """The exponent tuple m packed as _packer packs a monomial, with fields
     width bits wide: the degree on top, then x_0's exponent and so on."""
@@ -1018,25 +1074,26 @@ def _random_exponents(rng, nvars, max_exp):
     return _exponent_tuple({i: rng.randint(0, max_exp) for i in rng.sample(range(nvars), rng.randint(0, nvars))})
 
 
-def _monomial_up_to(rng, nvars, deg):
-    exps = [0] * nvars
-    for _ in range(rng.randint(0, deg)):
-        exps[rng.randrange(nvars)] += 1
-    return _exponent_tuple(dict(enumerate(exps)))
-
-
 def test_packed_lcm_matches_monomial_lcm():
-    # monomials of degree <= deg, zero exponents included; the lcm of x_i^deg
-    # and x_j^deg has degree 2 deg, the most the fields are sized for
+    # the start terms tail * lcm(LT f, LT g) / lead on every pair of
+    # squarefree leads over nvars variables, each lead with a seeded random
+    # squarefree tail; the fields are sized for degree nvars, the most a part
+    # has, and a start term reaches 2 nvars, the most they hold
     rng = random.Random(11)
+    for nvars in range(8):
+        packed = _PackedBasis((), nvars, nvars)
+        w = packed.width
+        exps = [Monomial(mask).exps for mask in range(1 << nvars)]
+        for lf, lg in product(range(1 << nvars), repeat=2):
+            tf, tg = rng.randrange(1 << nvars), rng.randrange(1 << nvars)
+            lcm = monomial_lcm(exps[lf], exps[lg])
+            want = tuple(_pack(monomial_mul(exps[t], monomial_quotient(lcm, exps[lead])), w, nvars)
+                         for lead, t in ((lf, tf), (lg, tg)))
+            got = packed.start_terms(*(_pack(exps[m], w, nvars) for m in (lf, tf, lg, tg)))
+            assert got == want, (nvars, lf, tf, lg, tg)
     for deg, nvars in product(range(7), range(8)):
         packed = _PackedBasis((), deg, nvars)
         w = packed.width
-        monomials = [()] + [((i, deg),) if deg else () for i in range(nvars)]
-        monomials += [_monomial_up_to(rng, nvars, deg) for _ in range(12 if nvars else 0)]
-        for a, b in product(monomials, repeat=2):
-            lcm = packed.lcm(_pack(a, w, nvars), _pack(b, w, nvars))
-            assert lcm == _pack(monomial_lcm(a, b), w, nvars), (deg, nvars, a, b)
         for mask in range(1 << nvars):
             assert packed.pack(Monomial(mask)) == _pack(Monomial(mask).exps, w, nvars), (deg, nvars, mask)
 
