@@ -1,9 +1,10 @@
 """Bouquets of odd cycles glued at a single hub vertex.
 
-A bouquet is described either by cycle counts r = (r_1, ..., r_m), meaning
-r_j cycles of length 2j+1, or by the half-length sequence k = (k_1, ..., k_n)
-where cycle i has length 2*k_i + 1.  Throughout, n is the number of cycles
-and N = sum(k) so the bouquet has 2N+1 vertices and 2N+n edges.
+A bouquet is its half-length sequence k = (k_1, ..., k_n): cycle i has
+length 2*k_i + 1.  Its cycle counts r = (r_1, ..., r_m), r_j cycles of
+length 2j+1 with m = max(k), are derived from k, and build_from_r expands
+given counts into k.  Throughout, n is the number of cycles and N = sum(k),
+so the bouquet has 2N+1 vertices and 2N+n edges.
 
 Edges carry labels x_{i,j}: within cycle i, x_{i,1} and x_{i,2k_i+1} touch
 the hub and x_{i,j} joins the (j-1)-th and j-th outer vertices.  All modules
@@ -13,39 +14,40 @@ order used for the toric ideal.  A squarefree set of edges (a cycle part, a
 monomial's support, a facet) is an int bitmask over that index: bit v is set
 iff flat index v is in the set.
 
-Per-bouquet structure (cycle parts, the graph, whatever per_bouquet wraps)
+Per-bouquet structure (r, cycle parts, the graph, whatever per_bouquet wraps)
 is computed once per instance and kept in its __dict__, which equality,
 hashing, repr and pickling ignore; equal instances share none of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property, wraps
+from operator import index
 
 from .record import Record, _set
 
 
 class OddCycleComposition(Record):
-    """Validated bouquet parameters; immutable and freely shareable."""
+    """A bouquet, given by its half-lengths k; immutable and freely shareable.
 
-    __slots__ = ("r", "k", "__dict__")
+    The cycle counts r are derived from k on first use."""
 
-    def __init__(self, r: tuple[int, ...], k: tuple[int, ...]) -> None:
-        if not k or any(v < 1 for v in k):
+    __slots__ = ("k", "__dict__")
+
+    def __init__(self, k: Iterable[int]) -> None:
+        k = tuple(map(index, k))  # TypeError on a non-integer half-length
+        if not k or min(k) < 1:
             raise ValueError("invalid cycle length")
-        if any(v < 0 for v in r):
-            raise ValueError("negative cycle count")
-        if not r or r[-1] == 0:
-            raise ValueError("empty composition")
-        counts = [0] * len(r)
-        for v in k:
-            if v > len(r):
-                raise ValueError("cycle length exceeds declared maximum")
-            counts[v - 1] += 1
-        if tuple(counts) != r:
-            raise ValueError("cycle counts do not match cycle lengths")
-        _set(self, "r", r)
         _set(self, "k", k)
+
+    @cached_property
+    def r(self) -> tuple[int, ...]:
+        """r[j-1] = the number of cycles of length 2j+1, for j = 1..max(k)."""
+        counts = [0] * max(self.k)
+        for v in self.k:
+            counts[v - 1] += 1
+        return tuple(counts)
 
     @property
     def n(self) -> int:
@@ -129,7 +131,7 @@ def bits(mask: int) -> list[int]:
 
 def build_from_r(r) -> OddCycleComposition:
     """Bouquet with r[j-1] cycles of length 2j+1; cycles ordered by descending length."""
-    r = list(r)
+    r = list(map(index, r))
     if any(v < 0 for v in r):
         raise ValueError("negative cycle count")
     while r and r[-1] == 0:
@@ -139,19 +141,12 @@ def build_from_r(r) -> OddCycleComposition:
     k = []
     for j in range(len(r), 0, -1):
         k.extend([j] * r[j - 1])
-    return OddCycleComposition(r=tuple(r), k=tuple(k))
+    return OddCycleComposition(k)
 
 
 def build_from_k(k) -> OddCycleComposition:
     """Bouquet whose i-th cycle has length 2*k[i-1] + 1, in the given order."""
-    k = tuple(k)
-    if not k or any(v < 1 for v in k):
-        raise ValueError("invalid cycle length")
-    m = max(k)
-    r = [0] * m
-    for v in k:
-        r[v - 1] += 1
-    return OddCycleComposition(r=tuple(r), k=k)
+    return OddCycleComposition(k)
 
 
 class CycleParts(Record):
@@ -176,16 +171,10 @@ class LabeledGraph(Record):
     """Concrete bouquet graph: vertex 0 is the hub, the outer vertices of
     cycle i are numbered consecutively, and edges sit in flat label order."""
 
-    __slots__ = ("n_vertices", "labels", "endpoints")
+    __slots__ = ("n_vertices", "endpoints")
 
-    def __init__(
-        self,
-        n_vertices: int,
-        labels: tuple[tuple[int, int], ...],
-        endpoints: tuple[tuple[int, int], ...],
-    ) -> None:
+    def __init__(self, n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> None:
         _set(self, "n_vertices", n_vertices)
-        _set(self, "labels", labels)
         _set(self, "endpoints", endpoints)
 
 
@@ -205,8 +194,4 @@ def labeled_graph(c: OddCycleComposition) -> LabeledGraph:
             else:
                 endpoints.append((base + j - 2, base + j - 1))
         base += 2 * ki
-    return LabeledGraph(
-        n_vertices=c.vertex_count,
-        labels=c.edge_labels,
-        endpoints=tuple(endpoints),
-    )
+    return LabeledGraph(n_vertices=c.vertex_count, endpoints=tuple(endpoints))

@@ -30,14 +30,6 @@ class IntPoly(Record):
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         _set(self, "coeffs", _trim(coeffs))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @staticmethod
     def of(*coeffs: int) -> "IntPoly":
         return IntPoly(coeffs)

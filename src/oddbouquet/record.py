@@ -6,8 +6,8 @@ instance dict), and sets each field once in ``__init__`` with ``_set``.
 After that, assigning or deleting an attribute raises AttributeError.
 Equality and hashing go by the field values, and records of different
 classes are never equal to each other or to tuples.  Hashes are those of
-the field tuple, as for a frozen dataclass.  Classes compared in hot loops
-override ``__eq__`` and ``__hash__`` with field-by-field code.
+the field values, read by one ``operator.attrgetter`` per class: the lone
+value of a one-field record, else the tuple of values.
 
 These are plain classes rather than dataclasses because every
 command-line call is a fresh interpreter: importing ``dataclasses`` pulls
@@ -17,6 +17,8 @@ own modules.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 _set = object.__setattr__
 
@@ -30,6 +32,7 @@ class Record:
         if "__slots__" not in cls.__dict__:
             raise TypeError(f"{cls.__name__} must declare its fields in __slots__")
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._key = attrgetter(*cls._fields)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -42,11 +45,11 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

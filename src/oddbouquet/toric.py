@@ -62,14 +62,6 @@ class Monomial(Record):
             raise ValueError("negative variable mask")
         _set(self, "mask", mask)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mask,))
-
     @property
     def degree(self) -> int:
         return self.mask.bit_count()
@@ -90,14 +82,6 @@ class Binomial(Record):
             raise ValueError("binomial parts must differ")
         _set(self, "plus", plus)
         _set(self, "minus", minus)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus) == (other.plus, other.minus)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.plus, self.minus))
 
 
 def grlex_cmp(a: Monomial, b: Monomial) -> int:
@@ -392,9 +376,9 @@ def _path_ends(L: int, d: int) -> tuple[list[int], list[int]]:
     return low, high
 
 
-def _hub_branches(g: LabeledGraph, hub: int | None = None) -> tuple[int, ...]:
-    """Edge counts of the branches of g at the vertex hub, by default the
-    vertex of largest degree (lowest index on ties).
+def _hub_branches(g: LabeledGraph) -> tuple[int, ...]:
+    """Edge counts of the branches of g at its hub, the vertex of largest
+    degree, lowest index on ties (vertex 0 of a bouquet graph).
 
     Each branch must be a path from the hub back to the hub, else
     ValueError: a walk from each hub edge not yet walked goes on through
@@ -405,8 +389,7 @@ def _hub_branches(g: LabeledGraph, hub: int | None = None) -> tuple[int, ...]:
     for i, (a, b) in enumerate(g.endpoints):
         incident[a].append(i)
         incident[b].append(i)
-    if hub is None:
-        hub = max(range(g.n_vertices), key=lambda v: len(incident[v]))
+    hub = max(range(g.n_vertices), key=lambda v: len(incident[v]))
     lengths, walked = [], set()
     for first in incident[hub]:
         if first in walked:
@@ -452,12 +435,6 @@ def _hub_counts(lengths: Sequence[int], d: int) -> list[int]:
     _path_ends), equal lengths sharing them, counted by _run_counts."""
     ends = {L: _path_ends(L, d) for L in set(lengths)}
     return _run_counts([ends[L] for L in lengths], d)
-
-
-def _hub_series(g: LabeledGraph, d: int, hub: int | None = None) -> list[int]:
-    """Dimensions of the degree-0..d pieces of K[g], split at the vertex hub
-    (see _hub_branches and _hub_counts)."""
-    return _hub_counts(_hub_branches(g, hub), d)
 
 
 @per_bouquet

@@ -331,7 +331,7 @@ def test_verify_malformed_graph_fails_its_hilbert_cell(capsys, monkeypatch):
 
     def with_chord(c):
         g = composition.labeled_graph(c)
-        return LabeledGraph(g.n_vertices, g.labels + ((0, 0),), g.endpoints + ((1, g.n_vertices - 1),))
+        return LabeledGraph(g.n_vertices, g.endpoints + ((1, g.n_vertices - 1),))
 
     monkeypatch.setattr(toric, "labeled_graph", with_chord)
     with pytest.raises(ValueError, match="not a path from the hub back to the hub"):
@@ -414,8 +414,9 @@ def test_recursion_route_on_long_cycles(capsys, m):
 
 
 def test_huge_cycle_exits_2_under_memory_cap():
-    # build_from_k allocates max(k) cycle counts; under a 1 GiB address-space
-    # cap that fails at once with MemoryError, which must end in exit 2
+    # the derived cycle counts r have max(k) entries; under a 1 GiB
+    # address-space cap their first use fails at once with MemoryError, which
+    # must end in exit 2
     resource = pytest.importorskip("resource")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -439,7 +440,8 @@ HUGE = "99999999999999999999"  # more cycle counts than a list can index
     ["classify", "--r", f"1,{HUGE}"],
 ])
 def test_overflowing_instance_exits_2(capsys, argv):
-    # building the cycle counts raises OverflowError before any allocation
+    # the first use of the cycle counts r or of a cycle's edge mask raises
+    # OverflowError before any allocation
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: instance too large\n")
 

@@ -7,7 +7,6 @@ import pytest
 
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import (
-    OddCycleComposition,
     bits,
     build_from_k,
     build_from_r,
@@ -16,7 +15,8 @@ from oddbouquet.composition import (
 )
 from oddbouquet.toric import (
     _bouquet_branches,
-    _hub_series,
+    _hub_branches,
+    _hub_counts,
     _pair_supports,
     edge_subring_hilbert_series,
     generators,
@@ -50,8 +50,6 @@ def test_negative_cycle_counts_are_named():
     for bad in ([-1, 2], [1, -1], [0, -1], [-1]):
         with pytest.raises(ValueError, match="negative cycle count"):
             build_from_r(bad)
-    with pytest.raises(ValueError, match="negative cycle count"):
-        OddCycleComposition((1, -1), (1,))
 
 
 def test_build_from_k_examples():
@@ -71,6 +69,13 @@ def test_build_from_k_rejects_bad_lengths():
     for bad in ([], [0], [2, 0], [-1]):
         with pytest.raises(ValueError, match="invalid cycle length"):
             build_from_k(bad)
+
+
+def test_non_integer_lengths_and_counts_are_rejected_when_built():
+    for build in (lambda: build_from_k([1.5]), lambda: build_from_k([2.0]),
+                  lambda: build_from_r([0, 1.5])):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_round_trip_r():
@@ -203,7 +208,7 @@ def test_labeled_graph_is_built_once_per_bouquet():
 
 def test_cached_hub_split_gives_the_graph_series():
     for c in SWEEP:
-        expected = _hub_series(labeled_graph(c), 4)
+        expected = _hub_counts(_hub_branches(labeled_graph(c)), 4)
         assert edge_subring_hilbert_series(c, 4) == expected, c.k
         assert _bouquet_branches(c) == tuple(2 * k + 1 for k in c.k)
         assert edge_subring_hilbert_series(c, 4) == expected  # from the warm split

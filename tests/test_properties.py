@@ -2,6 +2,7 @@
 
 import io
 import json
+import pickle
 from contextlib import redirect_stdout
 from itertools import combinations
 
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oddbouquet.cli import main  # noqa: E402
-from oddbouquet.composition import build_from_k, labeled_graph  # noqa: E402
+from oddbouquet.composition import build_from_k, build_from_r, labeled_graph  # noqa: E402
 from oddbouquet.ringinv import h_closed_form  # noqa: E402
 from oddbouquet.srcomplex import (  # noqa: E402
     facets_brute_force,
@@ -51,6 +52,18 @@ def _fits(ks):
 
 
 bouquets = st.lists(st.integers(1, 8), min_size=1, max_size=6).map(_fits).map(build_from_k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_cycle_counts_are_derived_from_k(k):
+    c = build_from_k(k)
+    assert c.r == tuple(k.count(j) for j in range(1, max(k) + 1))
+    assert build_from_r(c.r) == build_from_k(sorted(k, reverse=True))
+    # once read, r stays out of pickling, equality and hashing
+    assert c.__reduce__()[1] == (tuple(k),)
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and hash(back) == hash(c) and back.r == c.r
 
 
 @settings(max_examples=60, deadline=None)

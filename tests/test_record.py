@@ -26,11 +26,10 @@ REPORT = classify(build_from_k((1, 1, 1)))
 # class, field names in constructor order, one valid set of field values,
 # and a second set that differs in one field
 CASES = [
-    (OddCycleComposition, ["r", "k"], ((1, 1), (2, 1)), ((1, 1), (1, 2))),
+    (OddCycleComposition, ["k"], ((2, 1),), ((1, 2),)),
     (CycleParts, ["odd", "even"], (0b101, 0b010), (0b101, 0b1000)),
-    (LabeledGraph, ["n_vertices", "labels", "endpoints"],
-     (3, ((1, 1), (1, 2), (1, 3)), ((0, 1), (1, 2), (0, 2))),
-     (3, ((1, 1), (1, 2), (1, 3)), ((0, 1), (1, 2), (0, 1)))),
+    (LabeledGraph, ["n_vertices", "endpoints"],
+     (3, ((0, 1), (1, 2), (0, 2))), (3, ((0, 1), (1, 2), (0, 1)))),
     (IntPoly, ["coeffs"], ((1, 2, 1),), ((1, 2),)),
     (Monomial, ["mask"], (0b1001,), (0b1011,)),
     (Binomial, ["plus", "minus"], (X0, X1), (X1, X0)),
@@ -55,6 +54,8 @@ IDS = [case[0].__name__ for case in CASES]
 @pytest.mark.parametrize("cls, fields, values, other", CASES, ids=IDS)
 def test_record_semantics(cls, fields, values, other):
     assert issubclass(cls, Record)
+    # equality and hashing have one owner, whatever the class
+    assert cls.__eq__ is Record.__eq__ and cls.__hash__ is Record.__hash__
     assert list(cls._fields) == fields
     assert list(inspect.signature(cls).parameters) == fields
 
@@ -95,7 +96,7 @@ def test_record_semantics(cls, fields, values, other):
     (IntPoly((1, 2)), FVector((1, 2))),
     (FVector(0b1001), Monomial(0b1001)),
     (CycleParts(0b01, 0b10), Binomial(0b01, 0b10)),
-    (OddCycleComposition((1,), (1,)), CycleParts((1,), (1,))),
+    (OddCycleComposition((1,)), IntPoly((1,))),
 ])
 def test_records_of_different_classes_are_unequal(first, second):
     assert first._values() == second._values()
@@ -111,11 +112,7 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: OddCycleComposition((1,), (2,)), ValueError),
-    (lambda: OddCycleComposition((), ()), ValueError),
-    (lambda: OddCycleComposition((1,), (1, 1)), ValueError),
-    (lambda: OddCycleComposition((-1, 1), (2,)), ValueError),
-    (lambda: OddCycleComposition((1, 0), (1,)), ValueError),
+    (lambda: OddCycleComposition(()), ValueError),
     (lambda: Binomial(X0, Monomial(0b01)), ValueError),
     (lambda: SimplicialComplex(2, (0b100,)), ValueError),
     (lambda: SimplicialComplex(3, (0b001, 0b001),), ValueError),
