@@ -101,8 +101,10 @@ CHECK_NAMES = [
 def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     """Run every consistency check on one bouquet; values are ok/FAIL/skip.
 
-    rng is a sweep range: it supplies hilbert_degree, enable_buchberger and
-    enable_bruteforce_complex.  Each check answers True (ok), False (FAIL)
+    rng is a sweep range; it supplies hilbert_degree.  Every check runs on
+    every bouquet but two, and the bouquet alone decides those skips:
+    decompose skips when k_1 < 2, and brutefacets when the ground set has
+    more than ORACLE_CAP edges.  Each check answers True (ok), False (FAIL)
     or None (skip).  A check that raises ValueError or RuntimeError, itself
     or through a shared result it reads, is FAIL in its own cell and the
     other checks still run; RecursionError and MemoryError propagate, since
@@ -137,9 +139,7 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
         graph = labeled_graph(c)
         return all(kernel_check(g, graph) for g in gens())
 
-    def buchberger() -> bool | None:
-        if not rng.enable_buchberger:
-            return None
+    def buchberger() -> bool:
         return all(s_pair_reduces_to_zero(f, g, gens()) for f, g in combinations(gens(), 2))
 
     def hilbert() -> bool:
@@ -150,7 +150,7 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
         )
 
     def brutefacets() -> bool | None:
-        if not (rng.enable_bruteforce_complex and E <= ORACLE_CAP):
+        if E > ORACLE_CAP:
             return None
         return set(facets_brute_force(inits(), E).facets) == set(cx().facets)
 

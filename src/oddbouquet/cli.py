@@ -10,17 +10,19 @@ Subcommands:
 * ``table``    CSV summary over a parameter sweep
 
 Exit codes are a stable contract: 0 success, 1 mathematical disagreement
-(a route that raises ValueError included), 2 usage or I/O error or an
-instance too large (MemoryError, OverflowError, RecursionError).  All
-numeric output is exact decimal integers.
+(a route that raises ValueError included), 2 usage or I/O error (a closed
+stdout included) or an instance too large (MemoryError, OverflowError,
+RecursionError).  All numeric output is exact decimal integers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import suppress
 
 from .certify import CHECK_NAMES, ROUTES, bouquet_report, sweep_compositions, verify_composition
 from .composition import OddCycleComposition, bits, build_from_k, build_from_r
@@ -35,19 +37,14 @@ class UsageError(Exception):
 
 
 class SweepRange(Record):
-    """Bounds for sweep subcommands; mirrors the feasible region N >= n >= 1."""
+    """Bounds for sweep subcommands; mirrors the feasible region N >= n >= 1.
 
-    __slots__ = ("max_n", "max_N", "hilbert_degree", "enable_buchberger",
-                 "enable_bruteforce_complex")
+    hilbert_degree is the top degree of verify's Hilbert series check.
+    """
 
-    def __init__(
-        self,
-        max_n: int,
-        max_N: int,
-        hilbert_degree: int = 4,
-        enable_buchberger: bool = True,
-        enable_bruteforce_complex: bool = True,
-    ) -> None:
+    __slots__ = ("max_n", "max_N", "hilbert_degree")
+
+    def __init__(self, max_n: int, max_N: int, hilbert_degree: int = 4) -> None:
         if not (max_N >= max_n >= 1):
             raise UsageError("need max-N >= max-n >= 1")
         if hilbert_degree < 0:
@@ -55,8 +52,6 @@ class SweepRange(Record):
         _set(self, "max_n", max_n)
         _set(self, "max_N", max_N)
         _set(self, "hilbert_degree", hilbert_degree)
-        _set(self, "enable_buchberger", enable_buchberger)
-        _set(self, "enable_bruteforce_complex", enable_bruteforce_complex)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -205,13 +200,7 @@ def cmd_gens(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = SweepRange(
-        max_n=args.max_n,
-        max_N=args.max_N,
-        hilbert_degree=args.hilbert_degree,
-        enable_buchberger=not args.no_buchberger,
-        enable_bruteforce_complex=not args.no_bruteforce,
-    )
+    rng = SweepRange(args.max_n, args.max_N, args.hilbert_degree)
     comps = sweep_compositions(rng.max_n, rng.max_N)[::-1]
     count = len(comps)
     failures: list[tuple[tuple[int, ...], str]] = []
@@ -300,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
     p.add_argument("--max-N", type=int, default=8, dest="max_N")
     p.add_argument("--hilbert-degree", type=int, default=4, dest="hilbert_degree")
-    p.add_argument("--no-buchberger", action="store_true")
-    p.add_argument("--no-bruteforce", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="write a CSV summary over a sweep")
@@ -320,7 +307,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at exit raises nothing (the SIGPIPE recipe of the Python docs)
+        with suppress(AttributeError, OSError, ValueError):  # no file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        with suppress(BrokenPipeError):  # stderr went to the same reader (2>&1)
+            print("error: stdout closed", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

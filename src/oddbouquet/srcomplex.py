@@ -207,11 +207,12 @@ def hilbert_from_h(h: IntPoly, dim: int, d: int) -> int:
     """Degree-d Hilbert function of a ring with Hilbert series h(t) / (1-t)^dim.
 
     The coefficient of t^d in h(t) / (1-t)^dim is
-    sum_i h_i * C(d - i + dim - 1, dim - 1); terms with i > d vanish.
+    sum_i h_i * C(d - i + dim - 1, dim - 1) over i <= min(d, deg h): terms
+    with i > d vanish, and so do those with i > deg h, where h_i = 0.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return sum(h.coeff(i) * comb(d - i + dim - 1, dim - 1) for i in range(d + 1))
+    return sum(h.coeff(i) * comb(d - i + dim - 1, dim - 1) for i in range(min(d + 1, len(h.coeffs))))
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:

@@ -121,24 +121,6 @@ def leading_monomial(b: Binomial) -> Monomial:
     return b.plus if grlex_cmp(b.plus, b.minus) > 0 else b.minus
 
 
-def _packer(deg: int, nvars: int):
-    """pack(m) into one int in nvars variables, and a guard mask.
-
-    Degree on top, then exponents with x_0 most significant: int order is
-    grlex and + multiplies.  A field holds any exponent up to deg, so every
-    monomial of degree <= deg that sums of packed ones make fits, squares
-    included.  Each exponent field has a guard bit; a divides b iff b - a
-    sets none.
-    """
-    w = deg.bit_length() + 1
-    top, shifts = w * nvars, [w * (nvars - 1 - i) for i in range(nvars)]
-
-    def pack(m: Monomial) -> int:
-        return (m.degree << top) + sum(1 << shifts[i] for i in bits(m.mask))
-
-    return pack, sum(1 << w * j + w - 1 for j in range(nvars))
-
-
 def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
     """Largest degree of a part, and 1 + the largest variable index in one."""
     parts = [m for b in binomials for m in (b.plus, b.minus)]
@@ -149,10 +131,16 @@ def _bounds(binomials: Iterable[Binomial]) -> tuple[int, int]:
 class _PackedBasis:
     """A basis packed once, with fields for twice the largest degree of it and
     of one f and g: no term of a reduction exceeds deg lcm(LT f, LT g).
-    basis is a copy of the list it was packed from; members maps each
-    element's id to its packed (lead, tail), and holding the copy keeps those
-    ids from being reused.  first maps a term's key to its first divisor in
-    basis order, or None when no lead divides it.
+    pack puts a monomial in one int: the degree on top, then one width-bit
+    exponent field per variable with x_0 most significant, so int order is
+    grlex and + multiplies.  A field holds any exponent up to 2 deg, so every
+    monomial of degree <= 2 deg that sums of packed ones make fits, squares
+    included.  guard is the top bit of each exponent field: a divides b iff
+    b - a sets none of them, and term + nonzero sets the guard bit of each
+    variable in term.  basis is a copy of the list it was packed from;
+    members maps each element's id to its packed (lead, tail), and holding
+    the copy keeps those ids from being reused.  first maps a term's key to
+    its first divisor in basis order, or None when no lead divides it.
 
     The key is the term's support among the variables some lead uses: the
     guard bits of term + nonzero (guard - ones) that lie in used, the guard
@@ -167,15 +155,16 @@ class _PackedBasis:
     skips it whole.  In a bouquet basis the pairs (i, j) of each cycle
     i < n make one run, whose leads share the odd part of cycle i."""
 
-    __slots__ = ("basis", "deg", "nvars", "width", "top", "pack", "guard", "nonzero", "low",
+    __slots__ = ("basis", "deg", "nvars", "width", "top", "guard", "nonzero", "low",
                  "used", "members", "runs", "first")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
         w = self.width
         self.top = w * nvars
-        self.pack, self.guard = _packer(2 * deg, nvars)
-        self.nonzero = self.guard - sum(1 << w * j for j in range(nvars))
+        ones = sum(1 << w * j for j in range(nvars))
+        self.guard = ones << w - 1
+        self.nonzero = self.guard - ones
         self.low = (1 << self.top) - 1
         divisors = [self.lead_tail(b) for b in self.basis]
         self.members = dict(zip(map(id, self.basis), divisors))
@@ -191,6 +180,10 @@ class _PackedBasis:
             else:
                 self.runs.append((vs, [(vs, lm_tail)]))
         self.first: dict[int, tuple[int, int] | None] = {}
+
+    def pack(self, m: Monomial) -> int:
+        top, w = self.top, self.width
+        return (m.degree << top) + sum(1 << top - w * (i + 1) for i in bits(m.mask))
 
     def lead_tail(self, b: Binomial) -> tuple[int, int]:
         p, m = self.pack(b.plus), self.pack(b.minus)
@@ -234,7 +227,7 @@ def s_pair_reduces_to_zero(
     turns any violation of that into a diagnosable RuntimeError instead of a
     hang, distinct from a mere nonzero remainder.
 
-    Monomials are packed ints (see _packer).  The basis is packed once and
+    Monomials are packed ints (see _PackedBasis).  The basis is packed once and
     reused while the list compares equal to the packed copy; f and g are
     looked up in it by identity, packed only when not members, and their
     start terms are read off the packed leads' bits (see

@@ -218,8 +218,7 @@ def test_verify_releases_each_bouquet_after_its_row(capsys, monkeypatch):
 def test_verify_reports_failures(capsys, monkeypatch):
     # break one route: the matrix must flag h3way and exit 1 listing (k, check)
     monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(5))
-    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "2",
-                       "--no-buchberger", "--no-bruteforce")
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "2")
     assert code == 1
     assert "FAILURES:" in out
     assert "k=(1,): h3way" in out
@@ -431,6 +430,42 @@ def test_huge_cycle_exits_2_under_memory_cap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large\n")
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stderr_closed", [False, True])
+def test_closed_stdout_exits_2(capsys, monkeypatch, stderr_closed):
+    # the reader is gone: an I/O error, not a mathematical disagreement, also
+    # when stderr went to the same reader
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    if stderr_closed:
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    code = main(["classify", "--k", "2,1"])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "" if stderr_closed else "error: stdout closed\n")
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    # 540 KB of facets: a write after the reader closes the pipe fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+        [sys.executable, "-m", "oddbouquet.cli", "facets", "--k", ",".join(["1"] * 12)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert first.startswith("x1,")
+    assert "Traceback" not in err
+    assert (proc.returncode, err) == (2, "error: stdout closed\n")
+
+
 HUGE = "99999999999999999999"  # more cycle counts than a list can index
 
 
@@ -577,12 +612,9 @@ def test_format_choices_per_subcommand(capsys):
 
 
 def test_verify_hilbert_degree_flag(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--max-n", "2", "--max-N", "4", "--hilbert-degree", "3",
-        "--no-bruteforce",
-    )
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-N", "4", "--hilbert-degree", "3")
     assert code == 0
-    assert "skip" in out  # bruteface column skipped
+    assert "skip" in out  # decompose on (1,) and (1, 1), where k_1 < 2
 
 
 def test_verify_hilbert_column_checks_h(capsys, monkeypatch):

@@ -56,7 +56,6 @@ from oddbouquet.toric import (
     _PackedBasis,
     _hub_branches,
     _hub_counts,
-    _packer,
     _path_ends,
     _run_counts,
     _standard_counts,
@@ -1064,7 +1063,7 @@ def test_bouquet_basis_splits_into_a_run_per_cycle(k):
 
 
 def _pack(m, width, nvars):
-    """The exponent tuple m packed as _packer packs a monomial, with fields
+    """The exponent tuple m packed as _PackedBasis packs a monomial, with fields
     width bits wide: the degree on top, then x_0's exponent and so on."""
     return (sum(e for _, e in m) << width * nvars) + sum(e << width * (nvars - 1 - i) for i, e in m)
 
@@ -1103,16 +1102,17 @@ def test_packed_order_divisibility_and_product_agree_with_monomials():
         nvars = rng.randint(1, 7)
         max_exp = rng.choice([1, 2, 5])
         a, b = _random_exponents(rng, nvars, max_exp), _random_exponents(rng, nvars, max_exp)
-        deg = sum(e for _, e in a + b)
-        pack, guard = _packer(deg, nvars)
-        pa, pb = _pack(a, deg.bit_length() + 1, nvars), _pack(b, deg.bit_length() + 1, nvars)
+        # fields for twice the larger degree hold the product's exponents
+        packed = _PackedBasis((), max(sum(e for _, e in m) for m in (a, b)), nvars)
+        w, guard = packed.width, packed.guard
+        pa, pb = _pack(a, w, nvars), _pack(b, w, nvars)
         assert (pa > pb) - (pa < pb) == (grlex_key(a) > grlex_key(b)) - (grlex_key(a) < grlex_key(b)), (a, b)
         assert (not (pb - pa) & guard) == monomial_divides(a, b), (a, b)
         assert (not (pa - pb) & guard) == monomial_divides(b, a), (a, b)
-        assert pa + pb == _pack(monomial_mul(a, b), deg.bit_length() + 1, nvars), (a, b)
+        assert pa + pb == _pack(monomial_mul(a, b), w, nvars), (a, b)
         if max_exp == 1:
             ma, mb = (Monomial(sum(1 << i for i, _ in m)) for m in (a, b))
-            assert (pack(ma), pack(mb)) == (pa, pb), (a, b)
+            assert (packed.pack(ma), packed.pack(mb)) == (pa, pb), (a, b)
             assert (pa > pb) - (pa < pb) == grlex_cmp(ma, mb), (a, b)
 
 

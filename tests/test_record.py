@@ -44,9 +44,7 @@ CASES = [
     (DecompositionReport,
      ["union_ok", "intersection_ok", "facet_count", "cone_family_size", "join_family_size"],
      (True, True, 3, 2, 1), (True, False, 3, 2, 1)),
-    (SweepRange,
-     ["max_n", "max_N", "hilbert_degree", "enable_buchberger", "enable_bruteforce_complex"],
-     (2, 4, 3, False, True), (2, 4, 3, False, False)),
+    (SweepRange, ["max_n", "max_N", "hilbert_degree"], (2, 4, 3), (2, 4, 5)),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -106,9 +104,8 @@ def test_records_of_different_classes_are_unequal(first, second):
 
 def test_defaults():
     assert IntPoly() == IntPoly(()) == ZERO
-    assert SweepRange(3, 5) == SweepRange(3, 5, 4, True, True)
-    rng = SweepRange(max_N=5, max_n=3, enable_buchberger=False)
-    assert (rng.hilbert_degree, rng.enable_buchberger) == (4, False)
+    assert SweepRange(3, 5) == SweepRange(3, 5, 4)
+    assert SweepRange(max_N=5, max_n=3).hilbert_degree == 4
 
 
 @pytest.mark.parametrize("build, error", [

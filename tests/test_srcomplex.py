@@ -184,6 +184,24 @@ def test_hilbert_from_h_examples():
         hilbert_from_h(ONE, 3, -1)
 
 
+def test_hilbert_from_h_reads_only_the_coefficients_of_h(monkeypatch):
+    # h_i = 0 above deg h, so a degree far above deg h reads no more of h;
+    # the edge subring counter checks the value the shortened sum gives
+    from oddbouquet.polyarith import IntPoly
+    from oddbouquet.toric import edge_subring_hilbert_series
+
+    c = build_from_k([1, 1, 1])
+    h, V = h_closed_form(c), c.vertex_count
+    want = edge_subring_hilbert_series(c, 40)
+    reads = []
+    coeff = IntPoly.coeff
+    monkeypatch.setattr(IntPoly, "coeff", lambda self, i: reads.append(i) or coeff(self, i))
+    for d in (0, 1, 2, 40):
+        reads.clear()
+        assert hilbert_from_h(h, V, d) == want[d], d
+        assert len(reads) <= len(h.coeffs), d
+
+
 def test_h_from_f_dimension_guard():
     fv = FVector(counts=(1, 3, 3, 1))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -283,7 +301,7 @@ def test_verify_builds_the_bouquet_complex_once(monkeypatch):
 
     monkeypatch.setattr(srcomplex, "facets_closed_form", counting)
     monkeypatch.setattr(certify, "facets_closed_form", counting)
-    rng = SimpleNamespace(hilbert_degree=4, enable_buchberger=True, enable_bruteforce_complex=True)
+    rng = SimpleNamespace(hilbert_degree=4)
     statuses = certify.verify_composition(build_from_k((3, 2, 1)), rng)
     assert set(statuses.values()) == {"ok"}
     assert sorted(built) == [(2, 1), (2, 2, 1), (3, 2, 1)]
