@@ -43,7 +43,6 @@ from .toric import (
     edge_subring_hilbert_series,
     generators,
     grlex_cmp,
-    initial_monomials,
     kernel_check,
     leading_monomial,
     s_pair_reduces_to_zero,

@@ -115,7 +115,6 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     cx = cache(lambda: facets_closed_form(c))
     h_cx = cache(lambda: shelling_h_vector(cx().facets))  # raises unless a shelling
     gens = cache(lambda: generators(c))
-    inits = cache(lambda: [g.plus for g in gens()])
     V, E = c.vertex_count, c.edge_count
 
     def facets() -> bool:
@@ -131,8 +130,8 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     def initial() -> bool:
         pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]
         return all(
-            leading_monomial(g) == m and m.degree == deg
-            for g, m, deg in zip(gens(), inits(), pair_degrees)
+            leading_monomial(g) == g.plus and g.plus.degree == deg
+            for g, deg in zip(gens(), pair_degrees)
         )
 
     def kernel() -> bool:
@@ -145,14 +144,14 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     def hilbert() -> bool:
         d = rng.hilbert_degree
         return (
-            standard_monomial_series(c, d, inits()) == edge_subring_hilbert_series(c, d)
+            standard_monomial_series(c, d) == edge_subring_hilbert_series(c, d)
             == [hilbert_from_h(report()[1]["formula"], V, j) for j in range(d + 1)]
         )
 
     def brutefacets() -> bool | None:
         if E > ORACLE_CAP:
             return None
-        return set(facets_brute_force(inits(), E).facets) == set(cx().facets)
+        return set(facets_brute_force([g.plus.mask for g in gens()], E).facets) == set(cx().facets)
 
     checks = {
         "h3way": lambda: report()[1]["formula"] == report()[1]["recursion"] == h_cx(),

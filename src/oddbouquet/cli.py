@@ -29,7 +29,7 @@ from .composition import OddCycleComposition, bits, build_from_k, build_from_r
 from .record import Record, _set
 from .srcomplex import facets_brute_force, facets_closed_form
 from .srcomplex import h_by_complex  # noqa: F401  (perfbench/ reaches it through cli)
-from .toric import generators, initial_monomials, leading_monomial
+from .toric import generators, leading_monomial
 
 
 class UsageError(Exception):
@@ -62,16 +62,13 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def composition_from_args(args: argparse.Namespace) -> OddCycleComposition:
-    if getattr(args, "r", None) is not None:
-        try:
-            return build_from_r(_parse_ints(args.r))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if getattr(args, "k", None) is not None:
-        try:
-            return build_from_k(_parse_ints(args.k))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    for flag, build in (("r", build_from_r), ("k", build_from_k)):
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                return build(_parse_ints(text))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
     raise UsageError("one of --r or --k is required")
 
 
@@ -138,20 +135,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if payload["methods_agree"] and ok else 1
 
 
-def _facet_line(c: OddCycleComposition, facet: int) -> str:
-    return " ".join(c.edge_name(v) for v in bits(facet))
+def _names(c: OddCycleComposition, mask: int) -> list[str]:
+    """The names of the edges in a bitmask, in flat order."""
+    return [c.edge_name(v) for v in bits(mask)]
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
     if args.method == "brute":
         try:
-            cx = facets_brute_force(initial_monomials(c), c.edge_count)
+            cx = facets_brute_force([g.plus.mask for g in generators(c)], c.edge_count)
         except ValueError as exc:
             raise UsageError(f"{exc} ({c.edge_count} edges)") from None
     else:
         cx = facets_closed_form(c)
-    lines = sorted(_facet_line(c, f) for f in cx.facets)
+    lines = sorted(" ".join(_names(c, f)) for f in cx.facets)
     if args.format == "json":
         print(canonical_json({
             "r": list(c.r),
@@ -168,10 +166,6 @@ def cmd_facets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monomial_names(c: OddCycleComposition, m) -> list[str]:
-    return [c.edge_name(i) for i in bits(m.mask)]
-
-
 def cmd_gens(args: argparse.Namespace) -> int:
     c = composition_from_args(args)
     gens = generators(c)
@@ -182,9 +176,9 @@ def cmd_gens(args: argparse.Namespace) -> int:
             "N": c.N,
             "generators": [
                 {
-                    "plus": _monomial_names(c, g.plus),
-                    "minus": _monomial_names(c, g.minus),
-                    "leading": _monomial_names(c, leading_monomial(g)),
+                    "plus": _names(c, g.plus.mask),
+                    "minus": _names(c, g.minus.mask),
+                    "leading": _names(c, leading_monomial(g).mask),
                 }
                 for g in gens
             ],
@@ -193,8 +187,8 @@ def cmd_gens(args: argparse.Namespace) -> int:
         if not gens:
             print("no generators (single cycle)")
         for g in gens:
-            plus = "*".join(_monomial_names(c, g.plus))
-            minus = "*".join(_monomial_names(c, g.minus))
+            plus = "*".join(_names(c, g.plus.mask))
+            minus = "*".join(_names(c, g.minus.mask))
             print(f"{plus} - {minus}")
     return 0
 

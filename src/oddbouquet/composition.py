@@ -183,15 +183,9 @@ def labeled_graph(c: OddCycleComposition) -> LabeledGraph:
     """The bouquet graph with the shared edge indexing, built once per bouquet."""
     endpoints = []
     base = 1
-    for i in range(1, c.n + 1):
-        ki = c.k[i - 1]
-        # outer vertex u_i^(j) is base + j - 1, for 1 <= j <= 2*ki
-        for j in range(1, 2 * ki + 2):
-            if j == 1:
-                endpoints.append((0, base))
-            elif j == 2 * ki + 1:
-                endpoints.append((0, base + 2 * ki - 1))
-            else:
-                endpoints.append((base + j - 2, base + j - 1))
+    for ki in c.k:
+        # each cycle walks hub, its outer vertices base..base + 2*ki - 1, hub
+        walk = [0, *range(base, base + 2 * ki), 0]
+        endpoints += zip(walk, walk[1:])
         base += 2 * ki
     return LabeledGraph(n_vertices=c.vertex_count, endpoints=tuple(endpoints))

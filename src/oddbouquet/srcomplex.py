@@ -35,7 +35,6 @@ from operator import or_
 from .composition import OddCycleComposition, bits, build_from_k, cycle_parts
 from .polyarith import IntPoly
 from .record import Record, _set
-from .toric import Monomial
 
 
 ORACLE_CAP = 18  # largest ground set facets_brute_force searches
@@ -106,29 +105,28 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     return SimplicialComplex(ground_size=c.edge_count, facets=tuple(facets))
 
 
-def facets_brute_force(monomials: list[Monomial], ground_size: int) -> SimplicialComplex:
-    """Maximal subsets of the ground set containing no monomial's support.
+def facets_brute_force(supports: list[int], ground_size: int) -> SimplicialComplex:
+    """Maximal subsets of the ground set containing none of the supports.
 
     Exhaustive depth-first include/exclude search over the ground set, with
-    the supports as bitmasks.  Vertex v is included unless that completes a
-    support through v, and excluded only while some support through v has
-    no excluded element, since otherwise nothing could block v.  A leaf is a
-    face by construction and a facet iff every vertex outside it is blocked,
-    i.e. some support lies in the leaf plus that vertex.  The search carries
-    both tests down as masks: blocked holds each u with s - inside = {u} for
-    some support s (only the supports through v change when v goes in), and
-    live is the union of the supports that meet no excluded vertex.  Each
-    facet is reached by exactly one path, and the facets come out in the
-    order the search reaches them.  Only meant for small ground sets, hence
-    ORACLE_CAP.
+    the supports of squarefree monomials as bitmasks.  Vertex v is included
+    unless that completes a support through v, and excluded only while some
+    support through v has no excluded element, since otherwise nothing could
+    block v.  A leaf is a face by construction and a facet iff every vertex
+    outside it is blocked, i.e. some support lies in the leaf plus that
+    vertex.  The search carries both tests down as masks: blocked holds
+    each u with s - inside = {u} for some support s (only the supports
+    through v change when v goes in), and live is the union of the supports
+    that meet no excluded vertex.  Each facet is reached by exactly one
+    path, and the facets come out in the order the search reaches them.
+    Only meant for small ground sets, hence ORACLE_CAP.
     """
     if ground_size > ORACLE_CAP:
         raise ValueError("instance too large for oracle")
-    support_masks = [m.mask for m in monomials]
-    if 0 in support_masks:
+    if 0 in supports:
         # the monomial 1 lies in every set: no faces at all
         return SimplicialComplex(ground_size=ground_size, facets=())
-    through = [[s for s in support_masks if s >> v & 1] for v in range(ground_size)]
+    through = [[s for s in supports if s >> v & 1] for v in range(ground_size)]
     facet_masks: list[int] = []
 
     def search(v: int, inside: int, outside: int, blocked: int, live: int) -> None:
@@ -146,10 +144,10 @@ def facets_brute_force(monomials: list[Monomial], ground_size: int) -> Simplicia
             search(v + 1, grown, outside, grown_blocked, live)
         if live & bit:
             out = outside | bit
-            search(v + 1, inside, out, blocked, reduce(or_, [s for s in support_masks if not s & out], 0))
+            search(v + 1, inside, out, blocked, reduce(or_, [s for s in supports if not s & out], 0))
 
-    singles = [s for s in support_masks if not s & (s - 1)]
-    search(0, 0, 0, reduce(or_, singles, 0), reduce(or_, support_masks, 0))
+    singles = [s for s in supports if not s & (s - 1)]
+    search(0, 0, 0, reduce(or_, singles, 0), reduce(or_, supports, 0))
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facet_masks))
 
 
@@ -252,22 +250,11 @@ def h_from_f(fv: FVector, d: int) -> IntPoly:
 class DecompositionReport(Record):
     """Outcome of the two-edge extension decomposition check."""
 
-    __slots__ = ("union_ok", "intersection_ok", "facet_count",
-                 "cone_family_size", "join_family_size")
+    __slots__ = ("union_ok", "intersection_ok")
 
-    def __init__(
-        self,
-        union_ok: bool,
-        intersection_ok: bool,
-        facet_count: int,
-        cone_family_size: int,
-        join_family_size: int,
-    ) -> None:
+    def __init__(self, union_ok: bool, intersection_ok: bool) -> None:
         _set(self, "union_ok", union_ok)
         _set(self, "intersection_ok", intersection_ok)
-        _set(self, "facet_count", facet_count)
-        _set(self, "cone_family_size", cone_family_size)
-        _set(self, "join_family_size", join_family_size)
 
     @property
     def ok(self) -> bool:
@@ -333,10 +320,4 @@ def verify_decomposition(c: OddCycleComposition, cx: SimplicialComplex) -> Decom
         join_family = {rest_of_cycle1}
         union_ok = cone_family == target and any(rest_of_cycle1 & ~g == 0 for g in cone_family)
 
-    return DecompositionReport(
-        union_ok=union_ok,
-        intersection_ok=_intersection_ok(cone_family, join_family, x),
-        facet_count=len(target),
-        cone_family_size=len(cone_family),
-        join_family_size=len(join_family),
-    )
+    return DecompositionReport(union_ok, _intersection_ok(cone_family, join_family, x))

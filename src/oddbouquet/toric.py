@@ -11,32 +11,14 @@ Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
 
 * S-pair reduction of every generator pair down to zero, on monomials
-  packed into ints: the basis is packed once per list, f and g are looked
-  up in it by identity, each start term is a tail plus the bits of the
-  other lead that its own lead lacks, the division walks the
-  S-polynomial's two terms as two ints, and each term's first divisor is
-  memoised on its support among the variables some lead uses and, on a
-  miss, found through runs of consecutive leads that share a variable,
+  packed into ints (see s_pair_reduces_to_zero and _PackedBasis),
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, each summed from one-dimensional
-  tallies.  One counts monomials outside the squarefree initial ideal P
-  from the face numbers f_i of its Stanley-Reisner complex Delta(P): a
-  size-i face is the exact support of C(t - 1, i - 1) of them in degree t,
-  and a recursion over the variables, memoised on the bitmask supports
-  still live, counts the faces by size.  The other counts distinct vertex
-  exponent vectors in the edge subring branch by branch at the hub.  Hub
-  lemma: split at any vertex, a degree-t vector is fixed by its
-  projections u_1..u_n onto the components of G - hub (the hub's exponent
-  is 2t - sum |u_i|), and it exists iff t lies in the Minkowski sum of the
-  sets D(u_i) of degrees at which each u_i occurs.  At a bouquet's hub each
-  branch is a path from the hub back to the hub, so each D(u) is an
-  interval, and binomials count the u whose interval starts at each degree
-  and those whose interval ends there, O(d) of them per distinct cycle
-  length with no vector listed.  A tuple then occurs in exactly the degrees
-  from X, the sum of its low ends, to Y, the sum of its high ends, so
-  HF(t) = #{X <= t} - #{Y < t}: one convolution of the low ends and one of
-  the high ends.
+  tallies: the monomials outside the initial ideal, from the face numbers
+  of its Stanley-Reisner complex (see _standard_counts), and the distinct
+  vertex exponent vectors of the edge subring, branch by branch at the hub
+  (see edge_subring_hilbert_series for the hub lemma).
 
 A bouquet's generator supports and its validated branch split at the hub
 are computed once per composition instance (see composition.per_bouquet).
@@ -101,7 +83,10 @@ def grlex_cmp(a: Monomial, b: Monomial) -> int:
 
 @per_bouquet
 def _pair_supports(c: OddCycleComposition) -> tuple[tuple[int, int], ...]:
-    """Plus and minus supports of the generator of each cycle pair i < j."""
+    """Plus and minus supports of the generator of each cycle pair i < j.
+
+    The plus supports generate the initial ideal; everything that needs
+    them reads them here."""
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
     return tuple((p.odd | q.even, p.even | q.odd) for p, q in combinations(parts, 2))
 
@@ -109,11 +94,6 @@ def _pair_supports(c: OddCycleComposition) -> tuple[tuple[int, int], ...]:
 def generators(c: OddCycleComposition) -> list[Binomial]:
     """One binomial per cycle pair i < j, in lexicographic pair order."""
     return [Binomial(plus=Monomial(plus), minus=Monomial(minus)) for plus, minus in _pair_supports(c)]
-
-
-def initial_monomials(c: OddCycleComposition) -> list[Monomial]:
-    """Generators of the initial ideal: the plus parts, in the same order."""
-    return [g.plus for g in generators(c)]
 
 
 def leading_monomial(b: Binomial) -> Monomial:
@@ -341,9 +321,9 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
     return [sum(fi * math.comb(t - 1, i - 1) for i, fi in enumerate(f) if i) if t else f[0] for t in degrees]
 
 
-def standard_monomial_series(c: OddCycleComposition, d: int, monomials: list[Monomial]) -> list[int]:
-    """Numbers of degree-0..d monomials divisible by none of the squarefree monomials."""
-    return _standard_counts(c, range(d + 1), [m.mask for m in monomials])
+def standard_monomial_series(c: OddCycleComposition, d: int) -> list[int]:
+    """Numbers of degree-0..d monomials divisible by no initial-ideal generator."""
+    return _standard_counts(c, range(d + 1), [plus for plus, _ in _pair_supports(c)])
 
 
 def standard_monomial_count(c: OddCycleComposition, d: int) -> int:

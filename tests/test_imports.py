@@ -50,3 +50,34 @@ def test_unused_imports_are_found():
     )
     assert unused_imports(source) == ["cache"]
     assert unused_imports("from itertools import chain\nchain.from_iterable\n") == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every dotted module name an import in source may bind, leading dots
+    dropped: each import's modules, and each from-import's module alone and
+    joined with each of its names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            out.add(module)
+            out.update(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+    return out
+
+
+def imports_toric(source: str) -> bool:
+    return any("toric" in name.split(".") for name in imported_modules(source))
+
+
+def test_srcomplex_imports_nothing_from_toric():
+    # the complex and its facet oracle work on int masks alone
+    assert not imports_toric((PACKAGE / "srcomplex.py").read_text())
+
+
+def test_toric_imports_are_found():
+    for source in ("from .toric import Monomial\n", "from . import toric\n",
+                   "import oddbouquet.toric as t\n", "def f():\n    from oddbouquet.toric import generators\n"):
+        assert imports_toric(source), source
+    assert not imports_toric("from .composition import bits\nfrom .record import Record\n")

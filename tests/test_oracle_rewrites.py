@@ -63,7 +63,6 @@ from oddbouquet.toric import (
     edge_subring_hilbert_series,
     generators,
     grlex_cmp,
-    initial_monomials,
     s_pair_reduces_to_zero,
     standard_monomial_count,
     standard_monomial_series,
@@ -132,6 +131,11 @@ def _squarefree(indices):
     return Monomial(sum(1 << v for v in set(indices)))
 
 
+def _plus_supports(c):
+    """The initial ideal's supports, from the generators' plus parts."""
+    return [g.plus.mask for g in generators(c)]
+
+
 def _members(mask):
     """The frozenset of the bit positions set in mask."""
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
@@ -142,9 +146,8 @@ def _facet_sets(cx):
     return {_members(f) for f in cx.facets}
 
 
-def _scan_facets(monomials, ground_size):
+def _scan_facets(supports, ground_size):
     """All subsets as bitmasks; faces contain no support, facets extend to none."""
-    supports = [sum(1 << v for v, _ in m.exps) for m in monomials]
     faces = {mask for mask in range(1 << ground_size)
              if all(mask & s != s for s in supports)}
     return {
@@ -176,10 +179,9 @@ def _full_level_series(endpoints, d):
     return series
 
 
-def _plain_facet_search(monomials, ground_size):
+def _plain_facet_search(supports, ground_size):
     """The include/exclude search that tests the supports through v with
     any(...) at every node and the blocked vertices at every leaf."""
-    supports = [m.mask for m in monomials]
     if 0 in supports:
         return ()
     through = [[s for s in supports if s >> v & 1] for v in range(ground_size)]
@@ -204,14 +206,14 @@ def _plain_facet_search(monomials, ground_size):
 
 def _random_supports(rng, ground_size):
     """A few supports on up to two vertices past the ground set, some of one
-    element, now and then the monomial 1."""
+    element, now and then the empty one of the monomial 1."""
     pool, supports = range(ground_size + 2), []
     for _ in range(rng.randint(0, 7)):
         if rng.random() < 0.03:
-            supports.append(MONOMIAL_ONE)
+            supports.append(0)
         else:
             size = rng.choice((1, 1, 2, 2, 3, 4))
-            supports.append(_squarefree(rng.sample(pool, min(size, len(pool)))))
+            supports.append(_squarefree(rng.sample(pool, min(size, len(pool)))).mask)
     return supports
 
 
@@ -223,10 +225,10 @@ def test_orders_cover_the_small_bouquets():
 def test_facet_search_matches_scan_every_order():
     for order in ORDERS:
         c = build_from_k(order)
-        inits = initial_monomials(c)
-        brute = facets_brute_force(inits, c.edge_count)
+        supports = _plus_supports(c)
+        brute = facets_brute_force(supports, c.edge_count)
         assert len(brute.facets) == len(_facet_sets(brute)), order
-        assert _facet_sets(brute) == _scan_facets(inits, c.edge_count), order
+        assert _facet_sets(brute) == _scan_facets(supports, c.edge_count), order
 
 
 @pytest.mark.parametrize("monomials, ground_size", [
@@ -243,16 +245,17 @@ def test_facet_search_matches_scan_every_order():
     ([_squarefree([0, 5])], 3),  # a support reaching past the ground set
 ])
 def test_facet_search_matches_scan_by_hand(monomials, ground_size):
-    brute = facets_brute_force(monomials, ground_size)
+    supports = [m.mask for m in monomials]
+    brute = facets_brute_force(supports, ground_size)
     assert len(brute.facets) == len(_facet_sets(brute))
-    assert _facet_sets(brute) == _scan_facets(monomials, ground_size)
+    assert _facet_sets(brute) == _scan_facets(supports, ground_size)
 
 
-def _brute_facets(monomials, ground_size):
-    return facets_brute_force(monomials, ground_size).facets
+def _brute_facets(supports, ground_size):
+    return facets_brute_force(supports, ground_size).facets
 
 
-def _traced(search, monomials, ground_size):
+def _traced(search, supports, ground_size):
     """The facet tuple search returns and the number of calls it makes to
     its nested function named search, one per node of its search tree."""
     nodes = 0
@@ -263,29 +266,29 @@ def _traced(search, monomials, ground_size):
 
     sys.setprofile(tally)
     try:
-        facets = search(monomials, ground_size)
+        facets = search(supports, ground_size)
     finally:
         sys.setprofile(None)
     return facets, nodes
 
 
-def _same_search(monomials, ground_size):
+def _same_search(supports, ground_size):
     """The facet tuple and node count of the search, equal to the plain one's."""
-    traced = _traced(_brute_facets, monomials, ground_size)
-    assert traced == _traced(_plain_facet_search, monomials, ground_size), (monomials, ground_size)
+    traced = _traced(_brute_facets, supports, ground_size)
+    assert traced == _traced(_plain_facet_search, supports, ground_size), (supports, ground_size)
     return traced
 
 
 def test_facet_search_matches_plain_search_in_order_every_order():
     for order in ORDERS:
         c = build_from_k(order)
-        _same_search(initial_monomials(c), c.edge_count)
+        _same_search(_plus_supports(c), c.edge_count)
 
 
 def test_facet_search_matches_plain_search_in_order_on_the_sweep():
     searchable = [c for c in sweep_compositions(5, 8) if c.edge_count <= srcomplex.ORACLE_CAP]
     assert len(searchable) == 44
-    assert sum(_same_search(initial_monomials(c), c.edge_count)[1] for c in searchable) == 7119
+    assert sum(_same_search(_plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
 
 
 def test_facet_search_matches_plain_search_in_order_on_random_families():
@@ -299,8 +302,8 @@ def test_facet_search_empty_ground_and_constant_monomial():
     # the empty set is the one facet on no vertices, unless the monomial 1
     # (empty support) excludes every set, the empty one too
     assert facets_brute_force([], 0).facets == (0,)
-    assert facets_brute_force([MONOMIAL_ONE], 0).facets == ()
-    assert facets_brute_force([MONOMIAL_ONE, _squarefree([1])], 2).facets == ()
+    assert facets_brute_force([0], 0).facets == ()
+    assert facets_brute_force([0, 0b10], 2).facets == ()
 
 
 def test_packed_hilbert_matches_tuples_every_order():
@@ -717,8 +720,9 @@ def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000, leads=None):
 def _frozenset_standard_count(c, d, monomials=None):
     """The unmemoised recursion over frozenset supports."""
     nvars = c.edge_count
-    supports = tuple(frozenset(i for i, _ in m.exps)
-                     for m in (initial_monomials(c) if monomials is None else monomials))
+    if monomials is None:
+        monomials = [g.plus for g in generators(c)]
+    supports = tuple(frozenset(i for i, _ in m.exps) for m in monomials)
     if frozenset() in supports:
         return 0  # the monomial 1 divides every monomial
 
@@ -1133,8 +1137,7 @@ def test_memoised_standard_count_matches_frozensets_deep_and_wide(k):
 def test_standard_series_matches_counts_every_order():
     for order in ORDERS:
         c = build_from_k(order)
-        inits = initial_monomials(c)
-        assert standard_monomial_series(c, 5, inits) == [
+        assert standard_monomial_series(c, 5) == [
             standard_monomial_count(c, d) for d in range(6)], order
 
 
@@ -1157,18 +1160,20 @@ def test_degree_pruned_series_matches_frozensets_on_random_families():
             monomials.append(MONOMIAL_ONE)
         rng.shuffle(monomials)
         expected = [_frozenset_standard_count(c, d, monomials) for d in range(8)]
-        assert standard_monomial_series(c, 7, monomials) == expected, (c.k, monomials)
+        assert _standard_counts(c, range(8), [m.mask for m in monomials]) == expected, (c.k, monomials)
 
 
-def test_standard_series_counts_the_monomials_it_is_given():
+def test_standard_counts_count_the_supports_they_are_given():
     # a proper subset of the generators, in reverse order, and the monomial 1
     c = build_from_k((2, 1, 1))
-    inits = initial_monomials(c)[::-1][:2]
-    assert standard_monomial_series(c, 4, inits) == [
+    inits = [g.plus for g in generators(c)][::-1][:2]
+    assert _standard_counts(c, range(5), [m.mask for m in inits]) == [
         _frozenset_standard_count(c, d, inits) for d in range(5)]
-    assert standard_monomial_series(c, 3, [MONOMIAL_ONE]) == [0, 0, 0, 0]
+    assert _standard_counts(c, range(4), [MONOMIAL_ONE.mask]) == [0, 0, 0, 0]
     with pytest.raises(ValueError, match="nonnegative"):
-        standard_monomial_series(c, -1, inits)
+        _standard_counts(c, [-1], [m.mask for m in inits])
+    with pytest.raises(ValueError, match="nonnegative"):
+        standard_monomial_series(c, -1)
 
 
 def test_face_counts_match_the_degree_memo_on_every_order_of_the_sweep():
@@ -1252,13 +1257,7 @@ def _maximal_decomposition(c):
     join = {f | (odd - {x}) | even for f in dropped_facets}
     union_ok = (_maximal(cone | join) if n == 1 else cone | join) == target
     pairwise = {a & b for a in cone for b in join}
-    return DecompositionReport(
-        union_ok=union_ok,
-        intersection_ok=_maximal(pairwise) == {f - {x} for f in cone},
-        facet_count=len(target),
-        cone_family_size=len(cone),
-        join_family_size=len(join),
-    )
+    return DecompositionReport(union_ok, _maximal(pairwise) == {f - {x} for f in cone})
 
 
 def test_decomposition_matches_maximal_sets():

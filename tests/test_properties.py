@@ -3,13 +3,13 @@
 import io
 import json
 import pickle
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oddbouquet.cli import main  # noqa: E402
 from oddbouquet.composition import build_from_k, build_from_r, labeled_graph  # noqa: E402
@@ -24,7 +24,6 @@ from oddbouquet.toric import (  # noqa: E402
     edge_subring_hilbert,
     edge_subring_hilbert_series,
     generators,
-    initial_monomials,
     s_pair_reduces_to_zero,
     standard_monomial_count,
 )
@@ -69,7 +68,7 @@ def test_cycle_counts_are_derived_from_k(k):
 @settings(max_examples=60, deadline=None)
 @given(bouquets)
 def test_brute_facets_equal_closed_form(c):
-    brute = facets_brute_force(initial_monomials(c), c.edge_count)
+    brute = facets_brute_force([g.plus.mask for g in generators(c)], c.edge_count)
     assert set(brute.facets) == set(facets_closed_form(c).facets)
 
 
@@ -179,3 +178,117 @@ def test_json_csv_and_table_rows_agree(table_rows, ks):
     assert payload["methods_agree"] is True
     for name, cell in cells.items():
         assert _parse_cell(cell, payload[name]) == payload[name], name
+
+
+# The exit-code contract over argv: main returns 0, 1 or 2 and prints no
+# traceback, and a 1 (a mathematical disagreement) comes with a line that
+# names it.  Values stay within what finishes in well under a second: sweeps
+# up to 5/8, Hilbert degree up to 8, and bouquets of at most 16 edges
+# wherever the facets are listed.  Three inputs still run for seconds or
+# more, so none is drawn until a cost model (ROADMAP item 2) rejects them up
+# front:
+# verify --max-n 1 --max-N 1 --hilbert-degree 99999999999999999999,
+# table --max-n 2 --max-N 99999999999999999999, and hvec --method complex on
+# 30 triangles.
+HUGE = "99999999999999999999"  # a --k/--r value that overflows at once: exit 2
+ODD_TOKENS = ["", "١", "𝟐", "1.5", "0x2", "1\x002", "\x00", "x"]
+LIST_EDGES = 16
+
+
+def _listed_edges(flag, text):
+    """Edges of the bouquet a --k/--r value names; 0 for a value rejected
+    before any work (a usage error, or HUGE in it)."""
+    try:
+        ints = [int(p) for p in text.split(",")]
+    except ValueError:
+        return 0
+    if min(ints) < 0 or max(ints) >= int(HUGE):
+        return 0
+    if flag == "--k":
+        return sum(2 * v + 1 for v in ints) if min(ints) > 0 else 0
+    return sum(r * (2 * j + 1) for j, r in enumerate(ints, 1))
+
+
+def _fitted(flag, tokens):
+    """The longest prefix of tokens, joined, whose bouquet has at most LIST_EDGES edges."""
+    while _listed_edges(flag, ",".join(tokens)) > LIST_EDGES:
+        tokens = tokens[:-1]
+    return ",".join(tokens)
+
+
+def _composition_values(flag):
+    """Lists of small ints, mostly positive, at times with one odd token spliced in."""
+    ints = st.lists(st.sampled_from("1 1 2 2 3 3 4 0 -1".split()), min_size=1, max_size=5)
+    spliced = st.tuples(ints, st.sampled_from(ODD_TOKENS + [HUGE]), st.integers(0, 5)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    corners = st.sampled_from([[""], [","], ["1", "", "2"], [HUGE]])
+    # one_of picks a branch uniformly, so plain lists come half the time
+    return st.one_of(ints, ints, spliced, corners).map(lambda tokens: _fitted(flag, tokens))
+
+
+def _sweep_values(top):
+    return st.one_of(st.integers(-2, top).map(str), st.sampled_from(ODD_TOKENS))
+
+
+_COMPOSITION = {"--r": _composition_values("--r"), "--k": _composition_values("--k")}
+_FORMATS = st.sampled_from(["text", "json", "csv", "xml"])
+# each subcommand's flags and their values; --out names a path under the
+# test's directory: a file, the directory itself, a file in a missing
+# directory, and a path with a NUL byte
+FLAGS = {
+    "hvec": {**_COMPOSITION, "--format": _FORMATS,
+             "--method": st.sampled_from(["formula", "recursion", "complex", "all", "closed"])},
+    "classify": {**_COMPOSITION, "--format": _FORMATS},
+    "facets": {**_COMPOSITION, "--format": _FORMATS, "--method": st.sampled_from(["closed", "brute", "all"])},
+    "gens": {**_COMPOSITION, "--format": _FORMATS},
+    "verify": {"--max-n": _sweep_values(5), "--max-N": _sweep_values(8), "--hilbert-degree": _sweep_values(8)},
+    "table": {"--max-n": _sweep_values(5), "--max-N": _sweep_values(8),
+              "--out": st.sampled_from(["t.csv", ".", "missing/t.csv", "a\x00b"])},
+}
+
+
+@st.composite
+def argvs(draw):
+    """argv for one subcommand: some of its flags, each at most once, in any
+    order, and mostly one of --r and --k where it takes them; now and then a
+    foreign flag, or a flag with its value missing."""
+    command = draw(st.sampled_from([*FLAGS, "bogus"]))
+    own = FLAGS.get(command, {})
+    optional = [name for name in own if name not in _COMPOSITION]
+    names = draw(st.lists(st.sampled_from(optional), unique=True, max_size=len(optional))) if optional else []
+    if "--k" in own and draw(st.integers(0, 7)):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(list(_COMPOSITION))))
+    if not draw(st.integers(0, 7)):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(["--k", "--max-n", "--help", "--x"])))
+    out = [command]
+    for name in names:
+        out.append(name)
+        if name in own and draw(st.integers(0, 9)):
+            out.append(draw(own[name]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+DISAGREEMENT = ("disagree", "FAIL", "agree = false", "matches_characterization = false",
+                '"methods_agree": false')
+
+
+@settings(max_examples=200, deadline=5000)
+@given(argvs())
+@example(["hvec", "--k", HUGE])
+@example(["classify", "--r", HUGE])
+@example(["gens", "--k", f"1,{HUGE}"])
+@example(["facets", "--method", "brute", "--r", f"{HUGE},1"])
+def test_every_argv_exits_0_1_or_2_without_a_traceback(out_dir, argv):
+    argv = [str(out_dir / a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert any(line in out.getvalue() + err.getvalue() for line in DISAGREEMENT), argv

@@ -41,9 +41,7 @@ CASES = [
     (SimplicialComplex, ["ground_size", "facets"],
      (3, (0b011, 0b110)), (3, (0b011,))),
     (FVector, ["counts"], ((1, 3, 2),), ((1, 3, 3),)),
-    (DecompositionReport,
-     ["union_ok", "intersection_ok", "facet_count", "cone_family_size", "join_family_size"],
-     (True, True, 3, 2, 1), (True, False, 3, 2, 1)),
+    (DecompositionReport, ["union_ok", "intersection_ok"], (True, True), (True, False)),
     (SweepRange, ["max_n", "max_N", "hilbert_degree"], (2, 4, 3), (2, 4, 5)),
 ]
 IDS = [case[0].__name__ for case in CASES]
