@@ -9,10 +9,14 @@ Subcommands:
 * ``verify``   run every internal consistency check over a parameter sweep
 * ``table``    CSV summary over a parameter sweep
 
-Exit codes are a stable contract: 0 success, 1 mathematical disagreement
-(a route that raises ValueError included), 2 usage or I/O error (a closed
-stdout included) or an instance too large (MemoryError, OverflowError,
-RecursionError).  All numeric output is exact decimal integers.
+Exit codes are a stable contract, decided by ``main`` alone: 0 success; 1 a
+mathematical disagreement; 2 a usage or I/O error (a closed stdout included)
+or an instance too large (MemoryError, OverflowError, RecursionError).  Every
+nonzero exit writes one ``error:`` line on stderr, after the command's output.
+A disagreement is a route that raises ValueError, or: in hvec, routes that
+disagree; in classify, that or a verdict against the characterization; in
+verify, a FAIL; in table, a bouquet that fails as classify would.  Commands
+render, then raise.  All numeric output is exact decimal integers.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def _print_report(c: OddCycleComposition, payload: dict, fmt: str, text_lines: l
             print(line)
 
 
-def cmd_hvec(args: argparse.Namespace) -> int:
+def cmd_hvec(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     payload, hs, _ = bouquet_report(c, ROUTES if args.method == "all" else [args.method])
     agree = payload["methods_agree"]
@@ -117,10 +121,11 @@ def cmd_hvec(args: argparse.Namespace) -> int:
     if len(hs) > 1:
         lines.append(f"agree = {_cell(agree)}")
     _print_report(c, payload, args.format, lines)
-    return 0 if agree else 1
+    if not agree:
+        raise ValueError("h-vector routes disagree")
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     payload, _, ok = bouquet_report(c, ROUTES)
     _print_report(c, payload, args.format, [
@@ -130,9 +135,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         f"almost_gorenstein = {_cell(payload['almost_gorenstein'])}",
         f"matches_characterization = {_cell(ok)}",
     ])
-    if not payload["methods_agree"]:
-        print("h-vector routes disagree", file=sys.stderr)
-    return 0 if payload["methods_agree"] and ok else 1
+    faults = {"h-vector routes disagree": not payload["methods_agree"],
+              "the classification does not match the characterization": not ok}
+    if any(faults.values()):
+        raise ValueError("; ".join(fault for fault, found in faults.items() if found))
 
 
 def _names(c: OddCycleComposition, mask: int) -> list[str]:
@@ -140,7 +146,7 @@ def _names(c: OddCycleComposition, mask: int) -> list[str]:
     return [c.edge_name(v) for v in bits(mask)]
 
 
-def cmd_facets(args: argparse.Namespace) -> int:
+def cmd_facets(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     if args.method == "brute":
         try:
@@ -163,10 +169,9 @@ def cmd_facets(args: argparse.Namespace) -> int:
             print(line)
         plural = "s" if len(cx.facets) != 1 else ""
         print(f"total {len(cx.facets)} facet{plural} of size {c.vertex_count}")
-    return 0
 
 
-def cmd_gens(args: argparse.Namespace) -> int:
+def cmd_gens(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     gens = generators(c)
     if args.format == "json":
@@ -190,10 +195,9 @@ def cmd_gens(args: argparse.Namespace) -> int:
             plus = "*".join(_names(c, g.plus.mask))
             minus = "*".join(_names(c, g.minus.mask))
             print(f"{plus} - {minus}")
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
     rng = SweepRange(args.max_n, args.max_N, args.hilbert_degree)
     comps = sweep_compositions(rng.max_n, rng.max_N)[::-1]
     count = len(comps)
@@ -215,12 +219,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("FAILURES:")
         for ks, name in failures:
             print(f"  k={ks}: {name}")
-        return 1
+        raise ValueError(f"{len(failures)} checks failed")
     print("all checks passed")
-    return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> None:
     rng = SweepRange(max_n=args.max_n, max_N=args.max_N)
     comps = sweep_compositions(rng.max_n, rng.max_N)
     lines = [",".join(_CSV_FIELDS)]
@@ -235,14 +238,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {len(comps)} rows to {args.out}")
     if failed:
-        print(f"h-vector routes disagree or the characterization fails for {failed}",
-              file=sys.stderr)
-        return 1
-    return 0
+        raise ValueError(f"h-vector routes disagree or the characterization fails for {failed}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        try:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        finally:
+            sys.stdout.flush()  # before any error line; a closed stdout raises here
+        return 0
+    except SystemExit as exc:  # argparse wrote the help, or its own usage error
         return int(exc.code) if exc.code else 0
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
-        return code
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to devnull, so the
         # flush at exit raises nothing (the SIGPIPE recipe of the Python docs)

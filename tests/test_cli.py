@@ -305,6 +305,11 @@ def _verify_rows(out):
             if line.startswith("(")}
 
 
+def _failure_count(out):
+    # the lines of the FAILURES block, one per (k, check)
+    return sum(line.startswith("  k=") for line in out.splitlines())
+
+
 def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
     # a closed form that is not an h-polynomial: FAIL in the checks that read
     # it, every other cell as before, and the sweep goes on to the last row
@@ -312,7 +317,7 @@ def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
     assert code == 0
     monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly.of(9))
     code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, f"error: {_failure_count(out)} checks failed\n")
     rows, clean_rows = _verify_rows(out), _verify_rows(clean)
     assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(1, 1)"]
     fail = dict.fromkeys(["h3way", "facets", "hilbert", "classify"], "FAIL")
@@ -336,7 +341,7 @@ def test_verify_malformed_graph_fails_its_hilbert_cell(capsys, monkeypatch):
     with pytest.raises(ValueError, match="not a path from the hub back to the hub"):
         toric.edge_subring_hilbert_series(build_from_k((2, 1)), 3)
     code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "3")
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, f"error: {_failure_count(out)} checks failed\n")
     rows, clean_rows = _verify_rows(out), _verify_rows(clean)
     assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(3)", "(1, 1)", "(2, 1)"]
     for k, row in rows.items():
@@ -466,6 +471,31 @@ def test_closed_pipe_exits_2_without_traceback():
     assert (proc.returncode, err) == (2, "error: stdout closed\n")
 
 
+def _env_buffered():
+    # src on the path, and stdout block-buffered as it is by default into a pipe
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return env
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hvec", "--help"]])
+def test_help_into_a_closed_stdout_exits_2(argv):
+    # the reader is gone before the help is written: the help sits in the
+    # stdout buffer until main flushes it, and that flush is an I/O error
+    code = "import time; time.sleep(0.5); from oddbouquet.cli import main_entry; main_entry()"
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env_buffered(),
+    ) as proc:
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert "Exception ignored" not in err
+    assert (proc.returncode, err) == (2, "error: stdout closed\n")
+
+
 HUGE = "99999999999999999999"  # more cycle counts than a list can index
 
 
@@ -542,8 +572,8 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
     monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
-    code, out, _ = run(capsys, "classify", "--k", "2,1", "--format", fmt)
-    assert code == 1
+    code, out, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
+    assert (code, err) == (1, "error: h-vector routes disagree\n")
     if fmt == "json":
         assert json.loads(out)["methods_agree"] is False
 
@@ -599,6 +629,43 @@ def test_hvec_ignores_the_characterization(capsys, monkeypatch):
     _fail_characterization(monkeypatch)
     for fmt in ("text", "json", "csv"):
         assert run(capsys, "hvec", "--k", "2,1", "--format", fmt)[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_hvec_names_a_disagreement_in_every_format(capsys, monkeypatch, fmt):
+    # the report goes out as usual, then one line on stderr says why the exit is 1
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
+    code, out, err = run(capsys, "hvec", "--k", "2,1", "--format", fmt)
+    assert (code, err) == (1, "error: h-vector routes disagree\n")
+    assert out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_classify_names_each_fault_on_one_line(capsys, monkeypatch, fmt):
+    # a failed characterization alone, then with disagreeing routes as well
+    _fail_characterization(monkeypatch)
+    code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
+    assert (code, err) == (1, "error: the classification does not match the characterization\n")
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
+    code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
+    assert (code, err) == (1, "error: h-vector routes disagree; "
+                              "the classification does not match the characterization\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--k", "2,1"],
+    ["hvec", "--k", "2,1", "--format", "json"],
+])
+def test_disagreement_line_comes_after_the_report(argv):
+    # stdout and stderr into one pipe: the report is flushed before the error line
+    code = ("import sys; from oddbouquet import certify, cli; from oddbouquet.polyarith import IntPoly;"
+            " certify.ROUTES['recursion'] = lambda c: IntPoly.of(1, 5);"
+            " sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, env=_env_buffered(), timeout=60)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    assert len(lines) > 1 and lines[-1] == "error: h-vector routes disagree"
 
 
 def test_format_choices_per_subcommand(capsys):
@@ -700,14 +767,14 @@ def test_table_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--max-n", "1", "--max-N", "1",
                        "--out", str(tmp_path))
     assert code == 2
-    assert "cannot write" in err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_table_nul_byte_path_is_io_error(capsys):
     # open() rejects a NUL byte with ValueError; that is still an I/O error
     code, _, err = run(capsys, "table", "--max-n", "1", "--max-N", "1", "--out", "a\0b")
     assert code == 2
-    assert "cannot write" in err
+    assert err.startswith("error: cannot write")
 
 
 def test_usage_errors(capsys):

@@ -5,14 +5,17 @@ import json
 import pickle
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from oddbouquet.certify import ROUTES  # noqa: E402
 from oddbouquet.cli import main  # noqa: E402
 from oddbouquet.composition import build_from_k, build_from_r, labeled_graph  # noqa: E402
+from oddbouquet.polyarith import IntPoly  # noqa: E402
 from oddbouquet.ringinv import h_closed_form  # noqa: E402
 from oddbouquet.srcomplex import (  # noqa: E402
     facets_brute_force,
@@ -181,12 +184,12 @@ def test_json_csv_and_table_rows_agree(table_rows, ks):
 
 
 # The exit-code contract over argv: main returns 0, 1 or 2 and prints no
-# traceback, and a 1 (a mathematical disagreement) comes with a line that
-# names it.  Values stay within what finishes in well under a second: sweeps
-# up to 5/8, Hilbert degree up to 8, and bouquets of at most 16 edges
-# wherever the facets are listed.  Three inputs still run for seconds or
-# more, so none is drawn until a cost model (ROADMAP item 2) rejects them up
-# front:
+# traceback, and a 1 (a mathematical disagreement) leaves exactly one line on
+# stderr, which starts with "error: ".  Values stay within what finishes in
+# well under a second: sweeps up to 5/8, Hilbert degree up to 8, and
+# bouquets of at most 16 edges wherever the facets are listed.  Three inputs
+# still run for seconds or more, so none is drawn until a cost model
+# (ROADMAP item 2) rejects them up front:
 # verify --max-n 1 --max-N 1 --hilbert-degree 99999999999999999999,
 # table --max-n 2 --max-N 99999999999999999999, and hvec --method complex on
 # 30 triangles.
@@ -273,8 +276,19 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
-DISAGREEMENT = ("disagree", "FAIL", "agree = false", "matches_characterization = false",
-                '"methods_agree": false')
+def _exit_code(out_dir, argv):
+    """main's exit code on argv, --out under out_dir, after checking the contract."""
+    argv = [str(out_dir / a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    text = err.getvalue()
+    assert "Traceback" not in text, argv
+    if code == 1:
+        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1, \
+            (argv, text)
+    return code
 
 
 @settings(max_examples=200, deadline=5000)
@@ -284,11 +298,24 @@ DISAGREEMENT = ("disagree", "FAIL", "agree = false", "matches_characterization =
 @example(["gens", "--k", f"1,{HUGE}"])
 @example(["facets", "--method", "brute", "--r", f"{HUGE},1"])
 def test_every_argv_exits_0_1_or_2_without_a_traceback(out_dir, argv):
-    argv = [str(out_dir / a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
-    if code == 1:
-        assert any(line in out.getvalue() + err.getvalue() for line in DISAGREEMENT), argv
+    _exit_code(out_dir, argv)
+
+
+def _wrong_route(c):
+    return IntPoly.of(2)  # h_0 is 1 on every bouquet, so this h is never right
+
+
+@settings(max_examples=100, deadline=5000)
+@given(argvs())
+@example(["hvec", "--k", "2,1", "--format", "csv"])
+@example(["classify", "--k", "2,1", "--format", "json"])
+@example(["table", "--max-n", "2", "--max-N", "2", "--out", "t.csv"])
+@example(["verify", "--max-n", "1", "--max-N", "1"])
+def test_every_disagreement_exits_1_with_one_error_line(out_dir, argv):
+    # a wrong recursion route: every command that runs it and finishes exits 1,
+    # hvec only when it runs more than one route
+    with patch.dict(ROUTES, recursion=_wrong_route):
+        code = _exit_code(out_dir, argv)
+    if code == 0 and "--help" not in argv:
+        method = argv[argv.index("--method") + 1] if "--method" in argv else "all"
+        assert argv[0] in ("facets", "gens") or (argv[0] == "hvec" and method != "all"), argv
