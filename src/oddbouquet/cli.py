@@ -12,7 +12,8 @@ Subcommands:
 Exit codes are a stable contract, decided by ``main`` alone: 0 success; 1 a
 mathematical disagreement; 2 a usage or I/O error (a closed stdout included)
 or an instance too large (MemoryError, OverflowError, RecursionError).  Every
-nonzero exit writes one ``error:`` line on stderr, after the command's output.
+nonzero exit writes one ``error:`` line on stderr, after the command's output;
+a stderr that cannot be written loses the line, not the code.
 A disagreement is a route that raises ValueError, or: in hvec, routes that
 disagree; in classify, that or a verdict against the characterization; in
 verify, a FAIL; in table, a bouquet that fails as classify would.  Commands
@@ -244,8 +245,15 @@ def cmd_table(args: argparse.Namespace) -> None:
         raise ValueError(f"h-vector routes disagree or the characterization fails for {failed}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own write swallows OSError, so an unbuffered --help into
+        # a closed pipe would exit 0; a print leaves the error to main
+        print(self.format_help(), end="", file=file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddbouquet",
         description="h-vectors and Gorenstein classification for edge rings "
                     "of odd cycles glued at one vertex",
@@ -293,34 +301,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop(stream) -> None:
+    """Point stream's file descriptor at os.devnull, so what it still buffers goes nowhere."""
+    with suppress(AttributeError, OSError, ValueError):  # None, or no file descriptor
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
+    message = None
     try:
         try:
             args = build_parser().parse_args(argv)
             args.func(args)
         finally:
+            if sys.stdout is None:  # closed before start-up
+                raise BrokenPipeError
             sys.stdout.flush()  # before any error line; a closed stdout raises here
-        return 0
+        code = 0
     except SystemExit as exc:  # argparse wrote the help, or its own usage error
-        return int(exc.code) if exc.code else 0
+        code = int(exc.code) if exc.code else 0
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to devnull, so the
         # flush at exit raises nothing (the SIGPIPE recipe of the Python docs)
-        with suppress(AttributeError, OSError, ValueError):  # no file descriptor
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        with suppress(BrokenPipeError):  # stderr went to the same reader (2>&1)
-            print("error: stdout closed", file=sys.stderr)
-        return 2
+        _drop(sys.stdout)
+        code, message = 2, "stdout closed"
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, str(exc)
     except (MemoryError, OverflowError, RecursionError):
-        print("error: instance too large", file=sys.stderr)
-        return 2
+        code, message = 2, "instance too large"
+    try:  # a closed stderr loses the error line, never the exit code
+        if message is not None:
+            sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()  # argparse's usage error may still sit in the buffer
+    except (AttributeError, OSError, ValueError):  # None: closed before start-up
+        _drop(sys.stderr)
+    return code
 
 
 def main_entry() -> None:

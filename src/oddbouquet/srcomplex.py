@@ -7,22 +7,22 @@ bitmasks over that index, bit v set iff edge v is in.  Facets come in two ways:
 * a closed-form enumeration: for a pivot cycle j the facet keeps cycle j
   whole, drops exactly one odd-position edge from every earlier cycle and
   exactly one even-position edge from every later cycle;
-* a brute-force search straight from the monomial generators: a depth-first
-  include/exclude search over the ground set that uses only the supports,
-  prunes branches that cannot end in a facet by two masks it carries down
-  (the blocked vertices and the union of the supports that meet no excluded
-  vertex), and serves as an oracle for ground sets up to ORACLE_CAP = 18.
+* a brute-force include/exclude search from the generators' supports,
+  pruned by two masks it carries down: the oracle up to ORACLE_CAP = 18 edges.
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
-counts the facets whose restriction has i elements.  Each restriction
-U_j <= F_j spans the interval of faces that F_j adds, which gives the
-f-vector back without listing faces.  The f-vector by subset enumeration
-and the f-to-h transform (the Hilbert series numerator of the face ring
-over (1-t)^d) are kept as the independent reference for that route; the
-Hilbert function read off h ties h to the ring's two Hilbert counters.  A
-structural decomposition check for growing one cycle by two edges
-completes the module.
+counts the facets whose restriction has i elements.  That check and the
+decomposition's intersection test pack a family into one int, E + 1 bits
+per set with a guard bit on top: S * ones & ~packed holds S minus each set,
+and adding all ones below the guards leaves the guard of an empty field
+clear.  Each restriction U_j <= F_j spans the interval of faces that F_j
+adds, which gives the f-vector back without listing faces.  The f-vector
+by subset enumeration and the f-to-h transform (the Hilbert series
+numerator of the face ring over (1-t)^d) are kept as the independent
+reference for that route; the Hilbert function read off h ties h to the
+ring's two Hilbert counters.  A structural decomposition check for growing
+one cycle by two edges completes the module.
 """
 
 from __future__ import annotations
@@ -156,31 +156,36 @@ def shelling_h_vector(masks: list[int]) -> IntPoly:
 
     masks are the facets F_1..F_m as bitmasks, in shelling order.  For each
     F_j the restriction U_j is the union of the one-element differences
-    F_j - G over the earlier facets G that meet F_j in codimension one.
-    The order is a shelling iff every earlier G satisfies
-    (F_j - G) & U_j != 0, i.e. F_j & G lies in some codimension-one face
-    F_j & G' with G' earlier.  That is checked for every pair, O(m^2) mask
-    operations in all; then h_i = #{j : |U_j| = i}.  Facets of different
-    sizes, repeated facets and orders that are not a shelling raise
-    ValueError.
+    F_j - G over the earlier facets G.  The order is a shelling iff every
+    earlier G satisfies (F_j - G) & U_j != 0, i.e. F_j & G lies in some
+    codimension-one face F_j & G' with G' earlier; then h_i = #{j : |U_j| = i}.
+    With the earlier facets packed, F_j costs O(log j) big-int operations.
+    Facets of different sizes, repeated facets and orders that are not a
+    shelling raise ValueError.
     """
     if len({m.bit_count() for m in masks}) > 1:
         raise ValueError("facets of different sizes: complex is not pure")
-    counts: list[int] = []
+    e = reduce(or_, masks, 0).bit_length()
+    w, low = e + 1, (1 << e) - 1
+    packed = ones = fill = guard = at = 0
+    counts = [0] * w
     for j, f in enumerate(masks):
-        diffs = [f & ~g for g in masks[:j]]
-        restriction = 0
-        for diff in diffs:
-            if not diff:
-                raise ValueError("repeated facet")
-            if diff & (diff - 1) == 0:
-                restriction |= diff
-        if not all(diff & restriction for diff in diffs):
-            raise ValueError(f"facet order is not a shelling at facet {j + 1}")
-        size = restriction.bit_count()
-        counts.extend([0] * (size + 1 - len(counts)))
-        counts[size] += 1
-    return IntPoly(tuple(counts))
+        diffs = f * ones & ~packed
+        # with no field empty, v & (v - 1) is 0 just in the one-bit fields
+        multi = (diffs & diffs - ones) + fill & guard
+        singles, span = diffs & ~(multi - (multi >> e)), j
+        while span > 1:  # fold the fields in halves: their OR lands in the lowest
+            span = span + 1 >> 1
+            singles |= singles >> w * span
+        restriction = singles & low
+        # an empty field meets nothing, so one test covers both faults
+        if (diffs & restriction * ones) + fill & guard != guard:
+            raise ValueError("repeated facet" if diffs + fill & guard != guard
+                             else f"facet order is not a shelling at facet {j + 1}")
+        counts[restriction.bit_count()] += 1
+        packed, ones = packed | f << at, ones | 1 << at
+        fill, guard, at = fill | low << at, guard | 1 << at + e, at + w
+    return IntPoly(counts)
 
 
 def h_by_complex(c: OddCycleComposition) -> IntPoly:
@@ -266,12 +271,17 @@ def _intersection_ok(cone: set[int], join: set[int], x: int) -> bool:
 
     Sets are bitmasks and x is an element.  With x in no b, each a & b lies
     in a - {x}; sets a - {x} of one size form an antichain, so they are the
-    maximal ones iff each is an a & b, that is iff each lies in some b.
+    maximal ones iff each is an a & b, that is iff each lies in some b, iff
+    e * ones & ~packed has an empty field, with the join packed once.
     """
     xbit = 1 << x
     expected = {a & ~xbit for a in cone}
-    return (not any(b & xbit for b in join) and len({e.bit_count() for e in expected}) == 1
-            and all(any(not e & ~b for b in join) for e in expected))
+    w = reduce(or_, cone | join, 0).bit_length() + 1
+    packed = sum(b << w * i for i, b in enumerate(join))
+    ones = sum(1 << w * i for i in range(len(join)))
+    fill, guard = ones * ((1 << w - 1) - 1), ones << w - 1
+    return (not reduce(or_, join, 0) & xbit and len({e.bit_count() for e in expected}) == 1
+            and all((e * ones & ~packed) + fill & guard != guard for e in expected))
 
 
 def verify_decomposition(c: OddCycleComposition, cx: SimplicialComplex) -> DecompositionReport:

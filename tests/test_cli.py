@@ -478,14 +478,12 @@ def _env_buffered():
     return env
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["hvec", "--help"]])
-def test_help_into_a_closed_stdout_exits_2(argv):
-    # the reader is gone before the help is written: the help sits in the
-    # stdout buffer until main flushes it, and that flush is an I/O error
+def _help_into_a_closed_stdout(argv, env):
+    """Exit code and stderr of argv, run after its reader has closed stdout."""
     code = "import time; time.sleep(0.5); from oddbouquet.cli import main_entry; main_entry()"
     with subprocess.Popen(
         [sys.executable, "-c", code, *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env_buffered(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     ) as proc:
         proc.stdout.close()
         try:
@@ -493,7 +491,57 @@ def test_help_into_a_closed_stdout_exits_2(argv):
         finally:
             proc.kill()
     assert "Exception ignored" not in err
-    assert (proc.returncode, err) == (2, "error: stdout closed\n")
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hvec", "--help"]])
+def test_help_into_a_closed_stdout_exits_2(argv):
+    # the reader is gone before the help is written: the help sits in the
+    # stdout buffer until main flushes it, and that flush is an I/O error
+    assert _help_into_a_closed_stdout(argv, _env_buffered()) == (2, "error: stdout closed\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hvec", "--help"]])
+def test_unbuffered_help_into_a_closed_stdout_exits_2(argv):
+    # unbuffered, the help's own write meets the closed pipe, and argparse's
+    # writer would swallow that error and exit 0
+    env = dict(_env_buffered(), PYTHONUNBUFFERED="1")
+    assert _help_into_a_closed_stdout(argv, env) == (2, "error: stdout closed\n")
+
+
+def _close_stderr():
+    os.close(2)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_unwritable_stderr_keeps_the_exit_code(stderr, unbuffered):
+    # a usage error with nowhere to write its error line still exits 2, and
+    # the line goes to no other stream; closed, fd 2 makes sys.stderr None
+    env = dict(_env_buffered(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open(os.devnull, "rb") as devnull:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddbouquet.cli", "hvec", "--k", "0"],
+            stdout=subprocess.PIPE, text=True, env=env, timeout=60,
+            **({"preexec_fn": _close_stderr} if stderr == "closed" else {"stderr": devnull}),
+        )
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("stderr", [None, _ClosedPipe()])
+def test_unwritable_stderr_keeps_a_disagreement_exit_1(capsys, monkeypatch, stderr):
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(2))
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = main(["hvec", "--k", "2,1"])
+    out = capsys.readouterr().out
+    assert code == 1 and "agree = false" in out and "error:" not in out
+
+
+def test_closed_stdout_at_start_up_exits_2(capsys, monkeypatch):
+    # a stdout closed before start-up is None: nothing can be written
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["hvec", "--k", "2,1"]) == 2
+    assert capsys.readouterr().err == "error: stdout closed\n"
 
 
 HUGE = "99999999999999999999"  # more cycle counts than a list can index

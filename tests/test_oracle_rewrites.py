@@ -9,7 +9,8 @@ per list and memoises each term's first divisor, found through runs of
 leads that share a variable,
 standard_monomial_series sums the face numbers of the Stanley-Reisner
 complex, counted by a recursion over bitmask supports, h_from_f sums
-binomials, and the decomposition's intersection check is a subset test.
+binomials, and the shelling check and the decomposition's intersection
+check test a set against a family packed into one int, a field per facet.
 The references here are the plain versions: a scan over all 2^E subsets
 and the search that tests the supports with any(...) at every node,
 breadth-first searches over whole-graph exponent tuples and over whole
@@ -18,11 +19,14 @@ vertex with each branch's vectors listed and a DP over degree masks,
 division on dicts of exponent tuples in graded lex order and the first
 divisor by a scan of the basis in order, the
 unmemoised recursion over frozenset supports, the f-to-h transform by
-polynomial powers, and the decomposition check by maximal pairwise
-intersections.  The two kernels the Hilbert series were summed by before
-are kept as references too: the DP over sets of reachable degrees that
-shifts whole runs (_minkowski), and the recursion memoised on (variable,
-degree left, live supports).  Apart from the two facet searches and the
+polynomial powers, the decomposition check by maximal pairwise
+intersections, and the per-pair loops that the packed checks replaced:
+_pairwise_shelling_h_vector lists every difference F_j - G, and
+_pairwise_intersection_ok makes one subset test per (a - {x}, b) pair.
+The two kernels the Hilbert series were summed by before are kept as
+references too: the DP over sets of reachable degrees that shifts whole
+runs (_minkowski), and the recursion memoised on (variable, degree left,
+live supports).  Apart from the two facet searches and the
 degree memo, which take the bitmask supports, the references hold
 squarefree sets as frozensets and meet the bitmask results only at the
 comparison.
@@ -1360,3 +1364,142 @@ def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
     _patch_facets(monkeypatch, shorter,
                   lambda facets: facets + (facets[0] & facets[0] - 1,))
     assert _intersection_oks(build_from_k(k)) == (False, False)
+
+
+# ------------------------------------------------------------------ packed shelling and intersection
+
+def _pairwise_shelling_h_vector(masks):
+    """The shelling check pair by pair: every difference F_j - G in a list."""
+    if len({m.bit_count() for m in masks}) > 1:
+        raise ValueError("facets of different sizes: complex is not pure")
+    counts = []
+    for j, f in enumerate(masks):
+        diffs = [f & ~g for g in masks[:j]]
+        restriction = 0
+        for diff in diffs:
+            if not diff:
+                raise ValueError("repeated facet")
+            if diff & (diff - 1) == 0:
+                restriction |= diff
+        if not all(diff & restriction for diff in diffs):
+            raise ValueError(f"facet order is not a shelling at facet {j + 1}")
+        size = restriction.bit_count()
+        counts.extend([0] * (size + 1 - len(counts)))
+        counts[size] += 1
+    return IntPoly(tuple(counts))
+
+
+def _pairwise_intersection_ok(cone, join, x):
+    """The intersection check with one subset test per (a - {x}, b) pair."""
+    xbit = 1 << x
+    expected = {a & ~xbit for a in cone}
+    return (not any(b & xbit for b in join) and len({e.bit_count() for e in expected}) == 1
+            and all(any(not e & ~b for b in join) for e in expected))
+
+
+def _outcome(masks):
+    """The h of both shelling checks, or the message of the ValueError each raises."""
+    outcomes = []
+    for check in (srcomplex.shelling_h_vector, _pairwise_shelling_h_vector):
+        try:
+            outcomes.append(check(masks))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], masks
+    return outcomes[0]
+
+
+def _kind(outcome):
+    return outcome.split(" at facet ")[0] if isinstance(outcome, str) else "shelling"
+
+
+# every cycle order of every bouquet with n <= 5 and N <= 8
+SWEEP_ORDERS = sorted({order for c in sweep_compositions(5, 8) for order in permutations(c.k)})
+
+
+def test_packed_shelling_matches_pairs_every_order_of_the_sweep():
+    assert len(SWEEP_ORDERS) == 218
+    for order in SWEEP_ORDERS:
+        c = build_from_k(order)
+        assert _outcome(list(srcomplex.facets_closed_form(c).facets)) == h_closed_form(c), order
+
+
+def _edits(rng, facets):
+    """facets with two neighbours swapped, a facet repeated at the end, one dropped, all shuffled."""
+    swapped, dropped, shuffled = list(facets), list(facets), list(facets)
+    if len(facets) > 1:
+        i = rng.randrange(len(facets) - 1)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    del dropped[rng.randrange(len(facets))]
+    rng.shuffle(shuffled)
+    return [swapped, [*facets, rng.choice(facets)], dropped, shuffled]
+
+
+def test_packed_shelling_matches_pairs_on_edited_orders():
+    rng = random.Random(24)
+    kinds = {}
+    for order in SWEEP_ORDERS:
+        facets = srcomplex.facets_closed_form(build_from_k(order)).facets
+        for _ in range(3):
+            for masks in _edits(rng, facets):
+                kind = _kind(_outcome(masks))
+                kinds[kind] = kinds.get(kind, 0) + 1
+    assert sorted(kinds) == ["facet order is not a shelling", "repeated facet", "shelling"]
+    assert min(kinds.values()) > 300, kinds
+
+
+def test_packed_shelling_matches_pairs_on_random_families():
+    # random facets on at most 8 vertices, of one size or of several
+    rng = random.Random(25)
+    families = [[], [0], [0, 0], [0b1011], [0b11, 0b11], [0b1, 0b10, 0b100]]
+    for _ in range(4000):
+        ground = rng.randint(0, 8)
+        size = rng.randint(0, ground)
+        family = [sum(1 << v for v in rng.sample(range(ground), size)) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.2:
+            family.insert(rng.randrange(len(family) + 1), rng.getrandbits(ground))
+        families.append(family)
+    kinds = {}
+    for family in families:
+        kind = _kind(_outcome(family))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(kinds) == 4 and min(kinds.values()) > 200, kinds
+
+
+def test_packed_intersection_matches_pairs_on_random_families():
+    # an empty join, x inside a join facet, and join facets of several sizes
+    rng = random.Random(26)
+    agree = {True: 0, False: 0}
+    for _ in range(5000):
+        ground = rng.randint(1, 8)
+        x = rng.randrange(ground)
+        xbit = 1 << x
+        cone = {rng.getrandbits(ground) | xbit for _ in range(rng.randint(0, 4))}
+        join = set() if rng.random() < 0.1 else {
+            rng.getrandbits(ground) & ~xbit for _ in range(rng.randint(1, 5))}
+        if cone and rng.random() < 0.6:  # a join facet over some cone facet minus x
+            join.add(rng.choice(sorted(cone)) & ~xbit | rng.getrandbits(ground) & ~xbit)
+        if join and rng.random() < 0.1:
+            join.add(join.pop() | xbit)
+        result = srcomplex._intersection_ok(cone, join, x)
+        assert result == _pairwise_intersection_ok(cone, join, x), (cone, join, x)
+        agree[result] += 1
+    assert min(agree.values()) > 500, agree
+
+
+def test_packed_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
+    # the cone and join families that verify_decomposition builds at n <= 6, N <= 12
+    packed, calls = srcomplex._intersection_ok, []
+
+    def checked(cone, join, x):
+        calls.append(len(cone) * len(join))
+        result = packed(cone, join, x)
+        assert result == _pairwise_intersection_ok(cone, join, x)
+        return result
+
+    monkeypatch.setattr(srcomplex, "_intersection_ok", checked)
+    decomposable = [c for c in sweep_compositions(6, 12) if c.k[0] >= 2]
+    assert len(decomposable) == 220
+    for c in decomposable:
+        assert verify_decomposition(c, srcomplex.facets_closed_form(c)).ok, c.k
+    assert len(calls) == 220 and max(calls) > 10_000
