@@ -77,14 +77,14 @@ class IntPoly(Record):
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = ONE
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:  # square only for a bit still to come
+                base = base * base
+        return ONE if result is None else result
 
 
 ZERO = IntPoly(())

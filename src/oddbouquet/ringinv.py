@@ -3,14 +3,19 @@
 The h-polynomial comes in two forms that must agree:
 
 * closed form: prod_j (1 + ... + t^j)^(r_j)  -  t * prod_j (1 + ... + t^(j-1))^(r_j),
+  taken one cycle at a time: cycle i multiplies the products by
+  1 + ... + t^(k_i) and 1 + ... + t^(k_i - 1), each a running window sum,
 * recursion over bouquets: shrink one non-triangle cycle by two edges, with
   h(bouquet) = t * h(shrunk) + h(cycle dropped), down to the base cases of a
-  single cycle (h = 1) and of all triangles (h = (1+t)^n - t).
+  single cycle (h = 1) and of all triangles (h = (1+t)^n - t, binomials),
+  each step a shift and an add.
 
 On top of h sit the Cohen-Macaulay type (n - 1 for n >= 2), the asymmetry
 aggregate e~ obtained from the reversed-minus-original h-vector divided by
 (1 - t), and the Gorenstein / almost Gorenstein classification: Gorenstein
-means symmetric h, almost Gorenstein means type - 1 = e~.
+means symmetric h, almost Gorenstein means type - 1 = e~.  All of it runs on
+coefficient lists, none of it on IntPoly's arithmetic, so a fault there
+cannot make the two forms agree; IntPoly is only the value returned.
 
 This module only computes.  Whether a classification matches the paper's
 characterization is decided in one place, ``certify.bouquet_report``.
@@ -18,31 +23,38 @@ characterization is decided in one place, ``certify.bouquet_report``.
 
 from __future__ import annotations
 
-from math import prod
+from itertools import accumulate, zip_longest
+from math import comb, prod
 
 from .composition import OddCycleComposition
-from .polyarith import IntPoly, ONE, T, exact_div_one_minus_t, q_int, reverse
+from .polyarith import IntPoly
 from .record import Record, _set
 
 
+def _times_q(p: list[int], m: int) -> list[int]:
+    """p * (1 + ... + t^m): coefficient i is the sum of p over the window i - m .. i,
+    a difference of two prefix sums."""
+    sums = list(accumulate(p + [0] * m))
+    return [a - b for a, b in zip(sums, [0] * (m + 1) + sums)]
+
+
 def h_closed_form(c: OddCycleComposition) -> IntPoly:
-    """Closed-form h-polynomial from the cycle counts."""
-    first = ONE
-    second = ONE
-    for j, rj in enumerate(c.r, start=1):
-        if rj:
-            first = first * q_int(j) ** rj
-            second = second * q_int(j - 1) ** rj
-    return first - T * second
+    """Closed-form h-polynomial from the half-lengths."""
+    first, second = [1], [1]
+    for ki in c.k:
+        first, second = _times_q(first, ki), _times_q(second, ki - 1)
+    for i, b in enumerate(second, start=1):
+        first[i] -= b
+    return IntPoly(first)
 
 
 def h_recursive(c: OddCycleComposition) -> IntPoly:
     """h-polynomial by the two-edge shrinking recursion, memoised on k
     multisets for the length of the call only."""
-    return _h_rec(tuple(sorted(c.k, reverse=True)), {})
+    return IntPoly(_h_rec(tuple(sorted(c.k, reverse=True)), {}))
 
 
-def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], IntPoly]) -> IntPoly:
+def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], list[int]]) -> list[int]:
     """Walk the chain of shrunk tuples down to a memoised or base case, then
     climb it back; only the dropped-cycle terms recurse, n levels deep at most."""
     chain = []
@@ -51,9 +63,10 @@ def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], IntPoly]) -> IntPoly
         ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
     h = memo.get(ks)
     if h is None:
-        h = memo[ks] = ONE if len(ks) == 1 else (ONE + T) ** len(ks) - T  # one cycle, all triangles
+        n = len(ks)  # one cycle: 1; all triangles: (1 + t)^n - t
+        h = memo[ks] = [1] if n == 1 else [comb(n, i) - (i == 1) for i in range(n + 1)]
     for link in reversed(chain):
-        h = memo[link] = T * h + _h_rec(link[1:], memo)
+        h = memo[link] = [a + b for a, b in zip_longest([0, *h], _h_rec(link[1:], memo), fillvalue=0)]
     return h
 
 
@@ -75,14 +88,12 @@ def e_tilde_from_h(h: IntPoly) -> tuple[int, tuple[int, ...]]:
     e~ is its coefficient sum.  Requires a genuine h-polynomial: constant
     term 1 and nonzero value at t = 1.
     """
-    if h.coeff(0) != 1 or h.evaluate(1) == 0:
+    hs = h.coeffs
+    if h.coeff(0) != 1 or not sum(hs):
         raise ValueError("not an h-polynomial")
-    s = h.degree
-    assert s is not None
-    diff = reverse(h, s) - h
-    h_prime = exact_div_one_minus_t(diff)
-    padded = tuple(h_prime.coeff(i) for i in range(s + 1))
-    return sum(padded), padded
+    # dividing by 1 - t takes partial sums: s + 1 of them, the last h(1) - h(1) = 0
+    h_prime = tuple(accumulate(a - b for a, b in zip(reversed(hs), hs)))
+    return sum(h_prime), h_prime
 
 
 def e_tilde_closed(c: OddCycleComposition) -> int:
@@ -125,16 +136,14 @@ def classify(c: OddCycleComposition) -> GorensteinReport:
     with its closed form) is left to ``certify.bouquet_report``.
     """
     h = h_closed_form(c)
-    s = h.degree
-    assert s is not None
     e_tilde, h_prime = e_tilde_from_h(h)
     typ = cm_type(c)
     return GorensteinReport(
         h=h,
-        s=s,
+        s=h.degree,
         cm_type=typ,
         e_tilde=e_tilde,
         h_prime=h_prime,
-        is_gorenstein=reverse(h, s) == h,
+        is_gorenstein=h.coeffs == h.coeffs[::-1],
         is_almost_gorenstein=typ - 1 == e_tilde,
     )

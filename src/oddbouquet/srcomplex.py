@@ -28,11 +28,10 @@ one cycle by two edges completes the module.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
 from math import comb
 from operator import or_
 
-from .composition import OddCycleComposition, bits, build_from_k, cycle_parts
+from .composition import OddCycleComposition, build_from_k, cycle_parts
 from .polyarith import IntPoly
 from .record import Record, _set
 
@@ -73,33 +72,46 @@ class FVector(Record):
         return len(self.counts) - 1
 
 
+def _drops(part: int) -> list[int]:
+    """part minus one edge, for each of its edges, the last edge dropped first."""
+    drops, rest = [], part
+    while rest:
+        low = rest & -rest
+        drops.append(part ^ low)
+        rest ^= low
+    drops.reverse()
+    return drops
+
+
 def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     """All facets, one family per pivot cycle j = 1..n.
 
     The family for pivot j consists of the unions
 
-        zeta_1 .. zeta_{j-1}  +  even parts of cycles 2..j
-        + odd parts of cycles j..n-1  +  omega_{j+1} .. omega_n
-        + odd part of cycle n  +  even part of cycle 1,
+        zeta_1 .. zeta_{j-1}  +  even parts of cycles 1..j
+        + odd parts of cycles j..n  +  omega_{j+1} .. omega_n,
 
     where zeta_i runs over the odd part of cycle i minus one edge and
     omega_i over the even part of cycle i minus one edge (empty for a
-    triangle).  The last line is shared by every facet.  Facets are emitted
-    pivot by pivot, dropped edges last to first, which is a shelling (see
-    shelling_h_vector).  Two families that share a facet raise ValueError.
+    triangle).  Facets are emitted pivot by pivot, dropped edges last to
+    first, which is a shelling (see shelling_h_vector).  The zeta choices
+    are a prefix product that grows by one cycle per pivot, the omega
+    choices suffix products built once from cycle n back, so each facet
+    is two ORs.  Two families that share a facet raise ValueError.
     """
-    n = c.n
-    parts = [cycle_parts(c, i) for i in range(1, n + 1)]
+    parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
+    suffixes = [[0]]  # suffixes[-1 - j]: the omega choices of pivot j + 1
+    for part in reversed(parts[1:]):
+        suffixes.append([d | s for d in _drops(part.even) for s in suffixes[-1]])
+    prefixes, evens, odds = [0], 0, reduce(or_, [p.odd for p in parts])
     facets: list[int] = []
-    for j in range(1, n + 1):
-        fixed = parts[0].even | parts[n - 1].odd
-        for i in range(2, j + 1):
-            fixed |= parts[i - 1].even
-        for i in range(j, n):
-            fixed |= parts[i - 1].odd
-        trimmed = [p.odd for p in parts[:j - 1]] + [p.even for p in parts[j:]]
-        choice_lists = [[part & ~(1 << v) for v in reversed(bits(part))] for part in trimmed]
-        facets += [reduce(or_, combo, fixed) for combo in product(*choice_lists)]
+    for j, (part, tails) in enumerate(zip(parts, reversed(suffixes))):
+        if j:
+            prefixes = [p | d for p in prefixes for d in _drops(parts[j - 1].odd)]
+            odds ^= parts[j - 1].odd
+        evens |= part.even
+        fixed = evens | odds
+        facets += [p | s | fixed for p in prefixes for s in tails]
     if len(set(facets)) != len(facets):
         raise ValueError("closed-form facet families overlap")
     return SimplicialComplex(ground_size=c.edge_count, facets=tuple(facets))

@@ -29,23 +29,27 @@ runs (_minkowski), and the recursion memoised on (variable, degree left,
 live supports).  Apart from the two facet searches and the
 degree memo, which take the bitmask supports, the references hold
 squarefree sets as frozensets and meet the bitmask results only at the
-comparison.
+comparison.  The h closed form, the recursion and e~ run on coefficient
+lists and are checked against the same steps in IntPoly arithmetic, which
+they must not call; the closed-form facets, built from prefix and suffix
+products of one-edge drops, against one reduce over a product tuple per facet.
 """
 
 import math
 import random
 import sys
 import types
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 
 from oddbouquet import srcomplex, toric
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import CycleParts, LabeledGraph, bits, build_from_k, cycle_parts, labeled_graph
-from oddbouquet.polyarith import ONE_MINUS_T, T, IntPoly
-from oddbouquet.ringinv import h_closed_form
+from oddbouquet.polyarith import ONE, ONE_MINUS_T, T, IntPoly, exact_div_one_minus_t, q_int, reverse
+from oddbouquet.ringinv import GorensteinReport, classify, cm_type, e_tilde_from_h, h_closed_form, h_recursive
 from oddbouquet.srcomplex import (
     DecompositionReport,
     FVector,
@@ -1503,3 +1507,141 @@ def test_packed_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypa
     for c in decomposable:
         assert verify_decomposition(c, srcomplex.facets_closed_form(c)).ok, c.k
     assert len(calls) == 220 and max(calls) > 10_000
+
+
+# ------------------------------------------------------------------ closed forms on coefficient lists
+
+def _poly_h_closed_form(c):
+    """The closed form as IntPoly products and powers, one power per cycle length."""
+    first = second = ONE
+    for j, rj in enumerate(c.r, start=1):
+        if rj:
+            first = first * q_int(j) ** rj
+            second = second * q_int(j - 1) ** rj
+    return first - T * second
+
+
+def _poly_h_rec(ks, memo):
+    """The recursion with t * h + h(dropped) and (1 + t)^n - t as IntPoly arithmetic."""
+    chain = []
+    while ks not in memo and len(ks) > 1 and ks[0] > 1:
+        chain.append(ks)
+        ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
+    h = memo.get(ks)
+    if h is None:
+        h = memo[ks] = ONE if len(ks) == 1 else (ONE + T) ** len(ks) - T
+    for link in reversed(chain):
+        h = memo[link] = T * h + _poly_h_rec(link[1:], memo)
+    return h
+
+
+def _poly_h_recursive(c):
+    return _poly_h_rec(tuple(sorted(c.k, reverse=True)), {})
+
+
+def _poly_e_tilde_from_h(h):
+    """e~ and h' with the reversal, the difference and the division as IntPoly operations."""
+    if h.coeff(0) != 1 or h.evaluate(1) == 0:
+        raise ValueError("not an h-polynomial")
+    s = h.degree
+    h_prime = exact_div_one_minus_t(reverse(h, s) - h)
+    padded = tuple(h_prime.coeff(i) for i in range(s + 1))
+    return sum(padded), padded
+
+
+def _poly_report(c):
+    """classify's report from the IntPoly references."""
+    h = _poly_h_closed_form(c)
+    e_tilde, h_prime = _poly_e_tilde_from_h(h)
+    return GorensteinReport(h=h, s=h.degree, cm_type=cm_type(c), e_tilde=e_tilde, h_prime=h_prime,
+                            is_gorenstein=reverse(h, h.degree) == h,
+                            is_almost_gorenstein=cm_type(c) - 1 == e_tilde)
+
+
+def _product_facets(c):
+    """The closed-form facets with one reduce over a product tuple per facet."""
+    n = c.n
+    parts = [cycle_parts(c, i) for i in range(1, n + 1)]
+    facets = []
+    for j in range(1, n + 1):
+        fixed = parts[0].even | parts[n - 1].odd
+        for i in range(2, j + 1):
+            fixed |= parts[i - 1].even
+        for i in range(j, n):
+            fixed |= parts[i - 1].odd
+        trimmed = [p.odd for p in parts[:j - 1]] + [p.even for p in parts[j:]]
+        choice_lists = [[part & ~(1 << v) for v in reversed(bits(part))] for part in trimmed]
+        facets += [reduce(or_, combo, fixed) for combo in product(*choice_lists)]
+    return tuple(facets)
+
+
+# every bouquet with n <= 7 and N <= 14, cycles in descending order and shuffled
+SWEEP_14 = sweep_compositions(7, 14)
+
+
+def _descending_and_shuffled():
+    rng = random.Random(2025)
+    for c in SWEEP_14:
+        shuffled = list(c.k)
+        rng.shuffle(shuffled)
+        yield c
+        yield build_from_k(shuffled)
+
+
+def test_closed_forms_match_intpoly_references_on_the_sweep():
+    assert len(SWEEP_14) == 432
+    shuffled = 0
+    for c in _descending_and_shuffled():
+        shuffled += list(c.k) != sorted(c.k, reverse=True)
+        rep = classify(c)
+        assert rep == _poly_report(c), c.k
+        assert h_recursive(c) == rep.h == _poly_h_recursive(c), c.k
+        assert srcomplex.facets_closed_form(c).facets == _product_facets(c), c.k
+    assert shuffled > 300
+
+
+def test_closed_form_matches_intpoly_on_random_half_lengths():
+    rng = random.Random(31)
+    for _ in range(300):
+        c = build_from_k([rng.randint(1, 30) for _ in range(rng.randint(1, 12))])
+        h = h_closed_form(c)
+        assert h == _poly_h_closed_form(c), c.k
+        assert e_tilde_from_h(h) == _poly_e_tilde_from_h(h), c.k
+
+
+def test_e_tilde_matches_intpoly_on_random_polynomials():
+    # anything with constant term 1 and h(1) != 0 is read; the rest raises
+    rng = random.Random(32)
+    kinds = {}
+    for _ in range(2000):
+        p = IntPoly.of(*[rng.randint(-3, 3) for _ in range(rng.randint(0, 7))])
+        outcomes = []
+        for read in (e_tilde_from_h, _poly_e_tilde_from_h):
+            try:
+                outcomes.append(read(p))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], p
+        kinds[type(outcomes[0])] = kinds.get(type(outcomes[0]), 0) + 1
+    assert min(kinds.values()) > 100 and len(kinds) == 2, kinds
+
+
+@pytest.mark.parametrize("k", [(200, 200), (600, 600)])
+def test_recursion_matches_intpoly_on_two_long_cycles(k):
+    c = build_from_k(k)
+    assert h_recursive(c) == _poly_h_recursive(c) == h_closed_form(c)
+
+
+def test_h_routes_use_no_intpoly_arithmetic(monkeypatch):
+    # the closed form and the recursion check each other, so neither may run
+    # on the kernel that a fault would share
+    cases = SWEEP_14[::7] + [build_from_k(k) for k in [(2, 30, 1), (12, 9, 9, 1, 1), (200, 200)]]
+    expected = [(_poly_h_closed_form(c), _poly_h_recursive(c), _poly_report(c)) for c in cases]
+
+    def arithmetic(*args):
+        raise AssertionError("IntPoly arithmetic called")
+
+    for name in ("__mul__", "__add__", "__sub__", "__pow__"):
+        monkeypatch.setattr(IntPoly, name, arithmetic)
+    for c, (h, h_rec, report) in zip(cases, expected):
+        assert (h_closed_form(c), h_recursive(c), classify(c)) == (h, h_rec, report), c.k

@@ -119,3 +119,18 @@ def test_pow():
     assert (T ** 0) == ONE
     with pytest.raises(ValueError):
         T ** -1
+
+
+def test_pow_makes_the_binary_method_products_alone(monkeypatch):
+    # n >= 1 takes bit_length - 1 squarings and popcount - 1 further products,
+    # so p ** 1 takes none and p ** 8 three
+    p = IntPoly.of(1, -2, 3)
+    powers = [ONE]
+    for _ in range(39):
+        powers.append(powers[-1] * p)
+    mul, calls = IntPoly.__mul__, []
+    monkeypatch.setattr(IntPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for n, expected in enumerate(powers):
+        calls.clear()
+        assert p ** n == expected, n
+        assert len(calls) == (n.bit_length() + n.bit_count() - 2 if n else 0), n

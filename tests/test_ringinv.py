@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from oddbouquet import ringinv
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import build_from_k, build_from_r
 from oddbouquet.polyarith import IntPoly, ONE, reverse
@@ -183,3 +184,13 @@ def test_classification_sweep():
         assert rep.is_gorenstein == (reverse(rep.h, rep.s) == rep.h), c.k
         if rep.is_gorenstein:
             assert rep.is_almost_gorenstein, c.k
+
+
+@pytest.mark.parametrize("coeffs, symmetric", [
+    ((1,), True), ((1, 2, 1), True), ((1, 2), False), ((1, 1, 2, 1), False), ((1, 2, 2, 3), False),
+])
+def test_gorenstein_flag_is_the_symmetry_of_h(monkeypatch, coeffs, symmetric):
+    # bouquet h-vectors end in 1, so these shapes also tell a test that skips
+    # an end coefficient or shifts the reversal from the symmetry itself
+    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly(coeffs))
+    assert classify(build_from_k([2, 1])).is_gorenstein is symmetric

@@ -104,8 +104,10 @@ def test_closed_form_families_never_overlap():
 
 
 def test_closed_form_overlap_raises(monkeypatch):
-    # emit every facet twice, as two overlapping families would
-    monkeypatch.setattr(srcomplex, "product", lambda *lists: list(product(*lists)) * 2)
+    # list every one-edge drop twice, so every facet comes out more than
+    # once, as from two overlapping families
+    drops = srcomplex._drops
+    monkeypatch.setattr(srcomplex, "_drops", lambda part: drops(part) * 2)
     with pytest.raises(ValueError, match="overlap"):
         facets_closed_form(build_from_k([2, 1]))
 
