@@ -7,8 +7,8 @@ bitmasks over that index, bit v set iff edge v is in.  Facets come in two ways:
 * a closed-form enumeration: for a pivot cycle j the facet keeps cycle j
   whole, drops exactly one odd-position edge from every earlier cycle and
   exactly one even-position edge from every later cycle;
-* a brute-force include/exclude search from the generators' supports,
-  pruned by two masks it carries down: the oracle up to ORACLE_CAP = 18 edges.
+* the complements of the minimal transversals of the generators' supports,
+  found by an MMCS search: the oracle up to ORACLE_CAP = 18 edges.
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
@@ -31,12 +31,15 @@ from functools import reduce
 from math import comb
 from operator import or_
 
-from .composition import OddCycleComposition, build_from_k, cycle_parts
+from .composition import OddCycleComposition, bits, build_from_k, cycle_parts
 from .polyarith import IntPoly
 from .record import Record, _set
 
 
-ORACLE_CAP = 18  # largest ground set facets_brute_force searches
+# The largest ground set facets_brute_force searches.  The search is bounded by its
+# output ((2^7): 35 edges, 2,059 facets, ~7 ms), but perfbench pins the name and the cap
+# (its traced layers, brutefacets' skip rule): raising it is a declared benchmark change.
+ORACLE_CAP = 18
 
 
 class SimplicialComplex(Record):
@@ -120,46 +123,43 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
 def facets_brute_force(supports: list[int], ground_size: int) -> SimplicialComplex:
     """Maximal subsets of the ground set containing none of the supports.
 
-    Exhaustive depth-first include/exclude search over the ground set, with
-    the supports of squarefree monomials as bitmasks.  Vertex v is included
-    unless that completes a support through v, and excluded only while some
-    support through v has no excluded element, since otherwise nothing could
-    block v.  A leaf is a face by construction and a facet iff every vertex
-    outside it is blocked, i.e. some support lies in the leaf plus that
-    vertex.  The search carries both tests down as masks: blocked holds
-    each u with s - inside = {u} for some support s (only the supports
-    through v change when v goes in), and live is the union of the supports
-    that meet no excluded vertex.  Each facet is reached by exactly one
-    path, and the facets come out in the order the search reaches them.
-    Only meant for small ground sets, hence ORACLE_CAP.
+    A subset avoids the supports iff what it leaves out meets each one, so
+    the facets are the complements of the minimal transversals, found once
+    each by MMCS (Murakami and Uno, Discrete Appl. Math. 2014) on bitmasks.
+    The search carries the chosen vertices, the candidates, the uncovered
+    supports and each chosen vertex's critical supports (met by no other),
+    branches on an uncovered support with the fewest candidates, gives each
+    tried vertex back to its later siblings and prunes once a chosen vertex
+    has no critical support.  A support past the ground set lies in no
+    subset of it and is dropped; the empty support has no candidates, so
+    no facets.  Small ground sets only, hence ORACLE_CAP.
     """
     if ground_size > ORACLE_CAP:
         raise ValueError("instance too large for oracle")
-    if 0 in supports:
-        # the monomial 1 lies in every set: no faces at all
-        return SimplicialComplex(ground_size=ground_size, facets=())
-    through = [[s for s in supports if s >> v & 1] for v in range(ground_size)]
+    ground = (1 << ground_size) - 1
+    edges = [s for s in supports if not s & ~ground]
+    hits = [0] * ground_size  # hits[v]: the indices of the supports through v
+    for i, s in enumerate(edges):
+        for v in bits(s):
+            hits[v] |= 1 << i
     facet_masks: list[int] = []
 
-    def search(v: int, inside: int, outside: int, blocked: int, live: int) -> None:
-        if v == ground_size:
-            if not outside & ~blocked:
-                facet_masks.append(inside)
+    def search(chosen: int, crits: list[int], cand: int, uncov: int) -> None:
+        if not uncov:
+            facet_masks.append(ground & ~chosen)
             return
-        bit = 1 << v
-        if not blocked & bit:
-            grown, grown_blocked = inside | bit, blocked
-            for s in through[v]:
-                rest = s & ~grown
-                if not rest & (rest - 1):
-                    grown_blocked |= rest
-            search(v + 1, grown, outside, grown_blocked, live)
-        if live & bit:
-            out = outside | bit
-            search(v + 1, inside, out, blocked, reduce(or_, [s for s in supports if not s & out], 0))
+        branch = min((edges[i] & cand for i in bits(uncov)), key=int.bit_count)
+        cand &= ~branch
+        while branch:
+            low = branch & -branch
+            hit = hits[low.bit_length() - 1]
+            kept = [crit & ~hit for crit in crits]
+            if all(kept):
+                search(chosen | low, kept + [hit & uncov], cand, uncov & ~hit)
+            cand |= low
+            branch ^= low
 
-    singles = [s for s in supports if not s & (s - 1)]
-    search(0, 0, 0, reduce(or_, singles, 0), reduce(or_, supports, 0))
+    search(0, [], ground, (1 << len(edges)) - 1)
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facet_masks))
 
 

@@ -1,9 +1,10 @@
 """Rewritten oracles and certificates against the straightforward code they replaced.
 
-facets_brute_force is a pruned include/exclude search that carries its
-pruning masks down, the edge subring Hilbert series is counted branch by
-branch at the hub (binomial counts of each hub path's degree runs, then
-one convolution of the runs' low ends and one of their high ends),
+facets_brute_force lists the complements of the supports' minimal
+transversals by an MMCS search, the edge subring Hilbert series is
+counted branch by branch at the hub (binomial counts of each hub path's
+degree runs, then one convolution of the runs' low ends and one of their
+high ends),
 s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
 per list and memoises each term's first divisor, found through runs of
 leads that share a variable,
@@ -12,7 +13,8 @@ complex, counted by a recursion over bitmask supports, h_from_f sums
 binomials, and the shelling check and the decomposition's intersection
 check test a set against a family packed into one int, a field per facet.
 The references here are the plain versions: a scan over all 2^E subsets
-and the search that tests the supports with any(...) at every node,
+and the include/exclude search that decides every edge on every path and
+tests the supports with any(...) at every node,
 breadth-first searches over whole-graph exponent tuples and over whole
 levels of whole-graph packed ints, the hub split of any graph at any
 vertex with each branch's vectors listed and a DP over degree masks,
@@ -280,30 +282,60 @@ def _traced(search, supports, ground_size):
     return facets, nodes
 
 
-def _same_search(supports, ground_size):
-    """The facet tuple and node count of the search, equal to the plain one's."""
-    traced = _traced(_brute_facets, supports, ground_size)
-    assert traced == _traced(_plain_facet_search, supports, ground_size), (supports, ground_size)
-    return traced
+def _same_facets(supports, ground_size):
+    """The search's node count, after checking that its facets have no
+    duplicates and, sorted, equal the plain search's."""
+    facets, nodes = _traced(_brute_facets, supports, ground_size)
+    assert len(set(facets)) == len(facets), (supports, ground_size)
+    assert sorted(facets) == sorted(_plain_facet_search(supports, ground_size)), (supports, ground_size)
+    return nodes
 
 
-def test_facet_search_matches_plain_search_in_order_every_order():
+def test_facet_search_matches_plain_search_every_order():
     for order in ORDERS:
         c = build_from_k(order)
-        _same_search(_plus_supports(c), c.edge_count)
+        _same_facets(_plus_supports(c), c.edge_count)
 
 
-def test_facet_search_matches_plain_search_in_order_on_the_sweep():
+def test_facet_search_matches_plain_search_on_the_sweep():
+    # 602 facets: the plain search decides all E edges on every path, while
+    # MMCS chooses only the n - 1 edges that a facet leaves out
     searchable = [c for c in sweep_compositions(5, 8) if c.edge_count <= srcomplex.ORACLE_CAP]
     assert len(searchable) == 44
-    assert sum(_same_search(_plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
+    assert sum(len(_brute_facets(_plus_supports(c), c.edge_count)) for c in searchable) == 602
+    assert sum(_same_facets(_plus_supports(c), c.edge_count) for c in searchable) == 856
+    assert sum(_traced(_plain_facet_search, _plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
 
 
-def test_facet_search_matches_plain_search_in_order_on_random_families():
+def test_facet_search_matches_plain_search_on_random_families():
     rng = random.Random(14)
     for _ in range(2000):
         ground_size = rng.randint(0, 10)
-        _same_search(_random_supports(rng, ground_size), ground_size)
+        _same_facets(_random_supports(rng, ground_size), ground_size)
+
+
+@pytest.mark.parametrize("supports, ground_size, facets", [
+    # a support past the ground set lies in no subset of it: dropped
+    ([0b1001], 3, [0b111]),
+    ([0b0011, 0b1100], 3, [0b101, 0b110]),
+    # a duplicate changes nothing, though both copies are critical to one vertex
+    ([0b011, 0b011], 3, [0b101, 0b110]),
+    ([0b011, 0b110, 0b011, 0b110], 3, [0b010, 0b101]),
+    # a singleton leaves its vertex out of every facet, and a support
+    # through it is met already
+    ([0b001, 0b100], 3, [0b010]),
+    ([0b001, 0b011], 3, [0b110]),
+    ([0b010, 0b011, 0b110], 3, [0b101]),
+    # the empty support of the monomial 1 lies in every set: no facets
+    ([0], 3, []),
+    ([0b100, 0], 2, []),
+    # no supports: the ground set is the one facet
+    ([], 4, [0b1111]),
+    ([0b10000], 4, [0b1111]),
+])
+def test_facet_search_edge_cases(supports, ground_size, facets):
+    assert sorted(_brute_facets(supports, ground_size)) == facets
+    assert {_members(f) for f in facets} == _scan_facets(supports, ground_size)
 
 
 def test_facet_search_empty_ground_and_constant_monomial():

@@ -34,8 +34,10 @@ from test_oracle_rewrites import (  # noqa: E402
     _full_level_series,
     _graph,
     _listing_hub_series,
+    _members,
     _minkowski_run_counts,
     _run_ends,
+    _scan_facets,
     dict_s_pair_reduces_to_zero,
 )
 
@@ -73,6 +75,24 @@ def test_cycle_counts_are_derived_from_k(k):
 def test_brute_facets_equal_closed_form(c):
     brute = facets_brute_force([g.plus.mask for g in generators(c)], c.edge_count)
     assert set(brute.facets) == set(facets_closed_form(c).facets)
+
+
+@st.composite
+def support_families(draw):
+    """A ground set of at most 10 vertices and up to 8 supports, some of
+    them reaching up to two vertices past it."""
+    ground_size = draw(st.integers(0, 10))
+    vertex_sets = st.frozensets(st.integers(0, ground_size + 1), max_size=4)
+    return [sum(1 << v for v in vs) for vs in draw(st.lists(vertex_sets, max_size=8))], ground_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_families())
+def test_brute_facets_equal_the_subset_scan(family):
+    supports, ground_size = family
+    facets = facets_brute_force(supports, ground_size).facets
+    assert len(set(facets)) == len(facets)
+    assert {_members(f) for f in facets} == _scan_facets(supports, ground_size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,7 +209,7 @@ def test_json_csv_and_table_rows_agree(table_rows, ks):
 # well under a second: sweeps up to 5/8, Hilbert degree up to 8, and
 # bouquets of at most 16 edges wherever the facets are listed.  Three inputs
 # still run for seconds or more, so none is drawn until a cost model
-# (ROADMAP item 2) rejects them up front:
+# (ROADMAP item 3) rejects them up front:
 # verify --max-n 1 --max-N 1 --hilbert-degree 99999999999999999999,
 # table --max-n 2 --max-N 99999999999999999999, and hvec --method complex on
 # 30 triangles.
