@@ -11,7 +11,7 @@ from .composition import (
     cycle_parts,
     labeled_graph,
 )
-from .polyarith import IntPoly, ONE, T, ZERO, exact_div_one_minus_t, q_int, reverse
+from .polyarith import IntPoly
 from .ringinv import (
     GorensteinReport,
     classify,
@@ -26,7 +26,6 @@ from .srcomplex import (
     DecompositionReport,
     FVector,
     SimplicialComplex,
-    f_from_h,
     f_vector,
     facets_brute_force,
     facets_closed_form,

@@ -14,8 +14,8 @@ On top of h sit the Cohen-Macaulay type (n - 1 for n >= 2), the asymmetry
 aggregate e~ obtained from the reversed-minus-original h-vector divided by
 (1 - t), and the Gorenstein / almost Gorenstein classification: Gorenstein
 means symmetric h, almost Gorenstein means type - 1 = e~.  All of it runs on
-coefficient lists, none of it on IntPoly's arithmetic, so a fault there
-cannot make the two forms agree; IntPoly is only the value returned.
+coefficient lists; IntPoly has no arithmetic and is only the value
+returned, so no shared polynomial kernel can make the two forms agree.
 
 This module only computes.  Whether a classification matches the paper's
 characterization is decided in one place, ``certify.bouquet_report``.

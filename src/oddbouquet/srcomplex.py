@@ -16,13 +16,11 @@ counts the facets whose restriction has i elements.  That check and the
 decomposition's intersection test pack a family into one int, E + 1 bits
 per set with a guard bit on top: S * ones & ~packed holds S minus each set,
 and adding all ones below the guards leaves the guard of an empty field
-clear.  Each restriction U_j <= F_j spans the interval of faces that F_j
-adds, which gives the f-vector back without listing faces.  The f-vector
-by subset enumeration and the f-to-h transform (the Hilbert series
-numerator of the face ring over (1-t)^d) are kept as the independent
-reference for that route; the Hilbert function read off h ties h to the
-ring's two Hilbert counters.  A structural decomposition check for growing
-one cycle by two edges completes the module.
+clear.  The f-vector by subset enumeration and the f-to-h transform (the
+Hilbert series numerator of the face ring over (1-t)^d) are kept as the
+independent reference for that route; the Hilbert function read off h ties
+h to the ring's two Hilbert counters.  A structural decomposition check
+for growing one cycle by two edges completes the module.
 """
 
 from __future__ import annotations
@@ -100,7 +98,8 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     first, which is a shelling (see shelling_h_vector).  The zeta choices
     are a prefix product that grows by one cycle per pivot, the omega
     choices suffix products built once from cycle n back, so each facet
-    is two ORs.  Two families that share a facet raise ValueError.
+    is two ORs.  Two families that share a facet raise ValueError, from
+    the SimplicialComplex constructor.
     """
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
     suffixes = [[0]]  # suffixes[-1 - j]: the omega choices of pivot j + 1
@@ -115,8 +114,6 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
         evens |= part.even
         fixed = evens | odds
         facets += [p | s | fixed for p in prefixes for s in tails]
-    if len(set(facets)) != len(facets):
-        raise ValueError("closed-form facet families overlap")
     return SimplicialComplex(ground_size=c.edge_count, facets=tuple(facets))
 
 
@@ -203,19 +200,6 @@ def shelling_h_vector(masks: list[int]) -> IntPoly:
 def h_by_complex(c: OddCycleComposition) -> IntPoly:
     """h-polynomial of the initial complex from the closed-form shelling."""
     return shelling_h_vector(facets_closed_form(c).facets)
-
-
-def f_from_h(h: IntPoly, d: int) -> FVector:
-    """Face counts of a shellable complex with facets of size d, from h.
-
-    A facet whose restriction has r elements adds the C(d - r, i - r) faces
-    of cardinality i between the restriction and the facet, and h_r counts
-    those facets, so f_i = sum_r h_r * C(d - r, i - r).
-    """
-    return FVector(counts=tuple(
-        sum(h.coeff(r) * comb(d - r, i - r) for r in range(i + 1))
-        for i in range(d + 1)
-    ))
 
 
 def hilbert_from_h(h: IntPoly, dim: int, d: int) -> int:

@@ -89,7 +89,7 @@ def test_hvec_json_round_trip(capsys):
 
 
 def test_hvec_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(ROUTES, "complex", lambda c: IntPoly.of(9))
+    monkeypatch.setitem(ROUTES, "complex", lambda c: IntPoly((9,)))
     code, out, _ = run(capsys, "hvec", "--r", "3", "--method", "all")
     assert code == 1
     assert "agree = false" in out
@@ -217,7 +217,7 @@ def test_verify_releases_each_bouquet_after_its_row(capsys, monkeypatch):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     # break one route: the matrix must flag h3way and exit 1 listing (k, check)
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((5,)))
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "2")
     assert code == 1
     assert "FAILURES:" in out
@@ -289,7 +289,7 @@ def test_route_raising_value_error_exits_1(capsys, monkeypatch, tmp_path, fault,
     # a closed form that is not an h-polynomial, or facets in an order that is
     # no shelling, is a mathematical disagreement: exit 1, never a traceback
     if fault == "closed form":
-        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly.of(9))
+        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly((9,)))
     else:
         monkeypatch.setattr(srcomplex, "facets_closed_form", _badly_ordered)
     if argv[0] == "table":
@@ -315,7 +315,7 @@ def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
     # it, every other cell as before, and the sweep goes on to the last row
     code, clean, _ = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
     assert code == 0
-    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly.of(9))
+    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly((9,)))
     code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
     assert (code, err) == (1, f"error: {_failure_count(out)} checks failed\n")
     rows, clean_rows = _verify_rows(out), _verify_rows(clean)
@@ -362,7 +362,7 @@ def test_verify_recursion_error_still_exits_2(capsys, monkeypatch):
 def test_verify_fvec_checks_the_degree(capsys, monkeypatch):
     # for one triangle V = E = 3; this h has h_0 = 1 and h_1 = E - V, but its
     # degree is above V, so no complex on 3-element facets has it
-    h = IntPoly.of(1, 0, 0, 0, 1)
+    h = IntPoly((1, 0, 0, 0, 1))
     c = build_from_k((1,))
     assert h.coeff(0) == 1 and h.coeff(1) == c.edge_count - c.vertex_count
     monkeypatch.setattr(certify, "shelling_h_vector", lambda facets: h)
@@ -530,7 +530,7 @@ def test_unwritable_stderr_keeps_the_exit_code(stderr, unbuffered):
 
 @pytest.mark.parametrize("stderr", [None, _ClosedPipe()])
 def test_unwritable_stderr_keeps_a_disagreement_exit_1(capsys, monkeypatch, stderr):
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(2))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((2,)))
     monkeypatch.setattr(sys, "stderr", stderr)
     code = main(["hvec", "--k", "2,1"])
     out = capsys.readouterr().out
@@ -619,7 +619,7 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
     code, out, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree\n")
     if fmt == "json":
@@ -682,7 +682,7 @@ def test_hvec_ignores_the_characterization(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_hvec_names_a_disagreement_in_every_format(capsys, monkeypatch, fmt):
     # the report goes out as usual, then one line on stderr says why the exit is 1
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
     code, out, err = run(capsys, "hvec", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree\n")
     assert out
@@ -694,7 +694,7 @@ def test_classify_names_each_fault_on_one_line(capsys, monkeypatch, fmt):
     _fail_characterization(monkeypatch)
     code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: the classification does not match the characterization\n")
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly.of(1, 5))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
     code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree; "
                               "the classification does not match the characterization\n")
@@ -707,7 +707,7 @@ def test_classify_names_each_fault_on_one_line(capsys, monkeypatch, fmt):
 def test_disagreement_line_comes_after_the_report(argv):
     # stdout and stderr into one pipe: the report is flushed before the error line
     code = ("import sys; from oddbouquet import certify, cli; from oddbouquet.polyarith import IntPoly;"
-            " certify.ROUTES['recursion'] = lambda c: IntPoly.of(1, 5);"
+            " certify.ROUTES['recursion'] = lambda c: IntPoly((1, 5));"
             " sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True, env=_env_buffered(), timeout=60)

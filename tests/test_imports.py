@@ -1,4 +1,5 @@
-"""Every module-level import in the package's modules is used there.
+"""Every module-level import in the package's modules is used there, and
+every public name they define is read outside its own definition.
 
 Parsed with ast, so no linter is needed.  __init__.py re-exports names
 without using them and is exempt, as is an import on a line marked
@@ -6,11 +7,13 @@ without using them and is exempt, as is an import on a line marked
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddbouquet"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oddbouquet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -81,3 +84,68 @@ def test_toric_imports_are_found():
                    "import oddbouquet.toric as t\n", "def f():\n    from oddbouquet.toric import generators\n"):
         assert imports_toric(source), source
     assert not imports_toric("from .composition import bits\nfrom .record import Record\n")
+
+
+def defined_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each public name a module-level def, class or assignment binds."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [(name, node) for name, node in out if not name.startswith("_")]
+
+
+def read_names(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """The names tree reads outside the subtree skip: loaded names, attributes
+    and from-imported names, and with strings every identifier in a string."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_names(sources: dict[str, str], outside: set[str]) -> list[str]:
+    """module.name for each public name defined in sources that no other
+    source reads, nor its own module outside its definition, nor outside."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {module: read_names(tree) for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(names for other, names in read.items() if other != module))
+        out += [f"{module}.{name}" for name, node in defined_names(tree)
+                if name not in elsewhere and name not in read_names(tree, skip=node)]
+    return out
+
+
+def test_every_public_name_is_read():
+    # a name that only tests read is dead weight in src/: the benchmark's
+    # tracer names its spans in strings, and the console script by its
+    # entry point in pyproject.toml
+    outside = set(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        outside |= read_names(ast.parse(path.read_text()), strings=True)
+    assert "main_entry" in outside and "edge_subring_hilbert" in outside
+    assert unread_names({p.stem: p.read_text() for p in MODULES}, outside) == []
+
+
+def test_unread_names_are_found():
+    sources = {
+        "a": "X = 1\nY: int = 2\n_P = 3\ndef f():\n    return f()\nclass C:\n    def m(self) -> 'C':\n        return C\n",
+        "b": "from a import Y\ndef g():\n    return g\nh = g\n",
+    }
+    assert unread_names(sources, outside={"h"}) == ["a.X", "a.f", "a.C"]
+    assert unread_names(sources, outside={"X", "f", "C", "h"}) == []

@@ -322,7 +322,7 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback(out_dir, argv):
 
 
 def _wrong_route(c):
-    return IntPoly.of(2)  # h_0 is 1 on every bouquet, so this h is never right
+    return IntPoly((2,))  # h_0 is 1 on every bouquet, so this h is never right
 
 
 @settings(max_examples=100, deadline=5000)

@@ -13,7 +13,7 @@ from oddbouquet.composition import (
     OddCycleComposition,
     build_from_k,
 )
-from oddbouquet.polyarith import ZERO, IntPoly
+from oddbouquet.polyarith import IntPoly
 from oddbouquet.record import Record
 from oddbouquet.ringinv import GorensteinReport, classify
 from oddbouquet.srcomplex import DecompositionReport, FVector, SimplicialComplex
@@ -101,7 +101,7 @@ def test_records_of_different_classes_are_unequal(first, second):
 
 
 def test_defaults():
-    assert IntPoly() == IntPoly(()) == ZERO
+    assert IntPoly() == IntPoly(())
     assert SweepRange(3, 5) == SweepRange(3, 5, 4)
     assert SweepRange(max_N=5, max_n=3).hilbert_degree == 4
 
@@ -125,7 +125,7 @@ def test_validation_still_raises(build, error):
 def test_int_poly_trims_on_construction():
     p = IntPoly([3, 0, 1, 0, 0])
     assert p.coeffs == (3, 0, 1)
-    assert IntPoly((0, 0)) == ZERO and IntPoly((0, 0)).coeffs == ()
+    assert IntPoly((0, 0)) == IntPoly(()) and IntPoly((0, 0)).coeffs == ()
     assert hash(IntPoly((1, 0))) == hash(IntPoly((1,)))
 
 
