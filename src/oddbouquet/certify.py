@@ -39,23 +39,22 @@ ROUTES = {
 
 
 def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
-    """All k-multisets (descending) with n <= max_n and N <= max_N."""
-    found: list[tuple[int, ...]] = []
+    """All descending k-tuples with n <= max_n and N <= max_N.
 
-    def extend(prefix: list[int], budget: int, cap: int) -> None:
-        if prefix:
-            found.append(tuple(prefix))
-        if len(prefix) == max_n:
+    They come in the order verify prints: by n, then by N, then by k
+    ascending.  A tuple's first part is at least its share of the sum, so
+    each first part tried leads to at least one tuple.
+    """
+    def descending(total: int, n: int, cap: int):
+        if n == 1:
+            yield (total,)
             return
-        top = min(cap, budget)
-        for v in range(top, 0, -1):
-            prefix.append(v)
-            extend(prefix, budget - v, v)
-            prefix.pop()
+        for v in range(-(-total // n), min(cap, total - n + 1) + 1):
+            for rest in descending(total - v, n - 1, v):
+                yield (v, *rest)
 
-    extend([], max_N, max_N)
-    found.sort(key=lambda ks: (len(ks), sum(ks), ks))
-    return [build_from_k(ks) for ks in found]
+    return [build_from_k(ks) for n in range(1, min(max_n, max_N) + 1)
+            for N in range(n, max_N + 1) for ks in descending(N, n, N)]
 
 
 def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:

@@ -12,15 +12,15 @@ bitmasks over that index, bit v set iff edge v is in.  Facets come in two ways:
 
 The h-vector comes from the order in which the closed form emits the
 facets: that order is checked to be a shelling on every call, and h_i
-counts the facets whose restriction has i elements.  That check and the
-decomposition's intersection test pack a family into one int, E + 1 bits
-per set with a guard bit on top: S * ones & ~packed holds S minus each set,
-and adding all ones below the guards leaves the guard of an empty field
-clear.  The f-vector by subset enumeration and the f-to-h transform (the
-Hilbert series numerator of the face ring over (1-t)^d) are kept as the
-independent reference for that route; the Hilbert function read off h ties
-h to the ring's two Hilbert counters.  A structural decomposition check
-for growing one cycle by two edges completes the module.
+counts the facets whose restriction has i elements.  That check packs the
+earlier facets into one int, E + 1 bits per facet with a guard bit on top:
+F * ones & ~packed holds F minus each earlier facet, and adding all ones
+below the guards leaves the guard of an empty field clear.  The f-vector
+by subset enumeration and the f-to-h transform (the Hilbert series
+numerator of the face ring over (1-t)^d) are kept as the independent
+reference for that route; the Hilbert function read off h ties h to the
+ring's two Hilbert counters.  A structural decomposition check for
+growing one cycle by two edges completes the module.
 """
 
 from __future__ import annotations
@@ -267,17 +267,17 @@ def _intersection_ok(cone: set[int], join: set[int], x: int) -> bool:
 
     Sets are bitmasks and x is an element.  With x in no b, each a & b lies
     in a - {x}; sets a - {x} of one size form an antichain, so they are the
-    maximal ones iff each is an a & b, that is iff each lies in some b, iff
-    e * ones & ~packed has an empty field, with the join packed once.
+    maximal ones iff each is an a & b, that is iff each e = a - {x} lies in
+    some b.  In a bouquet's families the b that holds e is e plus one
+    element, so e plus each element of the ground set is looked up in join
+    first, and join is scanned for a superset of e only when none hits.
     """
     xbit = 1 << x
     expected = {a & ~xbit for a in cone}
-    w = reduce(or_, cone | join, 0).bit_length() + 1
-    packed = sum(b << w * i for i, b in enumerate(join))
-    ones = sum(1 << w * i for i in range(len(join)))
-    fill, guard = ones * ((1 << w - 1) - 1), ones << w - 1
+    singles = [1 << v for v in bits(reduce(or_, cone | join, 0))]
     return (not reduce(or_, join, 0) & xbit and len({e.bit_count() for e in expected}) == 1
-            and all((e * ones & ~packed) + fill & guard != guard for e in expected))
+            and all(not join.isdisjoint(map(e.__or__, singles)) or any(not e & ~b for b in join)
+                    for e in expected))
 
 
 def verify_decomposition(c: OddCycleComposition, cx: SimplicialComplex) -> DecompositionReport:

@@ -10,8 +10,10 @@ per list and memoises each term's first divisor, found through runs of
 leads that share a variable,
 standard_monomial_series sums the face numbers of the Stanley-Reisner
 complex, counted by a recursion over bitmask supports, h_from_f sums
-binomials, and the shelling check and the decomposition's intersection
-check test a set against a family packed into one int, a field per facet.
+binomials, the shelling check tests a set against a family packed into
+one int, a field per facet, the decomposition's intersection check looks
+each set plus one element up in a set of facets, and sweep_compositions
+builds the descending k-tuples in the order verify prints them.
 The references here are the plain versions: a scan over all 2^E subsets
 and the include/exclude search that decides every edge on every path and
 tests the supports with any(...) at every node,
@@ -23,8 +25,9 @@ divisor by a scan of the basis in order, the
 unmemoised recursion over frozenset supports, the f-to-h transform by
 polynomial powers, the decomposition check by maximal pairwise
 intersections, and the per-pair loops that the packed checks replaced:
-_pairwise_shelling_h_vector lists every difference F_j - G, and
-_pairwise_intersection_ok makes one subset test per (a - {x}, b) pair.
+_pairwise_shelling_h_vector lists every difference F_j - G,
+_pairwise_intersection_ok makes one subset test per (a - {x}, b) pair,
+and _sorted_sweep lists every k-prefix and sorts the list.
 The two kernels the Hilbert series were summed by before are kept as
 references too: the DP over sets of reachable degrees that shifts whole
 runs (_minkowski), and the recursion memoised on (variable, degree left,
@@ -1356,12 +1359,27 @@ def test_decomposition_matches_maximal_sets():
         assert rep.ok and rep == _maximal_decomposition(c), c.k
 
 
+def _count_deciders(deciders, cone, join, x):
+    """Count the sets e = a - {x} that _intersection_ok tests against join, by what decides each.
+
+    "lookup": some b in join is e or e plus one element; "scan": only a b
+    with two or more elements beyond e holds e; "none": no b holds e.
+    """
+    xbit = 1 << x
+    expected = {a & ~xbit for a in cone}
+    if any(b & xbit for b in join) or len({e.bit_count() for e in expected}) != 1:
+        return
+    for e in expected:
+        extras = [(b & ~e).bit_count() for b in join if not e & ~b]
+        deciders["lookup" if extras and min(extras) <= 1 else "scan" if extras else "none"] += 1
+
+
 def test_intersection_subset_test_matches_maximal_sets_on_random_families():
     # for cone facets through x, the subset test holds iff the maximal
     # intersections are the cone facets minus x and those have one size
     rng = random.Random(5)
     x = 0
-    agree = {True: 0, False: 0}
+    agree, deciders = {True: 0, False: 0}, {"lookup": 0, "scan": 0, "none": 0}
     for _ in range(3000):
         size = rng.randint(1, 4)
         cone = {frozenset(rng.sample(range(1, 7), size - 1)) | {x}
@@ -1375,11 +1393,13 @@ def test_intersection_subset_test_matches_maximal_sets_on_random_families():
         expected = {a - {x} for a in cone}
         pairwise = {a & b for a in cone for b in join}
         reference = _maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
-        result = srcomplex._intersection_ok(
-            {sum(1 << v for v in a) for a in cone}, {sum(1 << v for v in b) for b in join}, x)
+        cone_masks, join_masks = {sum(1 << v for v in a) for a in cone}, {sum(1 << v for v in b) for b in join}
+        result = srcomplex._intersection_ok(cone_masks, join_masks, x)
         assert result == reference, (cone, join)
         agree[result] += 1
+        _count_deciders(deciders, cone_masks, join_masks, x)
     assert min(agree.values()) > 100
+    assert min(deciders.values()) > 100, deciders
 
 
 def _intersection_oks(c):
@@ -1450,7 +1470,7 @@ def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
     assert _intersection_oks(build_from_k(k)) == (False, False)
 
 
-# ------------------------------------------------------------------ packed shelling and intersection
+# ------------------------------------------------------------------ shelling and intersection checks
 
 def _pairwise_shelling_h_vector(masks):
     """The shelling check pair by pair: every difference F_j - G in a list."""
@@ -1550,10 +1570,10 @@ def test_packed_shelling_matches_pairs_on_random_families():
     assert len(kinds) == 4 and min(kinds.values()) > 200, kinds
 
 
-def test_packed_intersection_matches_pairs_on_random_families():
+def test_intersection_matches_pairs_on_random_families():
     # an empty join, x inside a join facet, and join facets of several sizes
     rng = random.Random(26)
-    agree = {True: 0, False: 0}
+    agree, deciders = {True: 0, False: 0}, {"lookup": 0, "scan": 0, "none": 0}
     for _ in range(5000):
         ground = rng.randint(1, 8)
         x = rng.randrange(ground)
@@ -1568,16 +1588,18 @@ def test_packed_intersection_matches_pairs_on_random_families():
         result = srcomplex._intersection_ok(cone, join, x)
         assert result == _pairwise_intersection_ok(cone, join, x), (cone, join, x)
         agree[result] += 1
+        _count_deciders(deciders, cone, join, x)
     assert min(agree.values()) > 500, agree
+    assert min(deciders.values()) > 100, deciders
 
 
-def test_packed_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
+def test_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
     # the cone and join families that verify_decomposition builds at n <= 6, N <= 12
-    packed, calls = srcomplex._intersection_ok, []
+    lookups, calls = srcomplex._intersection_ok, []
 
     def checked(cone, join, x):
         calls.append(len(cone) * len(join))
-        result = packed(cone, join, x)
+        result = lookups(cone, join, x)
         assert result == _pairwise_intersection_ok(cone, join, x)
         return result
 
@@ -1721,3 +1743,34 @@ def test_h_routes_use_no_intpoly_arithmetic():
     expected = [(_poly_h_closed_form(c), _poly_h_recursive(c), _poly_report(c)) for c in cases]
     for c, (h, h_rec, report) in zip(cases, expected):
         assert (h_closed_form(c), h_recursive(c), classify(c)) == (h, h_rec, report), c.k
+
+
+# ------------------------------------------------------------------ the sweep's order
+
+def _sorted_sweep(max_n, max_N):
+    """Every descending k-prefix within the budget, listed, then sorted by n, N and k."""
+    found = []
+
+    def extend(prefix, budget, cap):
+        if prefix:
+            found.append(tuple(prefix))
+        if len(prefix) == max_n:
+            return
+        for v in range(min(cap, budget), 0, -1):
+            prefix.append(v)
+            extend(prefix, budget - v, v)
+            prefix.pop()
+
+    extend([], max_N, max_N)
+    found.sort(key=lambda ks: (len(ks), sum(ks), ks))
+    return found
+
+
+def test_sweep_matches_the_sorted_prefixes():
+    sizes = set()
+    for max_n in range(10):
+        for max_N in range(19):
+            ks = [c.k for c in sweep_compositions(max_n, max_N)]
+            assert ks == _sorted_sweep(max_n, max_N), (max_n, max_N)
+            sizes.add(len(ks))
+    assert max(sizes) == 1409 and 0 in sizes
