@@ -10,7 +10,9 @@ variables over the flat edge index (see composition).
 Three cross-checks, deliberately independent of one another and of the
 closed-form facet enumeration, certify that claim at desk scale:
 
-* S-pair reduction of every generator pair down to zero, on monomials
+* Buchberger's test on every generator pair: a pair whose leading
+  monomials share no variable is settled by Buchberger's first criterion,
+  and every other S-pair must reduce to zero by division on monomials
   packed into ints (see s_pair_reduces_to_zero and _PackedBasis),
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
@@ -200,7 +202,21 @@ def s_pair_reduces_to_zero(
     basis: list[Binomial],
     max_steps: int = 10_000,
 ) -> bool:
-    """Divide the S-polynomial of f and g by the basis; True iff remainder is 0.
+    """True iff the S-polynomial of f and g is settled by Buchberger's first
+    criterion or divides by the basis to remainder 0.
+
+    The criterion settles the pair when f and g are both elements of the
+    basis (by identity or by value) and their leading monomials share no
+    variable: then S(f, g) = tail(g) f - tail(f) g is a standard
+    representation (Buchberger, EUROSAM 1979; Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 2, "Improvements on Buchberger's
+    Algorithm").  A settled pair takes no division step, so it returns True
+    even at max_steps=0; every other pair is divided.  A basis is a
+    Groebner basis iff every S-pair whose leads share a variable divides to
+    remainder 0, so the conjunction over all pairs of a basis is the same
+    with or without the criterion.  Only a single pair's answer can differ:
+    a coprime pair of a basis that is not a Groebner basis may leave a
+    nonzero remainder, and the criterion answers True for it.
 
     Division always rewrites the current leading term.  Each rewrite strictly
     decreases it in the monomial order, so the loop terminates; the step cap
@@ -209,7 +225,8 @@ def s_pair_reduces_to_zero(
 
     Monomials are packed ints (see _PackedBasis).  The basis is packed once and
     reused while the list compares equal to the packed copy; f and g are
-    looked up in it by identity, packed only when not members, and their
+    looked up in it by identity and packed only when not members (only the
+    criterion also looks a value-equal copy up in the list), and their
     start terms are read off the packed leads' bits (see
     _PackedBasis.start_terms).  Each term's first divisor is looked up by
     its support among the leads' variables and, only on a miss, searched
@@ -233,8 +250,11 @@ def s_pair_reduces_to_zero(
         fits = deg <= pb.deg and nvars <= pb.nvars
     if not fits:
         pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
-    lf, tf = pb.members.get(id(f)) or pb.lead_tail(f)
-    lg, tg = pb.members.get(id(g)) or pb.lead_tail(g)
+    mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
+    lf, tf = mf or pb.lead_tail(f)
+    lg, tg = mg or pb.lead_tail(g)
+    if not lf & lg & pb.low and (mf or f in basis) and (mg or g in basis):
+        return True  # coprime leads: Buchberger's first criterion
     a, b = pb.start_terms(lf, tf, lg, tg)
     if a < b:
         a, b = b, a

@@ -5,9 +5,10 @@ transversals by an MMCS search, the edge subring Hilbert series is
 counted branch by branch at the hub (binomial counts of each hub path's
 degree runs, then one convolution of the runs' low ends and one of their
 high ends),
-s_pair_reduces_to_zero divides packed-int monomials by a basis packed once
-per list and memoises each term's first divisor, found through runs of
-leads that share a variable,
+s_pair_reduces_to_zero settles a pair of basis elements whose leads share
+no variable by Buchberger's first criterion and divides every other pair,
+on packed-int monomials, by a basis packed once per list, memoising each
+term's first divisor, found through runs of leads that share a variable,
 standard_monomial_series sums the face numbers of the Stanley-Reisner
 complex, counted by a recursion over bitmask supports, h_from_f sums
 binomials, the shelling check tests a set against a family packed into
@@ -21,7 +22,9 @@ breadth-first searches over whole-graph exponent tuples and over whole
 levels of whole-graph packed ints, the hub split of any graph at any
 vertex with each branch's vectors listed and a DP over degree masks,
 division on dicts of exponent tuples in graded lex order and the first
-divisor by a scan of the basis in order, the
+divisor by a scan of the basis in order (a pair the criterion settles must
+be True at zero steps, and its S-polynomial, as -f with g, is divided by
+both; Buchberger's verdict over all pairs of a basis must be the dicts'), the
 unmemoised recursion over frozenset supports, the f-to-h transform by
 polynomial powers, the decomposition check by maximal pairwise
 intersections, and the per-pair loops that the packed checks replaced:
@@ -885,8 +888,30 @@ def _steps(fn, f, g, basis):
     return fn(f, g, basis, max_steps=lo), lo
 
 
+def _settled(f, g, basis):
+    """True iff Buchberger's first criterion settles the pair: f and g are
+    in the basis, by value, and their leading monomials share no variable."""
+    lf, lg = _lead(_as_poly(f)), _lead(_as_poly(g))
+    return f in basis and g in basis and not {i for i, _ in lf} & {i for i, _ in lg}
+
+
+def _negated(b):
+    """-b: the same lead and tail, so the same S-polynomials, but no member
+    of a basis that holds b and not -b."""
+    return Binomial(b.minus, b.plus)
+
+
 def assert_same_division(f, g, basis):
-    """Same result and same step count; raising at one step fewer for both."""
+    """For a pair the criterion settles: True at max_steps=0, returned as
+    (True, 0), and the division of the same S-polynomial, as -f with g,
+    checked as below unless -f is in the basis too.  For every other pair:
+    the same result and the same step count, and raising at one step fewer,
+    for both."""
+    if _settled(f, g, basis):
+        assert s_pair_reduces_to_zero(f, g, basis, max_steps=0) is True
+        if _negated(f) not in basis:
+            assert_same_division(_negated(f), g, basis)
+        return True, 0
     result, steps = _steps(dict_s_pair_reduces_to_zero, f, g, basis)
     assert s_pair_reduces_to_zero(f, g, basis, max_steps=steps) is result
     if steps:
@@ -910,18 +935,20 @@ def test_pair_orders_cover_the_bouquets():
 
 
 def test_packed_division_matches_dicts_every_pair_every_order():
-    total_steps = 0
+    total_steps = settled = 0
     for order in PAIR_ORDERS:
         basis = generators(build_from_k(order))
         for f, g in product(basis, repeat=2):
             result, steps = assert_same_division(f, g, basis)
             assert result, (order, f, g)
             total_steps += steps
+            settled += _settled(f, g, basis)
     assert total_steps > 0  # some pairs need division, not just the product criterion
+    assert settled > 0
 
 
 def test_packed_division_matches_dicts_incomplete_bases():
-    nonzero = 0
+    nonzero = settled = 0
     for order in PAIR_ORDERS:
         gens = generators(build_from_k(order))
         for drop in range(len(gens)):
@@ -929,7 +956,8 @@ def test_packed_division_matches_dicts_incomplete_bases():
             for f, g in combinations(gens, 2):  # f or g may be the dropped generator
                 result, _ = assert_same_division(f, g, basis)
                 nonzero += not result
-    assert nonzero > 0
+                settled += _settled(f, g, basis)
+    assert nonzero > 0 and settled > 0
 
 
 def test_packed_division_matches_dicts_on_the_worked_incomplete_basis():
@@ -955,7 +983,7 @@ def _meets_a_square(f, g, basis):
 def test_packed_division_matches_dicts_on_random_binomials():
     # non-homogeneous parts, f and g mostly outside the basis
     rng = random.Random(4)
-    nonzero = reducing = squares = 0
+    nonzero = reducing = squares = settled = 0
     for _ in range(300):
         nvars = rng.randint(1, 6)
         basis = [_random_binomial(rng, nvars) for _ in range(rng.randint(0, 5))]
@@ -964,18 +992,23 @@ def test_packed_division_matches_dicts_on_random_binomials():
         result, steps = assert_same_division(f, g, basis)
         nonzero += not result
         reducing += steps > 0
-        squares += _meets_a_square(f, g, basis)
-    assert nonzero > 0 and reducing > 0 and squares > 0
+        settled += _settled(f, g, basis)
+        walked = not _settled(f, g, basis) or _negated(f) not in basis  # settled: -f with g walked
+        squares += walked and _meets_a_square(f, g, basis)
+    assert nonzero > 0 and reducing > 0 and squares > 0 and settled > 0
 
 
 def test_packed_division_rewrites_a_squared_variable():
     # every part has degree 1, yet the walk meets x2^2: the S-polynomial is
     # x1 x2 - x0 x2, f takes x0 x2 to x2^2, h and g take x1 x2 to x1 x3 and
-    # x2 x3, and h divides x2^2 to x2 x3 as well, where the terms cancel
+    # x2 x3, and h divides x2^2 to x2 x3 as well, where the terms cancel.
+    # The leads x0 and x1 of f and g share no variable, so the criterion
+    # settles the pair; -f, no member, walks the same S-polynomial.
     f, h, g = (Binomial(_squarefree([i]), _squarefree([j])) for i, j in ((0, 2), (2, 3), (1, 2)))
-    assert assert_same_division(f, g, [f, h, g]) == (True, 4)
+    assert assert_same_division(f, g, [f, h, g]) == (True, 0)
+    assert assert_same_division(_negated(f), g, [f, h, g]) == (True, 4)
     leads = []
-    dict_s_pair_reduces_to_zero(f, g, [f, h, g], leads=leads)
+    dict_s_pair_reduces_to_zero(_negated(f), g, [f, h, g], leads=leads)
     assert leads == [((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (3, 1)), ((2, 2),)]
 
 
@@ -1048,8 +1081,57 @@ def test_division_matches_dicts_on_copies_of_members():
     assert assert_same_division(_copy(g01), _copy(g02), [g01, g02])[0] is False
 
 
+def _all_pairs(fn, basis):
+    """Buchberger's verdict: fn is True on every pair of distinct positions."""
+    return all(fn(f, g, basis) for f, g in combinations(basis, 2))
+
+
+def test_all_pairs_verdict_matches_dicts_every_order():
+    for order in PAIR_ORDERS:
+        basis = generators(build_from_k(order))
+        assert _all_pairs(s_pair_reduces_to_zero, basis) is _all_pairs(dict_s_pair_reduces_to_zero, basis) is True
+
+
+def test_all_pairs_verdict_matches_dicts_with_a_generator_dropped():
+    # every basis with one generator dropped, and with its elements copied:
+    # a copy of a member gets the member's answer, pair by pair, also where
+    # the criterion answers True and division leaves a nonzero remainder
+    failing = changed = 0
+    for order in PAIR_ORDERS:
+        gens = generators(build_from_k(order))
+        for drop in range(len(gens)):
+            basis = gens[:drop] + gens[drop + 1:]
+            verdict = _all_pairs(s_pair_reduces_to_zero, basis)
+            assert verdict is _all_pairs(dict_s_pair_reduces_to_zero, basis), (order, drop)
+            failing += not verdict
+            for f, g in combinations(basis, 2):
+                answer = s_pair_reduces_to_zero(f, g, basis)
+                assert s_pair_reduces_to_zero(_copy(f), _copy(g), basis) is answer
+                assert s_pair_reduces_to_zero(f, g, [*map(_copy, basis)]) is answer
+                changed += answer and not dict_s_pair_reduces_to_zero(f, g, basis)
+    assert failing > 0 and changed > 0
+
+
+def test_criterion_settles_a_pair_that_division_leaves_nonzero():
+    # (1, 1, 1, 1) without the generator of cycles 2 and 3 is no Groebner
+    # basis.  The leads of the generators of cycles 1, 2 and of cycles 3, 4
+    # lie on disjoint cycles, so their S-polynomial has a standard
+    # representation, but division by this basis leaves a nonzero remainder
+    gens = generators(build_from_k([1, 1, 1, 1]))
+    basis = gens[:3] + gens[4:]
+    f, g = gens[0], gens[5]
+    assert _settled(f, g, basis) and _steps(dict_s_pair_reduces_to_zero, f, g, basis) == (False, 2)
+    assert s_pair_reduces_to_zero(f, g, basis, max_steps=0) is True
+    assert s_pair_reduces_to_zero(g, f, basis, max_steps=0) is True
+    assert s_pair_reduces_to_zero(_copy(f), _copy(g), [*map(_copy, basis)], max_steps=0) is True
+    assert assert_same_division(_negated(f), g, basis) == (False, 2)
+    assert assert_same_division(f, g, basis[:-1]) == (False, 2)  # g is no member there
+    assert not _all_pairs(s_pair_reduces_to_zero, basis)
+
+
 def test_division_memo_matches_dicts_on_a_wide_basis():
-    # 28 generators on 18 edges: the memo is filled and read across all 378 pairs
+    # 28 generators on 18 edges: the memo is filled and read across all 378
+    # pairs, through -f with g for the pairs the criterion settles
     gens = generators(build_from_k((2, 2, 1, 1, 1, 1, 1, 1)))
     assert len(gens) == 28
     for f, g in combinations(gens, 2):

@@ -3,6 +3,7 @@
 import io
 import json
 import pickle
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from unittest.mock import patch
@@ -36,8 +37,11 @@ from test_oracle_rewrites import (  # noqa: E402
     _listing_hub_series,
     _members,
     _minkowski_run_counts,
+    _negated,
+    _random_binomial,
     _run_ends,
     _scan_facets,
+    _settled,
     dict_s_pair_reduces_to_zero,
 )
 
@@ -146,7 +150,29 @@ def test_packed_division_agrees_with_dicts(c, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
     basis = [g for g, kept in zip(gens, keep) if kept]  # full or incomplete
     for f, g in combinations(gens, 2):
-        assert s_pair_reduces_to_zero(f, g, basis) is dict_s_pair_reduces_to_zero(f, g, basis)
+        want = dict_s_pair_reduces_to_zero(f, g, basis)
+        if _settled(f, g, basis):  # by the criterion; -f with g is divided
+            assert s_pair_reduces_to_zero(f, g, basis) is True
+            assert s_pair_reduces_to_zero(_negated(f), g, basis) is want
+        else:
+            assert s_pair_reduces_to_zero(f, g, basis) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_all_pairs_verdict_agrees_with_dicts_on_random_binomials(nvars, size, seed):
+    # Buchberger's verdict on any binomial list, Groebner basis or not; pair
+    # by pair, the answer is the criterion's or the division's, also for a
+    # binomial outside the list
+    rng = random.Random(seed)
+    basis = [_random_binomial(rng, nvars) for _ in range(size)]
+    verdict = all(s_pair_reduces_to_zero(f, g, basis) for f, g in combinations(basis, 2))
+    assert verdict is all(dict_s_pair_reduces_to_zero(f, g, basis) for f, g in combinations(basis, 2))
+    pool = [*basis, _random_binomial(rng, nvars)]
+    for f in pool:
+        for g in pool:
+            want = _settled(f, g, basis) or dict_s_pair_reduces_to_zero(f, g, basis)
+            assert s_pair_reduces_to_zero(f, g, basis) is want
 
 
 TABLE_MAX_n, TABLE_MAX_N = 4, 6
