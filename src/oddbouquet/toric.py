@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import accumulate, chain, combinations
+from operator import is_, or_
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph, per_bouquet
 from .record import Record, _set
@@ -115,14 +117,16 @@ class _PackedBasis:
     of one f and g: no term of a reduction exceeds deg lcm(LT f, LT g).
     pack puts a monomial in one int: the degree on top, then one width-bit
     exponent field per variable with x_0 most significant, so int order is
-    grlex and + multiplies.  A field holds any exponent up to 2 deg, so every
+    grlex and + multiplies; fields[i] is exponent 1 in x_i's field, and pack
+    adds one per variable.  A field holds any exponent up to 2 deg, so every
     monomial of degree <= 2 deg that sums of packed ones make fits, squares
     included.  guard is the top bit of each exponent field: a divides b iff
     b - a sets none of them, and term + nonzero sets the guard bit of each
     variable in term.  basis is a copy of the list it was packed from;
     members maps each element's id to its packed (lead, tail), and holding
-    the copy keeps those ids from being reused.  first maps a term's key to
-    its first divisor in basis order, or None when no lead divides it.
+    the copy keeps those ids from being reused.  A value-equal list made of
+    other objects is taken over by rekey, which copies it and maps its ids
+    to the same packed divisors, so it is not packed again.
 
     The key is the term's support among the variables some lead uses: the
     guard bits of term + nonzero (guard - ones) that lie in used, the guard
@@ -138,13 +142,14 @@ class _PackedBasis:
     i < n make one run, whose leads share the odd part of cycle i."""
 
     __slots__ = ("basis", "deg", "nvars", "width", "top", "guard", "nonzero", "low",
-                 "used", "members", "runs", "first")
+                 "used", "members", "runs", "fields")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
         w = self.width
         self.top = w * nvars
-        ones = sum(1 << w * j for j in range(nvars))
+        self.fields = [1 << self.top - w * (i + 1) for i in range(nvars)]
+        ones = sum(self.fields)
         self.guard = ones << w - 1
         self.nonzero = self.guard - ones
         self.low = (1 << self.top) - 1
@@ -161,11 +166,20 @@ class _PackedBasis:
                 leads.append((vs, lm_tail))
             else:
                 self.runs.append((vs, [(vs, lm_tail)]))
-        self.first: dict[int, tuple[int, int] | None] = {}
+
+    def rekey(self, basis: list[Binomial]) -> None:
+        """Hold a copy of basis, equal to self.basis by value: its ids, the same divisors."""
+        self.basis = basis[:]
+        self.members = dict(zip(map(id, self.basis), (lm_tail for _, leads in self.runs for _, lm_tail in leads)))
 
     def pack(self, m: Monomial) -> int:
-        top, w = self.top, self.width
-        return (m.degree << top) + sum(1 << top - w * (i + 1) for i in bits(m.mask))
+        mask, fields = m.mask, self.fields
+        out = mask.bit_count() << self.top
+        while mask:
+            low = mask & -mask
+            out += fields[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def lead_tail(self, b: Binomial) -> tuple[int, int]:
         p, m = self.pack(b.plus), self.pack(b.minus)
@@ -193,7 +207,6 @@ class _PackedBasis:
 
 
 _PACKED = _PackedBasis((), 0, 0)
-_UNSEEN = object()
 
 
 def s_pair_reduces_to_zero(
@@ -223,16 +236,16 @@ def s_pair_reduces_to_zero(
     turns any violation of that into a diagnosable RuntimeError instead of a
     hang, distinct from a mere nonzero remainder.
 
-    Monomials are packed ints (see _PackedBasis).  The basis is packed once and
-    reused while the list compares equal to the packed copy; f and g are
-    looked up in it by identity and packed only when not members (only the
-    criterion also looks a value-equal copy up in the list), and their
-    start terms are read off the packed leads' bits (see
-    _PackedBasis.start_terms).  Each term's first divisor is looked up by
-    its support among the leads' variables and, only on a miss, searched
-    for through the runs of leads (see _PackedBasis).  The parts are
-    squarefree, but a rewrite can square a variable of a term, and the
-    packed ints hold any exponent up to the lcm's degree.
+    Monomials are packed ints (see _PackedBasis).  While f and g, by
+    identity, are members of a packed copy equal to the list, nothing is
+    set up.  Else the list is packed again if it differs by value or f or g
+    does not fit the fields, taken over if it is a value-equal copy made of
+    other objects (see _PackedBasis.rekey), and a non-member f or g is
+    packed (only the criterion also looks it up in the list by value).
+    Start terms come from the packed leads' bits, and each term's first
+    divisor from the runs of leads (_PackedBasis.start_terms, first_divisor).
+    The parts are squarefree, but a rewrite can square a variable of a
+    term, and the packed ints hold any exponent up to the lcm's degree.
 
     The S-polynomial of two binomials with unit coefficients is b - a, and
     a rewrite keeps the coefficient of the term it rewrites, so the walk
@@ -244,13 +257,14 @@ def s_pair_reduces_to_zero(
     pb = _PACKED
     if basis.__class__ is not list:
         basis = list(basis)
-    fits = pb.basis == basis
-    if fits and not (id(f) in pb.members and id(g) in pb.members):
-        deg, nvars = _bounds((f, g))
-        fits = deg <= pb.deg and nvars <= pb.nvars
-    if not fits:
-        pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
     mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
+    if mf is None or mg is None or pb.basis != basis:
+        deg, nvars = _bounds((f, g))
+        if pb.basis != basis or deg > pb.deg or nvars > pb.nvars:
+            pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
+        elif not all(map(is_, pb.basis, basis)):
+            pb.rekey(basis)
+        mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
     lf, tf = mf or pb.lead_tail(f)
     lg, tg = mg or pb.lead_tail(g)
     if not lf & lg & pb.low and (mf or f in basis) and (mg or g in basis):
@@ -258,12 +272,9 @@ def s_pair_reduces_to_zero(
     a, b = pb.start_terms(lf, tf, lg, tg)
     if a < b:
         a, b = b, a
-    used, nonzero, first, remainder, steps = pb.used, pb.nonzero, pb.first, False, 0
+    used, nonzero, first_divisor, remainder, steps = pb.used, pb.nonzero, pb.first_divisor, False, 0
     while a > b:  # a is the lead; the walk ends when the terms cancel or both are -1
-        key = (a + nonzero) & used
-        hit = first.get(key, _UNSEEN)
-        if hit is _UNSEEN:
-            hit = first[key] = pb.first_divisor(key)
+        hit = first_divisor((a + nonzero) & used)
         if hit is None:
             remainder = True
             a, b = b, -1
@@ -302,13 +313,16 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
     is the exact support of C(t - 1, i - 1) monomials of degree t >= 1, so
     HF(t) = sum_i f_i C(t - 1, i - 1), where f_i counts the size-i faces
     (Stanley-Reisner).  f_0..f_D, D = min(max degree, nvars), come from an
-    include/exclude recursion over the variables, memoised on (variable,
-    what each live support lacks as a bitmask).  A node counts the faces it
-    can still grow up to the size left, size = D - the variables included,
-    as one vector packed into an int, a w-bit field per size; a support that
-    lacks more variables than that lies in no face counted and leaves the
-    key, and a node met again with at most its size left reads a prefix of
-    its vector.  Once no support is live, binomials count the rest.
+    include/exclude recursion that branches only at the next live variable,
+    the lowest in some live support, memoised on (that variable, what each
+    live support lacks as a bitmask).  A node counts the faces it can still
+    grow up to the size left, size = D - the variables included, as one
+    vector packed into an int, a w-bit field per size; a support that lacks
+    more variables than that lies in no face counted and leaves the key,
+    and a node met again with at most its size left reads a prefix of its
+    vector.  The m free variables skipped on the way are one binomial power
+    (1 + x)^m.  A support past the nvars variables never completes and is
+    dropped, so it makes no variable live.
     """
     if not degrees or min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
@@ -317,25 +331,22 @@ def _standard_counts(c: OddCycleComposition, degrees: Sequence[int], supports: I
     memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
     def faces(idx: int, size: int, alive: tuple[int, ...]) -> int:
-        if not alive:
-            return sum(math.comb(nvars - idx, i) << w * i for i in range(size + 1))
-        if idx == nvars:
-            return 1
+        live = reduce(or_, alive, 0)
+        nxt = (live & -live).bit_length() - 1 if live else nvars
         full = (1 << w * (size + 1)) - 1
-        known, out = memo.get((idx, alive), (-1, 0))
-        if known >= size:
-            return out & full
-        bit = 1 << idx
-        kept = tuple(s for s in alive if not s & bit)
-        out = faces(idx + 1, size, kept)
-        if len(kept) == len(alive):  # idx is in no live support
-            out += out << w & full
-        elif size and bit not in alive:  # else variable idx completes a support
-            out += faces(idx + 1, size - 1, tuple(s & ~bit for s in alive if s & bit or s.bit_count() < size)) << w
-        memo[idx, alive] = size, out
-        return out
+        run = pow(1 + (1 << w), nxt - idx, full + 1)  # the faces of the free variables idx..nxt - 1
+        if not live:
+            return run
+        known, out = memo.get((nxt, alive), (-1, 0))
+        if known < size:
+            bit = 1 << nxt
+            out = faces(nxt + 1, size, tuple(s for s in alive if not s & bit))
+            if size and bit not in alive:  # else variable nxt completes a support
+                out += faces(nxt + 1, size - 1, tuple(s & ~bit for s in alive if s & bit or s.bit_count() < size)) << w
+            memo[nxt, alive] = size, out
+        return run * (out & full) & full
 
-    alive = tuple(s for s in supports if s.bit_count() <= top)
+    alive = tuple(s for s in supports if s.bit_count() <= top and not s >> nvars)
     packed = 0 if 0 in alive else faces(0, top, alive)
     f = [packed >> w * i & (1 << w) - 1 for i in range(top + 1)]
     return [sum(fi * math.comb(t - 1, i - 1) for i, fi in enumerate(f) if i) if t else f[0] for t in degrees]

@@ -7,10 +7,11 @@ degree runs, then one convolution of the runs' low ends and one of their
 high ends),
 s_pair_reduces_to_zero settles a pair of basis elements whose leads share
 no variable by Buchberger's first criterion and divides every other pair,
-on packed-int monomials, by a basis packed once per list, memoising each
-term's first divisor, found through runs of leads that share a variable,
+on packed-int monomials, by a basis packed once per list, finding each
+term's first divisor through runs of leads that share a variable,
 standard_monomial_series sums the face numbers of the Stanley-Reisner
-complex, counted by a recursion over bitmask supports, h_from_f sums
+complex, counted by a recursion over bitmask supports that branches only
+at live variables, h_from_f sums
 binomials, the shelling check tests a set against a family packed into
 one int, a field per facet, the decomposition's intersection check looks
 each set plus one element up in a set of facets, and sweep_compositions
@@ -313,21 +314,26 @@ def _brute_facets(supports, ground_size):
     return facets_brute_force(supports, ground_size).facets
 
 
-def _traced(search, supports, ground_size):
-    """The facet tuple search returns and the number of calls it makes to
-    its nested function named search, one per node of its search tree."""
-    nodes = 0
+def _calls(name, fn, *args):
+    """fn(*args) and the number of calls it makes to functions named name."""
+    calls = 0
 
     def tally(frame, event, arg):
-        nonlocal nodes
-        nodes += event == "call" and frame.f_code.co_name == "search"
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == name
 
     sys.setprofile(tally)
     try:
-        facets = search(supports, ground_size)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
-    return facets, nodes
+    return result, calls
+
+
+def _traced(search, supports, ground_size):
+    """The facet tuple search returns and the number of calls it makes to
+    its nested function named search, one per node of its search tree."""
+    return _calls("search", search, supports, ground_size)
 
 
 def _same_facets(supports, ground_size):
@@ -1129,24 +1135,30 @@ def test_criterion_settles_a_pair_that_division_leaves_nonzero():
     assert not _all_pairs(s_pair_reduces_to_zero, basis)
 
 
-def test_division_memo_matches_dicts_on_a_wide_basis():
-    # 28 generators on 18 edges: the memo is filled and read across all 378
-    # pairs, through -f with g for the pairs the criterion settles
+def _key(pb, m):
+    """The first-divisor key of the monomial m in the packed basis pb."""
+    return (pb.pack(m) + pb.nonzero) & pb.used
+
+
+def test_division_matches_dicts_on_a_wide_basis():
+    # 28 generators on 18 edges: one packed basis serves all 378 pairs,
+    # through -f with g for the pairs the criterion settles
     gens = generators(build_from_k((2, 2, 1, 1, 1, 1, 1, 1)))
     assert len(gens) == 28
     for f, g in combinations(gens, 2):
         assert assert_same_division(f, g, gens)[0]
-    # with one generator dropped, some terms have no divisor: the memo keeps
-    # None for them and some S-pairs leave a nonzero remainder
+    # with one generator dropped, some terms have no divisor: the dropped
+    # lead is one, and some S-pairs leave a nonzero remainder
     basis = gens[1:]
     nonzero = sum(not assert_same_division(f, g, basis)[0] for f, g in combinations(gens, 2))
     assert nonzero > 0
-    assert toric._PACKED.basis == basis and None in toric._PACKED.first.values()
+    pb = toric._PACKED
+    assert pb.basis == basis and pb.first_divisor(_key(pb, gens[0].plus)) is None
 
 
-def test_division_memo_key_ignores_fields_no_lead_uses():
-    # x4 is in no lead, so x0 x1 and x0 x1 x4 share one memo entry, whose
-    # divisor h1 serves both; with the unused field in the key they would
+def test_division_key_ignores_fields_no_lead_uses():
+    # x4 is in no lead, so x0 x1 and x0 x1 x4 have one key, and the divisor
+    # h1 is found for both; with the unused field in the key they would
     # not.  Each S-polynomial is t - q with q what h1 turns t into.
     h1 = Binomial(_squarefree([0, 1]), _squarefree([5, 6]))
     h2 = Binomial(_squarefree([2]), _squarefree([5]))
@@ -1160,9 +1172,35 @@ def test_division_memo_key_ignores_fields_no_lead_uses():
         assert assert_same_division(f, g, basis) == (True, 1)
         assert assert_same_division(g, f, basis) == (True, 1)
         assert toric._PACKED is pb
+    keys = [_key(pb, f.plus) for f, _ in pairs]
+    assert keys[0] == keys[1]
+    assert [pb.first_divisor(key) for key in keys] == [pb.lead_tail(h1)] * 2
     terms = [pb.pack(f.plus) for f, _ in pairs]
-    assert pb.first == {(terms[0] + pb.nonzero) & pb.used: pb.lead_tail(h1)}
     assert (terms[0] + pb.nonzero) & pb.guard != (terms[1] + pb.nonzero) & pb.guard
+
+
+def test_division_rekeys_a_value_equal_copy_of_the_basis(monkeypatch):
+    # a rebuilt generator list equals the packed one by value but is made of
+    # other objects: its ids take over the packed divisors, so no monomial
+    # is packed again, and every pair of the copy is a pair of members
+    c = build_from_k((2, 2, 1, 1, 1, 1, 1, 1))
+    gens = generators(c)
+    assert s_pair_reduces_to_zero(gens[0], gens[1], gens)
+    pb = toric._PACKED
+    packed = []
+    pack = _PackedBasis.pack
+
+    def counted(self, m):
+        packed.append(m)
+        return pack(self, m)
+
+    monkeypatch.setattr(_PackedBasis, "pack", counted)
+    fresh = generators(build_from_k(c.k))
+    assert fresh == gens and not any(f is g for f, g in zip(fresh, gens))
+    for f, g in combinations(fresh, 2):
+        assert s_pair_reduces_to_zero(f, g, fresh) is dict_s_pair_reduces_to_zero(f, g, fresh)
+    assert packed == []
+    assert toric._PACKED is pb and all(a is b for a, b in zip(pb.basis, fresh)) and pb.basis is not fresh
 
 
 def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():
@@ -1352,6 +1390,50 @@ def test_face_counts_match_the_degree_memo_on_every_order_of_the_sweep():
             assert _standard_counts(c, range(V + 1), supports) == expected, order
             for d in range(V + 1):
                 assert _standard_counts(c, [d], supports) == expected[d:d + 1], (order, d)
+
+
+def test_face_counts_branch_only_at_live_variables():
+    # the DP branches at the lowest variable of a live support and takes the
+    # free variables before it as one binomial power: 424 calls of faces
+    # over the 59 bouquets of the 5/8 sweep at d = 4, where a step through
+    # every variable made 909
+    sweep = sweep_compositions(5, 8)
+    assert len(sweep) == 59
+    assert sum(_calls("faces", standard_monomial_count, c, 4)[1] for c in sweep) == 424
+
+
+@pytest.mark.parametrize("k, supports", [
+    ((4,), [0b110000, 0b1100000]),  # free runs at the start and at the end
+    ((4,), [0b11, 0b110000000]),  # a free run in the middle
+    ((4,), [0b100000001, 0b100]),  # the first and last variables, and a one-element support
+    ((2, 2), [0b100, 0b11 << 11]),  # a support past the ground set makes no variable live
+    ((2, 2), [0b11000 | 1 << 10, 0b10100]),  # one reaching past it from inside the ground set
+    ((2, 2), [1 << 12, 1 << 10]),  # only supports past it: every variable is free
+    ((3, 1), [0b101, 0b1010, 0b10100000, 0b1000000]),  # live runs broken by free ones
+])
+def test_face_counts_with_free_runs_match_the_degree_memo(k, supports):
+    c = build_from_k(k)
+    nvars, V = c.edge_count, c.vertex_count
+    expected = _degree_memo_counts(nvars, range(V + 1), supports)
+    for d in range(V + 1):
+        assert _standard_counts(c, range(d + 1), supports) == expected[:d + 1], d
+        assert _standard_counts(c, [d], supports) == expected[d:d + 1], d
+
+
+def test_face_counts_with_free_runs_match_the_degree_memo_on_random_windows():
+    # supports drawn from a window of the variables, so that free runs lie
+    # before it, after it or both, and now and then past the ground set
+    rng = random.Random(30)
+    for _ in range(200):
+        c = build_from_k(rng.choice([(2,), (1, 1), (3, 1), (2, 2), (1, 1, 1)]))
+        nvars, V = c.edge_count, c.vertex_count
+        lo = rng.randint(0, nvars - 1)
+        hi = rng.randint(lo + 1, nvars + 2)
+        window = range(lo, hi)
+        supports = [sum(1 << v for v in rng.sample(window, rng.randint(1, min(3, len(window)))))
+                    for _ in range(rng.randint(1, 4))]
+        expected = _degree_memo_counts(nvars, range(V + 1), supports)
+        assert _standard_counts(c, range(V + 1), supports) == expected, (c.k, supports)
 
 
 def test_face_counts_match_the_degree_memo_on_random_families():
