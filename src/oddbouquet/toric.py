@@ -124,9 +124,7 @@ class _PackedBasis:
     b - a sets none of them, and term + nonzero sets the guard bit of each
     variable in term.  basis is a copy of the list it was packed from;
     members maps each element's id to its packed (lead, tail), and holding
-    the copy keeps those ids from being reused.  A value-equal list made of
-    other objects is taken over by rekey, which copies it and maps its ids
-    to the same packed divisors, so it is not packed again.
+    the copy keeps those ids from being reused.
 
     The key is the term's support among the variables some lead uses: the
     guard bits of term + nonzero (guard - ones) that lie in used, the guard
@@ -166,11 +164,6 @@ class _PackedBasis:
                 leads.append((vs, lm_tail))
             else:
                 self.runs.append((vs, [(vs, lm_tail)]))
-
-    def rekey(self, basis: list[Binomial]) -> None:
-        """Hold a copy of basis, equal to self.basis by value: its ids, the same divisors."""
-        self.basis = basis[:]
-        self.members = dict(zip(map(id, self.basis), (lm_tail for _, leads in self.runs for _, lm_tail in leads)))
 
     def pack(self, m: Monomial) -> int:
         mask, fields = m.mask, self.fields
@@ -238,10 +231,10 @@ def s_pair_reduces_to_zero(
 
     Monomials are packed ints (see _PackedBasis).  While f and g, by
     identity, are members of a packed copy equal to the list, nothing is
-    set up.  Else the list is packed again if it differs by value or f or g
-    does not fit the fields, taken over if it is a value-equal copy made of
-    other objects (see _PackedBasis.rekey), and a non-member f or g is
-    packed (only the criterion also looks it up in the list by value).
+    set up.  Else the list is packed again if it is not made of the same
+    objects as the packed copy or f or g does not fit the fields, and a
+    non-member f or g is packed (only the criterion also looks it up in the
+    list by value).
     Start terms come from the packed leads' bits, and each term's first
     divisor from the runs of leads (_PackedBasis.start_terms, first_divisor).
     The parts are squarefree, but a rewrite can square a variable of a
@@ -260,11 +253,10 @@ def s_pair_reduces_to_zero(
     mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
     if mf is None or mg is None or pb.basis != basis:
         deg, nvars = _bounds((f, g))
-        if pb.basis != basis or deg > pb.deg or nvars > pb.nvars:
+        same = len(pb.basis) == len(basis) and all(map(is_, pb.basis, basis))
+        if not same or deg > pb.deg or nvars > pb.nvars:
             pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
-        elif not all(map(is_, pb.basis, basis)):
-            pb.rekey(basis)
-        mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
+            mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
     lf, tf = mf or pb.lead_tail(f)
     lg, tg = mg or pb.lead_tail(g)
     if not lf & lg & pb.low and (mf or f in basis) and (mg or g in basis):

@@ -1179,28 +1179,34 @@ def test_division_key_ignores_fields_no_lead_uses():
     assert (terms[0] + pb.nonzero) & pb.guard != (terms[1] + pb.nonzero) & pb.guard
 
 
-def test_division_rekeys_a_value_equal_copy_of_the_basis(monkeypatch):
+def test_division_packs_a_value_equal_copy_of_the_basis_once(monkeypatch):
     # a rebuilt generator list equals the packed one by value but is made of
-    # other objects: its ids take over the packed divisors, so no monomial
-    # is packed again, and every pair of the copy is a pair of members
+    # other objects: it is packed once, on its first pair, and every later
+    # pair is a pair of members, so no f or g is packed on its own
     c = build_from_k((2, 2, 1, 1, 1, 1, 1, 1))
     gens = generators(c)
     assert s_pair_reduces_to_zero(gens[0], gens[1], gens)
-    pb = toric._PACKED
-    packed = []
-    pack = _PackedBasis.pack
+    packings = []
+    packed = _PackedBasis
 
-    def counted(self, m):
-        packed.append(m)
-        return pack(self, m)
+    def counted(basis, *bounds):
+        packings.append(basis)
+        return packed(basis, *bounds)
 
-    monkeypatch.setattr(_PackedBasis, "pack", counted)
+    monkeypatch.setattr(toric, "_PackedBasis", counted)
     fresh = generators(build_from_k(c.k))
     assert fresh == gens and not any(f is g for f, g in zip(fresh, gens))
-    for f, g in combinations(fresh, 2):
+    pairs = list(combinations(fresh, 2))
+    assert s_pair_reduces_to_zero(*pairs[0], fresh) is dict_s_pair_reduces_to_zero(*pairs[0], fresh)
+    assert len(packings) <= 1
+    pb = toric._PACKED
+    assert all(a is b for a, b in zip(pb.basis, fresh)) and pb.basis is not fresh
+    calls = []
+    pack = _PackedBasis.pack
+    monkeypatch.setattr(_PackedBasis, "pack", lambda self, m: calls.append(m) or pack(self, m))
+    for f, g in pairs:
         assert s_pair_reduces_to_zero(f, g, fresh) is dict_s_pair_reduces_to_zero(f, g, fresh)
-    assert packed == []
-    assert toric._PACKED is pb and all(a is b for a, b in zip(pb.basis, fresh)) and pb.basis is not fresh
+    assert len(packings) <= 1 and calls == [] and toric._PACKED is pb
 
 
 def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():
@@ -1420,32 +1426,22 @@ def test_face_counts_with_free_runs_match_the_degree_memo(k, supports):
         assert _standard_counts(c, [d], supports) == expected[d:d + 1], d
 
 
-def test_face_counts_with_free_runs_match_the_degree_memo_on_random_windows():
-    # supports drawn from a window of the variables, so that free runs lie
-    # before it, after it or both, and now and then past the ground set
-    rng = random.Random(30)
-    for _ in range(200):
-        c = build_from_k(rng.choice([(2,), (1, 1), (3, 1), (2, 2), (1, 1, 1)]))
-        nvars, V = c.edge_count, c.vertex_count
-        lo = rng.randint(0, nvars - 1)
-        hi = rng.randint(lo + 1, nvars + 2)
-        window = range(lo, hi)
-        supports = [sum(1 << v for v in rng.sample(window, rng.randint(1, min(3, len(window)))))
-                    for _ in range(rng.randint(1, 4))]
-        expected = _degree_memo_counts(nvars, range(V + 1), supports)
-        assert _standard_counts(c, range(V + 1), supports) == expected, (c.k, supports)
-
-
 def test_face_counts_match_the_degree_memo_on_random_families():
     # one-element supports, supports longer than the degree, supports on two
     # variables past the ground set, the monomial 1 (support 0) and the
-    # empty family
+    # empty family; from trial 300 on, supports are drawn from a random
+    # window of those variables, so that free runs lie before it, after it
+    # or both
     rng = random.Random(22)
-    for trial in range(300):
+    for trial in range(500):
         c = build_from_k(rng.choice([(1,), (2,), (1, 1), (2, 1), (3, 1), (1, 1, 1)]))
         nvars, V = c.edge_count, c.vertex_count
+        window = range(nvars + 2)
+        if trial >= 300:
+            lo = rng.randint(0, nvars - 1)
+            window = range(lo, rng.randint(lo + 1, nvars + 2))
         sizes = [rng.choice((1, 1, 2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 6) if trial else 0)]
-        supports = [sum(1 << v for v in rng.sample(range(nvars + 2), min(size, nvars))) for size in sizes]
+        supports = [sum(1 << v for v in rng.sample(window, min(size, nvars, len(window)))) for size in sizes]
         if rng.random() < 0.05:
             supports.append(0)
         rng.shuffle(supports)
