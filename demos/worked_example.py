@@ -55,8 +55,8 @@ def main():
         "shelling": shelling_h_vector(cx.facets),
     }
     for name, h in routes.items():
-        print(f"  {name:<18} {h.coeffs}")
-    assert len({h.coeffs for h in routes.values()}) == 1
+        print(f"  {name:<18} {h}")
+    assert len(set(routes.values())) == 1
     print("  (shelling: facets in emitted order; h_i counts the facets whose")
     print("   restriction, the smallest new face the facet adds, has i elements)")
 

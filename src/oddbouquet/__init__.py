@@ -11,7 +11,6 @@ from .composition import (
     cycle_parts,
     labeled_graph,
 )
-from .polyarith import IntPoly
 from .ringinv import (
     GorensteinReport,
     classify,

@@ -72,21 +72,21 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
         "r": list(c.r),
         "n": c.n,
         "N": c.N,
-        "h": list(rep.h.coeffs),
+        "h": list(rep.h),
         "s": rep.s,
         "facets": multiplicity(c),
         "type": rep.cm_type,
         "e_tilde": rep.e_tilde,
         "gorenstein": rep.is_gorenstein,
         "almost_gorenstein": rep.is_almost_gorenstein,
-        "methods_agree": len({h.coeffs for h in hs.values()}) == 1,
+        "methods_agree": len(set(hs.values())) == 1,
     }
     n = c.n
     ok = (
         rep.is_almost_gorenstein == (n <= 2 or c.N == n)
         and (n < 3 or rep.e_tilde == e_tilde_closed(c))
         and rep.is_gorenstein == (n <= 2)
-        and (n < 2 or (rep.h.coeff(1) == n - 1 and rep.s == c.N))
+        and (n < 2 or (sum(rep.h[1:2]) == n - 1 and rep.s == c.N))
     )
     return payload, hs, ok
 
@@ -117,14 +117,15 @@ def verify_composition(c: OddCycleComposition, rng) -> dict[str, str]:
     V, E = c.vertex_count, c.edge_count
 
     def facets() -> bool:
-        count_ok = len(cx().facets) == report()[0]["facets"] == report()[1]["formula"].evaluate(1)
+        count_ok = len(cx().facets) == report()[0]["facets"] == sum(report()[1]["formula"])
         return count_ok and all(f.bit_count() == V for f in cx().facets)
 
     def fvec() -> bool:
-        # f_0 = 1 and f_1 = E, i.e. h_0 = 1 and h_1 = E - V; deg h <= V is
-        # exactly what makes the f <-> h transform invertible
+        # f_0 = 1 and f_1 = E, i.e. h_0 = 1 and h_1 = E - V (0 on one cycle,
+        # where h = (1,)); deg h <= V is exactly what makes the f <-> h
+        # transform invertible
         h = h_cx()
-        return h.coeff(0) == 1 and h.coeff(1) == E - V and h.degree <= V
+        return h[:1] == (1,) and sum(h[1:2]) == E - V and len(h) <= V + 1
 
     def initial() -> bool:
         pair_degrees = [c.k[i] + c.k[j] + 1 for i, j in combinations(range(c.n), 2)]

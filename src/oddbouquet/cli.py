@@ -118,7 +118,7 @@ def cmd_hvec(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     payload, hs, _ = bouquet_report(c, ROUTES if args.method == "all" else [args.method])
     agree = payload["methods_agree"]
-    lines = [f"h[{name}] = {_fmt_ints(h.coeffs)}" for name, h in hs.items()]
+    lines = [f"h[{name}] = {_fmt_ints(h)}" for name, h in hs.items()]
     if len(hs) > 1:
         lines.append(f"agree = {_cell(agree)}")
     _print_report(c, payload, args.format, lines)

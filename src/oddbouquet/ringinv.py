@@ -14,8 +14,9 @@ On top of h sit the Cohen-Macaulay type (n - 1 for n >= 2), the asymmetry
 aggregate e~ obtained from the reversed-minus-original h-vector divided by
 (1 - t), and the Gorenstein / almost Gorenstein classification: Gorenstein
 means symmetric h, almost Gorenstein means type - 1 = e~.  All of it runs on
-coefficient lists; IntPoly has no arithmetic and is only the value
-returned, so no shared polynomial kernel can make the two forms agree.
+coefficient lists, and h is returned as a tuple of ints with no trailing
+zero, index i holding h_i; there is no polynomial type, so no shared
+polynomial kernel can make the two forms agree.
 
 This module only computes.  Whether a classification matches the paper's
 characterization is decided in one place, ``certify.bouquet_report``.
@@ -27,7 +28,6 @@ from itertools import accumulate, zip_longest
 from math import comb, prod
 
 from .composition import OddCycleComposition
-from .polyarith import IntPoly
 from .record import Record, _set
 
 
@@ -38,20 +38,21 @@ def _times_q(p: list[int], m: int) -> list[int]:
     return [a - b for a, b in zip(sums, [0] * (m + 1) + sums)]
 
 
-def h_closed_form(c: OddCycleComposition) -> IntPoly:
-    """Closed-form h-polynomial from the half-lengths."""
+def h_closed_form(c: OddCycleComposition) -> tuple[int, ...]:
+    """Closed-form h-vector from the half-lengths."""
     first, second = [1], [1]
     for ki in c.k:
         first, second = _times_q(first, ki), _times_q(second, ki - 1)
     for i, b in enumerate(second, start=1):
         first[i] -= b
-    return IntPoly(first)
+    # a single cycle leaves 1 and then zeros, which the slice trims
+    return tuple(first[:max(i + 1 for i, hi in enumerate(first) if hi)])
 
 
-def h_recursive(c: OddCycleComposition) -> IntPoly:
-    """h-polynomial by the two-edge shrinking recursion, memoised on k
+def h_recursive(c: OddCycleComposition) -> tuple[int, ...]:
+    """h-vector by the two-edge shrinking recursion, memoised on k
     multisets for the length of the call only."""
-    return IntPoly(_h_rec(tuple(sorted(c.k, reverse=True)), {}))
+    return tuple(_h_rec(tuple(sorted(c.k, reverse=True)), {}))
 
 
 def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], list[int]]) -> list[int]:
@@ -81,18 +82,17 @@ def cm_type(c: OddCycleComposition) -> int:
     return c.n - 1 if c.n >= 2 else 1
 
 
-def e_tilde_from_h(h: IntPoly) -> tuple[int, tuple[int, ...]]:
-    """e~ and the h' sequence from an h-polynomial.
+def e_tilde_from_h(h: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """e~ and the h' sequence from an h-vector with no trailing zero.
 
     h' is (reversed h - h) / (1 - t), returned padded to s + 1 entries;
     e~ is its coefficient sum.  Requires a genuine h-polynomial: constant
     term 1 and nonzero value at t = 1.
     """
-    hs = h.coeffs
-    if h.coeff(0) != 1 or not sum(hs):
+    if h[:1] != (1,) or not sum(h):
         raise ValueError("not an h-polynomial")
     # dividing by 1 - t takes partial sums: s + 1 of them, the last h(1) - h(1) = 0
-    h_prime = tuple(accumulate(a - b for a, b in zip(reversed(hs), hs)))
+    h_prime = tuple(accumulate(a - b for a, b in zip(reversed(h), h)))
     return sum(h_prime), h_prime
 
 
@@ -111,7 +111,7 @@ class GorensteinReport(Record):
 
     def __init__(
         self,
-        h: IntPoly,
+        h: tuple[int, ...],
         s: int,
         cm_type: int,
         e_tilde: int,
@@ -140,10 +140,10 @@ def classify(c: OddCycleComposition) -> GorensteinReport:
     typ = cm_type(c)
     return GorensteinReport(
         h=h,
-        s=h.degree,
+        s=len(h) - 1,
         cm_type=typ,
         e_tilde=e_tilde,
         h_prime=h_prime,
-        is_gorenstein=h.coeffs == h.coeffs[::-1],
+        is_gorenstein=h == h[::-1],
         is_almost_gorenstein=typ - 1 == e_tilde,
     )

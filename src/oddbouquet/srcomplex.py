@@ -30,7 +30,6 @@ from math import comb
 from operator import or_
 
 from .composition import OddCycleComposition, bits, build_from_k, cycle_parts
-from .polyarith import IntPoly
 from .record import Record, _set
 
 
@@ -96,10 +95,11 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     omega_i over the even part of cycle i minus one edge (empty for a
     triangle).  Facets are emitted pivot by pivot, dropped edges last to
     first, which is a shelling (see shelling_h_vector).  The zeta choices
-    are a prefix product that grows by one cycle per pivot, the omega
-    choices suffix products built once from cycle n back, so each facet
-    is two ORs.  Two families that share a facet raise ValueError, from
-    the SimplicialComplex constructor.
+    are a prefix product that grows by one cycle per pivot, whose drop
+    list is built once for all the prefixes it extends; the omega choices
+    are suffix products built once from cycle n back, so each facet is
+    two ORs.  Two families that share a facet raise ValueError, from the
+    SimplicialComplex constructor.
     """
     parts = [cycle_parts(c, i) for i in range(1, c.n + 1)]
     suffixes = [[0]]  # suffixes[-1 - j]: the omega choices of pivot j + 1
@@ -109,7 +109,8 @@ def facets_closed_form(c: OddCycleComposition) -> SimplicialComplex:
     facets: list[int] = []
     for j, (part, tails) in enumerate(zip(parts, reversed(suffixes))):
         if j:
-            prefixes = [p | d for p in prefixes for d in _drops(parts[j - 1].odd)]
+            drops = _drops(parts[j - 1].odd)
+            prefixes = [p | d for p in prefixes for d in drops]
             odds ^= parts[j - 1].odd
         evens |= part.even
         fixed = evens | odds
@@ -160,17 +161,18 @@ def facets_brute_force(supports: list[int], ground_size: int) -> SimplicialCompl
     return SimplicialComplex(ground_size=ground_size, facets=tuple(facet_masks))
 
 
-def shelling_h_vector(masks: list[int]) -> IntPoly:
-    """h-polynomial of a pure complex from a shelling order of its facets.
+def shelling_h_vector(masks: list[int]) -> tuple[int, ...]:
+    """h-vector of a pure complex from a shelling order of its facets.
 
     masks are the facets F_1..F_m as bitmasks, in shelling order.  For each
     F_j the restriction U_j is the union of the one-element differences
     F_j - G over the earlier facets G.  The order is a shelling iff every
     earlier G satisfies (F_j - G) & U_j != 0, i.e. F_j & G lies in some
-    codimension-one face F_j & G' with G' earlier; then h_i = #{j : |U_j| = i}.
-    With the earlier facets packed, F_j costs O(log j) big-int operations.
-    Facets of different sizes, repeated facets and orders that are not a
-    shelling raise ValueError.
+    codimension-one face F_j & G' with G' earlier; then h_i = #{j : |U_j| = i},
+    returned as a tuple with no trailing zero.  With the earlier facets
+    packed, F_j costs O(log j) big-int operations.  Facets of different
+    sizes, repeated facets and orders that are not a shelling raise
+    ValueError.
     """
     if len({m.bit_count() for m in masks}) > 1:
         raise ValueError("facets of different sizes: complex is not pure")
@@ -194,15 +196,15 @@ def shelling_h_vector(masks: list[int]) -> IntPoly:
         counts[restriction.bit_count()] += 1
         packed, ones = packed | f << at, ones | 1 << at
         fill, guard, at = fill | low << at, guard | 1 << at + e, at + w
-    return IntPoly(counts)
+    return tuple(counts[:max((i + 1 for i, hi in enumerate(counts) if hi), default=0)])
 
 
-def h_by_complex(c: OddCycleComposition) -> IntPoly:
-    """h-polynomial of the initial complex from the closed-form shelling."""
+def h_by_complex(c: OddCycleComposition) -> tuple[int, ...]:
+    """h-vector of the initial complex from the closed-form shelling."""
     return shelling_h_vector(facets_closed_form(c).facets)
 
 
-def hilbert_from_h(h: IntPoly, dim: int, d: int) -> int:
+def hilbert_from_h(h: tuple[int, ...], dim: int, d: int) -> int:
     """Degree-d Hilbert function of a ring with Hilbert series h(t) / (1-t)^dim.
 
     The coefficient of t^d in h(t) / (1-t)^dim is
@@ -211,7 +213,7 @@ def hilbert_from_h(h: IntPoly, dim: int, d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return sum(h.coeff(i) * comb(d - i + dim - 1, dim - 1) for i in range(min(d + 1, len(h.coeffs))))
+    return sum(hi * comb(d - i + dim - 1, dim - 1) for i, hi in enumerate(h[:d + 1]))
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
@@ -235,17 +237,17 @@ def f_vector(cx: SimplicialComplex) -> FVector:
     return FVector(counts=tuple(counts))
 
 
-def h_from_f(fv: FVector, d: int) -> IntPoly:
+def h_from_f(fv: FVector, d: int) -> tuple[int, ...]:
     """Hilbert series numerator over (1-t)^d: sum of counts[i] * t^i * (1-t)^(d-i).
 
-    Its t^k coefficient is h_k = sum_i f_i * (-1)^(k-i) * C(d-i, k-i).
+    Its t^k coefficient is h_k = sum_i f_i * (-1)^(k-i) * C(d-i, k-i); the
+    h-vector comes back as a tuple with no trailing zero.
     """
     if d < fv.max_cardinality:
         raise ValueError("dimension mismatch")
-    return IntPoly(
-        sum((-1) ** (k - i) * fi * comb(d - i, k - i) for i, fi in enumerate(fv.counts[:k + 1]))
-        for k in range(d + 1)
-    )
+    h = [sum((-1) ** (k - i) * fi * comb(d - i, k - i) for i, fi in enumerate(fv.counts[:k + 1]))
+         for k in range(d + 1)]
+    return tuple(h[:max((i + 1 for i, hi in enumerate(h) if hi), default=0)])
 
 
 class DecompositionReport(Record):

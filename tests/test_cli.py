@@ -14,7 +14,6 @@ from oddbouquet import certify, cli, composition, ringinv, srcomplex, toric
 from oddbouquet.certify import ROUTES, sweep_compositions
 from oddbouquet.cli import canonical_json, main
 from oddbouquet.composition import LabeledGraph, build_from_k
-from oddbouquet.polyarith import IntPoly
 from oddbouquet.ringinv import GorensteinReport
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
 
@@ -89,7 +88,7 @@ def test_hvec_json_round_trip(capsys):
 
 
 def test_hvec_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(ROUTES, "complex", lambda c: IntPoly((9,)))
+    monkeypatch.setitem(ROUTES, "complex", lambda c: (9,))
     code, out, _ = run(capsys, "hvec", "--r", "3", "--method", "all")
     assert code == 1
     assert "agree = false" in out
@@ -217,7 +216,7 @@ def test_verify_releases_each_bouquet_after_its_row(capsys, monkeypatch):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     # break one route: the matrix must flag h3way and exit 1 listing (k, check)
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((5,)))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: (5,))
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "2")
     assert code == 1
     assert "FAILURES:" in out
@@ -289,7 +288,7 @@ def test_route_raising_value_error_exits_1(capsys, monkeypatch, tmp_path, fault,
     # a closed form that is not an h-polynomial, or facets in an order that is
     # no shelling, is a mathematical disagreement: exit 1, never a traceback
     if fault == "closed form":
-        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly((9,)))
+        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: (9,))
     else:
         monkeypatch.setattr(srcomplex, "facets_closed_form", _badly_ordered)
     if argv[0] == "table":
@@ -311,19 +310,21 @@ def _failure_count(out):
 
 
 def test_verify_route_raising_value_error_fails_its_cells(capsys, monkeypatch):
-    # a closed form that is not an h-polynomial: FAIL in the checks that read
-    # it, every other cell as before, and the sweep goes on to the last row
+    # a closed form that is not an h-polynomial, or one that stops before h_1:
+    # FAIL in the checks that read it, every other cell as before, and the
+    # sweep goes on to the last row; (1,) is right on a single cycle only
     code, clean, _ = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
     assert code == 0
-    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: IntPoly((9,)))
-    code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
-    assert (code, err) == (1, f"error: {_failure_count(out)} checks failed\n")
-    rows, clean_rows = _verify_rows(out), _verify_rows(clean)
-    assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(1, 1)"]
     fail = dict.fromkeys(["h3way", "facets", "hilbert", "classify"], "FAIL")
-    for k, row in rows.items():
-        expected = {**dict(zip(cli.CHECK_NAMES, clean_rows[k])), **fail}
-        assert dict(zip(cli.CHECK_NAMES, row)) == expected, k
+    for h, wrong_on in [((9,), ["(1)", "(2)", "(1, 1)"]), ((1,), ["(1, 1)"])]:
+        monkeypatch.setattr(ringinv, "h_closed_form", lambda c: h)
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--max-N", "2")
+        assert (code, err) == (1, f"error: {_failure_count(out)} checks failed\n")
+        rows, clean_rows = _verify_rows(out), _verify_rows(clean)
+        assert list(rows) == list(clean_rows) == ["(1)", "(2)", "(1, 1)"]
+        for k, row in rows.items():
+            expected = {**dict(zip(cli.CHECK_NAMES, clean_rows[k])), **(fail if k in wrong_on else {})}
+            assert dict(zip(cli.CHECK_NAMES, row)) == expected, (h, k)
 
 
 def test_verify_malformed_graph_fails_its_hilbert_cell(capsys, monkeypatch):
@@ -362,9 +363,9 @@ def test_verify_recursion_error_still_exits_2(capsys, monkeypatch):
 def test_verify_fvec_checks_the_degree(capsys, monkeypatch):
     # for one triangle V = E = 3; this h has h_0 = 1 and h_1 = E - V, but its
     # degree is above V, so no complex on 3-element facets has it
-    h = IntPoly((1, 0, 0, 0, 1))
+    h = (1, 0, 0, 0, 1)
     c = build_from_k((1,))
-    assert h.coeff(0) == 1 and h.coeff(1) == c.edge_count - c.vertex_count
+    assert h[:2] == (1, c.edge_count - c.vertex_count)
     monkeypatch.setattr(certify, "shelling_h_vector", lambda facets: h)
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-N", "1")
     assert code == 1
@@ -530,7 +531,7 @@ def test_unwritable_stderr_keeps_the_exit_code(stderr, unbuffered):
 
 @pytest.mark.parametrize("stderr", [None, _ClosedPipe()])
 def test_unwritable_stderr_keeps_a_disagreement_exit_1(capsys, monkeypatch, stderr):
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((2,)))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: (2,))
     monkeypatch.setattr(sys, "stderr", stderr)
     code = main(["hvec", "--k", "2,1"])
     out = capsys.readouterr().out
@@ -619,11 +620,20 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_classify_exits_1_when_routes_disagree(capsys, monkeypatch, fmt):
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: (1, 5))
     code, out, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree\n")
     if fmt == "json":
         assert json.loads(out)["methods_agree"] is False
+    # a closed form that stops before h_1 also contradicts h_1 = n - 1: both
+    # faults are named, and reading the missing h_1 raises nothing
+    monkeypatch.undo()
+    monkeypatch.setattr(ringinv, "h_closed_form", lambda c: (1,))
+    code, out, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
+    assert (code, err) == (1, "error: h-vector routes disagree; "
+                              "the classification does not match the characterization\n")
+    if fmt == "json":
+        assert json.loads(out)["h"] == [1] and json.loads(out)["methods_agree"] is False
 
 
 def _fail_characterization(monkeypatch, field="is_almost_gorenstein", k=None):
@@ -682,7 +692,7 @@ def test_hvec_ignores_the_characterization(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_hvec_names_a_disagreement_in_every_format(capsys, monkeypatch, fmt):
     # the report goes out as usual, then one line on stderr says why the exit is 1
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: (1, 5))
     code, out, err = run(capsys, "hvec", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree\n")
     assert out
@@ -694,7 +704,7 @@ def test_classify_names_each_fault_on_one_line(capsys, monkeypatch, fmt):
     _fail_characterization(monkeypatch)
     code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: the classification does not match the characterization\n")
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: IntPoly((1, 5)))
+    monkeypatch.setitem(ROUTES, "recursion", lambda c: (1, 5))
     code, _, err = run(capsys, "classify", "--k", "2,1", "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree; "
                               "the classification does not match the characterization\n")
@@ -706,8 +716,8 @@ def test_classify_names_each_fault_on_one_line(capsys, monkeypatch, fmt):
 ])
 def test_disagreement_line_comes_after_the_report(argv):
     # stdout and stderr into one pipe: the report is flushed before the error line
-    code = ("import sys; from oddbouquet import certify, cli; from oddbouquet.polyarith import IntPoly;"
-            " certify.ROUTES['recursion'] = lambda c: IntPoly((1, 5));"
+    code = ("import sys; from oddbouquet import certify, cli;"
+            " certify.ROUTES['recursion'] = lambda c: (1, 5);"
             " sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True, env=_env_buffered(), timeout=60)

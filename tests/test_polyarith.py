@@ -1,16 +1,19 @@
-"""IntPoly as a value type, and the coefficient-tuple arithmetic that the
-reference routes in test_oracle_rewrites compute on in its place."""
+"""The coefficient-tuple arithmetic that the reference routes in
+test_oracle_rewrites compute on; the package has no polynomial type."""
 
 import random
 
 import pytest
 
-from oddbouquet.polyarith import IntPoly
-from test_oracle_rewrites import poly_add, poly_div_one_minus_t, poly_mul, poly_reverse
+from test_oracle_rewrites import _trimmed, poly_add, poly_div_one_minus_t, poly_mul, poly_reverse
 
 
 def _random_coeffs(rng, max_deg=6, span=9):
     return tuple(rng.randint(-span, span) for _ in range(rng.randint(0, max_deg + 1)))
+
+
+def _at(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
 
 
 def test_add_examples():
@@ -32,9 +35,9 @@ def test_mul_is_evaluation_homomorphism():
     rng = random.Random(20240811)
     for _ in range(200):
         a, b = _random_coeffs(rng), _random_coeffs(rng)
-        prod = IntPoly(poly_mul(a, b))
+        prod = poly_mul(a, b)
         for x in (-1, 0, 1, 2):
-            assert prod.evaluate(x) == IntPoly(a).evaluate(x) * IntPoly(b).evaluate(x)
+            assert _at(prod, x) == _at(a, x) * _at(b, x)
 
 
 def test_reverse_examples():
@@ -55,9 +58,9 @@ def test_reverse_bound_checked():
 def test_reverse_involution():
     rng = random.Random(7)
     for _ in range(200):
-        p = IntPoly(_random_coeffs(rng))
-        s = (p.degree or 0) + rng.randint(0, 3)
-        assert poly_reverse(poly_reverse(p.coeffs, s), s) == p.coeffs
+        p = _trimmed(_random_coeffs(rng))
+        s = max(len(p) - 1, 0) + rng.randint(0, 3)
+        assert poly_reverse(poly_reverse(p, s), s) == p
 
 
 def test_div_one_minus_t_examples():
@@ -76,19 +79,5 @@ def test_div_one_minus_t_rejects_nondivisible():
 def test_div_inverts_mul_by_one_minus_t():
     rng = random.Random(99)
     for _ in range(200):
-        p = IntPoly(_random_coeffs(rng))
-        assert poly_div_one_minus_t(poly_mul(p.coeffs, (1, -1))) == p.coeffs
-
-
-def test_zero_degree_is_none():
-    assert IntPoly(()).degree is None
-    assert IntPoly((0, 0)).degree is None
-    assert IntPoly((5,)).degree == 0
-    assert IntPoly((0, 1)).degree == 1
-
-
-def test_coeff_is_zero_outside_the_coefficients():
-    p = IntPoly((3, 0, -2, 0, 0))
-    assert p.coeffs == (3, 0, -2)
-    assert [p.coeff(i) for i in range(-1, 5)] == [0, 3, 0, -2, 0, 0]
-    assert IntPoly(()).coeff(0) == 0
+        p = _trimmed(_random_coeffs(rng))
+        assert poly_div_one_minus_t(poly_mul(p, (1, -1))) == p

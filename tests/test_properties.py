@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from oddbouquet.certify import ROUTES  # noqa: E402
 from oddbouquet.cli import main  # noqa: E402
 from oddbouquet.composition import build_from_k, build_from_r, labeled_graph  # noqa: E402
-from oddbouquet.polyarith import IntPoly  # noqa: E402
 from oddbouquet.ringinv import h_closed_form  # noqa: E402
 from oddbouquet.srcomplex import (  # noqa: E402
     facets_brute_force,
@@ -348,7 +347,7 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback(out_dir, argv):
 
 
 def _wrong_route(c):
-    return IntPoly((2,))  # h_0 is 1 on every bouquet, so this h is never right
+    return (2,)  # h_0 is 1 on every bouquet, so this h is never right
 
 
 @settings(max_examples=100, deadline=5000)

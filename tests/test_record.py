@@ -13,7 +13,6 @@ from oddbouquet.composition import (
     OddCycleComposition,
     build_from_k,
 )
-from oddbouquet.polyarith import IntPoly
 from oddbouquet.record import Record
 from oddbouquet.ringinv import GorensteinReport, classify
 from oddbouquet.srcomplex import DecompositionReport, FVector, SimplicialComplex
@@ -30,7 +29,6 @@ CASES = [
     (CycleParts, ["odd", "even"], (0b101, 0b010), (0b101, 0b1000)),
     (LabeledGraph, ["n_vertices", "endpoints"],
      (3, ((0, 1), (1, 2), (0, 2))), (3, ((0, 1), (1, 2), (0, 1)))),
-    (IntPoly, ["coeffs"], ((1, 2, 1),), ((1, 2),)),
     (Monomial, ["mask"], (0b1001,), (0b1011,)),
     (Binomial, ["plus", "minus"], (X0, X1), (X1, X0)),
     (GorensteinReport,
@@ -88,11 +86,11 @@ def test_record_semantics(cls, fields, values, other):
 
 
 @pytest.mark.parametrize("first, second", [
-    (IntPoly(()), FVector(())),
-    (IntPoly((1, 2)), FVector((1, 2))),
+    (SimplicialComplex(0, ()), LabeledGraph(0, ())),
+    (OddCycleComposition((1, 2)), FVector((1, 2))),
     (FVector(0b1001), Monomial(0b1001)),
     (CycleParts(0b01, 0b10), Binomial(0b01, 0b10)),
-    (OddCycleComposition((1,)), IntPoly((1,))),
+    (OddCycleComposition((1,)), FVector((1,))),
 ])
 def test_records_of_different_classes_are_unequal(first, second):
     assert first._values() == second._values()
@@ -101,7 +99,6 @@ def test_records_of_different_classes_are_unequal(first, second):
 
 
 def test_defaults():
-    assert IntPoly() == IntPoly(())
     assert SweepRange(3, 5) == SweepRange(3, 5, 4)
     assert SweepRange(max_N=5, max_n=3).hilbert_degree == 4
 
@@ -120,13 +117,6 @@ def test_defaults():
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
-
-
-def test_int_poly_trims_on_construction():
-    p = IntPoly([3, 0, 1, 0, 0])
-    assert p.coeffs == (3, 0, 1)
-    assert IntPoly((0, 0)) == IntPoly(()) and IntPoly((0, 0)).coeffs == ()
-    assert hash(IntPoly((1, 0))) == hash(IntPoly((1,)))
 
 
 def test_cached_properties_are_stable():
