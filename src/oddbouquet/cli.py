@@ -67,14 +67,12 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def composition_from_args(args: argparse.Namespace) -> OddCycleComposition:
-    for flag, build in (("r", build_from_r), ("k", build_from_k)):
-        text = getattr(args, flag, None)
-        if text is not None:
-            try:
-                return build(_parse_ints(text))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-    raise UsageError("one of --r or --k is required")
+    """The bouquet of --r or --k, whichever is set: argparse requires one."""
+    build, text = (build_from_r, args.r) if args.r is not None else (build_from_k, args.k)
+    try:
+        return build(_parse_ints(text))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def canonical_json(payload) -> str:
@@ -240,7 +238,8 @@ def cmd_table(args: argparse.Namespace) -> None:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {args.out}: {exc}") from None
-    print(f"wrote {len(comps)} rows to {args.out}")
+    plural = "s" if len(comps) != 1 else ""
+    print(f"wrote {len(comps)} row{plural} to {args.out}")
     if failed:
         raise ValueError(f"h-vector routes disagree or the characterization fails for {failed}")
 

@@ -13,7 +13,9 @@ closed-form facet enumeration, certify that claim at desk scale:
 * Buchberger's test on every generator pair: a pair whose leading
   monomials share no variable is settled by Buchberger's first criterion,
   and every other S-pair must reduce to zero by division on monomials
-  packed into ints (see s_pair_reduces_to_zero and _PackedBasis),
+  packed into ints, at most MAX_STEPS steps per pair, the list packed once
+  while every pair is a pair of its members (see s_pair_reduces_to_zero
+  and _PackedBasis),
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, each summed from one-dimensional
@@ -32,7 +34,7 @@ import math
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import accumulate, chain, combinations
-from operator import is_, or_
+from operator import or_
 
 from .composition import LabeledGraph, OddCycleComposition, bits, cycle_parts, labeled_graph, per_bouquet
 from .record import Record, _set
@@ -124,7 +126,8 @@ class _PackedBasis:
     b - a sets none of them, and term + nonzero sets the guard bit of each
     variable in term.  basis is a copy of the list it was packed from;
     members maps each element's id to its packed (lead, tail), and holding
-    the copy keeps those ids from being reused.
+    the copy keeps those ids from being reused.  A basis is packed again,
+    not widened, for a pair whose f or g is not a member.
 
     The key is the term's support among the variables some lead uses: the
     guard bits of term + nonzero (guard - ones) that lie in used, the guard
@@ -139,11 +142,10 @@ class _PackedBasis:
     skips it whole.  In a bouquet basis the pairs (i, j) of each cycle
     i < n make one run, whose leads share the odd part of cycle i."""
 
-    __slots__ = ("basis", "deg", "nvars", "width", "top", "guard", "nonzero", "low",
-                 "used", "members", "runs", "fields")
+    __slots__ = ("basis", "width", "top", "guard", "nonzero", "low", "used", "members", "runs", "fields")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
-        self.basis, self.deg, self.nvars, self.width = list(basis), deg, nvars, (2 * deg).bit_length() + 1
+        self.basis, self.width = list(basis), (2 * deg).bit_length() + 1
         w = self.width
         self.top = w * nvars
         self.fields = [1 << self.top - w * (i + 1) for i in range(nvars)]
@@ -200,14 +202,10 @@ class _PackedBasis:
 
 
 _PACKED = _PackedBasis((), 0, 0)
+MAX_STEPS = 10_000  # division steps per S-pair before RuntimeError
 
 
-def s_pair_reduces_to_zero(
-    f: Binomial,
-    g: Binomial,
-    basis: list[Binomial],
-    max_steps: int = 10_000,
-) -> bool:
+def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: list[Binomial]) -> bool:
     """True iff the S-polynomial of f and g is settled by Buchberger's first
     criterion or divides by the basis to remainder 0.
 
@@ -217,7 +215,7 @@ def s_pair_reduces_to_zero(
     representation (Buchberger, EUROSAM 1979; Cox, Little and O'Shea,
     Ideals, Varieties, and Algorithms, ch. 2, "Improvements on Buchberger's
     Algorithm").  A settled pair takes no division step, so it returns True
-    even at max_steps=0; every other pair is divided.  A basis is a
+    even were MAX_STEPS 0; every other pair is divided.  A basis is a
     Groebner basis iff every S-pair whose leads share a variable divides to
     remainder 0, so the conjunction over all pairs of a basis is the same
     with or without the criterion.  Only a single pair's answer can differ:
@@ -226,15 +224,15 @@ def s_pair_reduces_to_zero(
 
     Division always rewrites the current leading term.  Each rewrite strictly
     decreases it in the monomial order, so the loop terminates; the step cap
-    turns any violation of that into a diagnosable RuntimeError instead of a
-    hang, distinct from a mere nonzero remainder.
+    MAX_STEPS, read on each call, turns any violation of that into a
+    diagnosable RuntimeError instead of a hang, distinct from a mere nonzero
+    remainder.
 
     Monomials are packed ints (see _PackedBasis).  While f and g, by
     identity, are members of a packed copy equal to the list, nothing is
-    set up.  Else the list is packed again if it is not made of the same
-    objects as the packed copy or f or g does not fit the fields, and a
-    non-member f or g is packed (only the criterion also looks it up in the
-    list by value).
+    set up.  Else the list is packed again, with fields wide enough for f
+    and g too, and a non-member f or g is packed on its own (only the
+    criterion also looks it up in the list by value).
     Start terms come from the packed leads' bits, and each term's first
     divisor from the runs of leads (_PackedBasis.start_terms, first_divisor).
     The parts are squarefree, but a rewrite can square a variable of a
@@ -248,15 +246,10 @@ def s_pair_reduces_to_zero(
     """
     global _PACKED
     pb = _PACKED
-    if basis.__class__ is not list:
-        basis = list(basis)
     mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
     if mf is None or mg is None or pb.basis != basis:
-        deg, nvars = _bounds((f, g))
-        same = len(pb.basis) == len(basis) and all(map(is_, pb.basis, basis))
-        if not same or deg > pb.deg or nvars > pb.nvars:
-            pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
-            mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
+        pb = _PACKED = _PackedBasis(basis, *_bounds((f, g, *basis)))
+        mf, mg = pb.members.get(id(f)), pb.members.get(id(g))
     lf, tf = mf or pb.lead_tail(f)
     lg, tg = mg or pb.lead_tail(g)
     if not lf & lg & pb.low and (mf or f in basis) and (mg or g in basis):
@@ -272,7 +265,7 @@ def s_pair_reduces_to_zero(
             a, b = b, -1
             continue
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise RuntimeError("reduction did not terminate")
         a += hit[1] - hit[0]
         if a < b:

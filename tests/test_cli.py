@@ -813,9 +813,10 @@ def test_table(tmp_path, capsys):
 
 def test_table_minimal_range(tmp_path, capsys):
     out_path = tmp_path / "one.csv"
-    code, _, _ = run(capsys, "table", "--max-n", "1", "--max-N", "1",
-                     "--out", str(out_path))
+    code, out, _ = run(capsys, "table", "--max-n", "1", "--max-N", "1",
+                       "--out", str(out_path))
     assert code == 0
+    assert out == f"wrote 1 row to {out_path}\n"
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1] == "1,1,1,1,0,1,1,0,true,true"

@@ -52,11 +52,13 @@ import types
 from functools import cache, reduce
 from itertools import accumulate, combinations, permutations, product, zip_longest
 from operator import or_
+from unittest.mock import patch
 
 import pytest
 
 from oddbouquet import srcomplex, toric
-from oddbouquet.certify import sweep_compositions
+from oddbouquet.certify import sweep_compositions, verify_composition
+from oddbouquet.cli import SweepRange
 from oddbouquet.composition import CycleParts, LabeledGraph, bits, build_from_k, cycle_parts, labeled_graph
 from oddbouquet.ringinv import GorensteinReport, classify, cm_type, e_tilde_from_h, h_closed_form, h_recursive
 from oddbouquet.srcomplex import (
@@ -906,22 +908,28 @@ def _negated(b):
     return Binomial(b.minus, b.plus)
 
 
+def _capped(f, g, basis, cap):
+    """s_pair_reduces_to_zero with its step cap toric.MAX_STEPS set to cap."""
+    with patch.object(toric, "MAX_STEPS", cap):
+        return s_pair_reduces_to_zero(f, g, basis)
+
+
 def assert_same_division(f, g, basis):
-    """For a pair the criterion settles: True at max_steps=0, returned as
-    (True, 0), and the division of the same S-polynomial, as -f with g,
+    """For a pair the criterion settles: True with a step cap of 0, returned
+    as (True, 0), and the division of the same S-polynomial, as -f with g,
     checked as below unless -f is in the basis too.  For every other pair:
     the same result and the same step count, and raising at one step fewer,
     for both."""
     if _settled(f, g, basis):
-        assert s_pair_reduces_to_zero(f, g, basis, max_steps=0) is True
+        assert _capped(f, g, basis, 0) is True
         if _negated(f) not in basis:
             assert_same_division(_negated(f), g, basis)
         return True, 0
     result, steps = _steps(dict_s_pair_reduces_to_zero, f, g, basis)
-    assert s_pair_reduces_to_zero(f, g, basis, max_steps=steps) is result
+    assert _capped(f, g, basis, steps) is result
     if steps:
         with pytest.raises(RuntimeError, match="reduction did not terminate"):
-            s_pair_reduces_to_zero(f, g, basis, max_steps=steps - 1)
+            _capped(f, g, basis, steps - 1)
     return result, steps
 
 
@@ -1126,9 +1134,9 @@ def test_criterion_settles_a_pair_that_division_leaves_nonzero():
     basis = gens[:3] + gens[4:]
     f, g = gens[0], gens[5]
     assert _settled(f, g, basis) and _steps(dict_s_pair_reduces_to_zero, f, g, basis) == (False, 2)
-    assert s_pair_reduces_to_zero(f, g, basis, max_steps=0) is True
-    assert s_pair_reduces_to_zero(g, f, basis, max_steps=0) is True
-    assert s_pair_reduces_to_zero(_copy(f), _copy(g), [*map(_copy, basis)], max_steps=0) is True
+    assert _capped(f, g, basis, 0) is True
+    assert _capped(g, f, basis, 0) is True
+    assert _capped(_copy(f), _copy(g), [*map(_copy, basis)], 0) is True
     assert assert_same_division(_negated(f), g, basis) == (False, 2)
     assert assert_same_division(f, g, basis[:-1]) == (False, 2)  # g is no member there
     assert not _all_pairs(s_pair_reduces_to_zero, basis)
@@ -1162,20 +1170,18 @@ def test_division_key_ignores_fields_no_lead_uses():
     h1 = Binomial(_squarefree([0, 1]), _squarefree([5, 6]))
     h2 = Binomial(_squarefree([2]), _squarefree([5]))
     basis = [h1, h2]
-    top = _squarefree(range(7, 14))  # the lead of every f and g below, so one packing serves all
+    top = _squarefree(range(7, 14))  # the lead of every f and g below
     pairs = [(Binomial(_squarefree([0, 1]), top), Binomial(_squarefree([5, 6]), top)),
              (Binomial(_squarefree([0, 1, 4]), top), Binomial(_squarefree([4, 5, 6]), top))]
-    s_pair_reduces_to_zero(*pairs[0], basis)  # a fresh packing, for degree 7
-    pb = toric._PACKED
     for f, g in pairs:
         assert assert_same_division(f, g, basis) == (True, 1)
         assert assert_same_division(g, f, basis) == (True, 1)
-        assert toric._PACKED is pb
-    keys = [_key(pb, f.plus) for f, _ in pairs]
-    assert keys[0] == keys[1]
-    assert [pb.first_divisor(key) for key in keys] == [pb.lead_tail(h1)] * 2
-    terms = [pb.pack(f.plus) for f, _ in pairs]
-    assert (terms[0] + pb.nonzero) & pb.guard != (terms[1] + pb.nonzero) & pb.guard
+        pb = toric._PACKED  # the packing of basis for this pair of non-members
+        keys = [_key(pb, a.plus) for a, _ in pairs]
+        assert keys[0] == keys[1]
+        assert [pb.first_divisor(key) for key in keys] == [pb.lead_tail(h1)] * 2
+        terms = [pb.pack(a.plus) for a, _ in pairs]
+        assert (terms[0] + pb.nonzero) & pb.guard != (terms[1] + pb.nonzero) & pb.guard
 
 
 def test_division_packs_a_value_equal_copy_of_the_basis_once(monkeypatch):
@@ -1206,6 +1212,33 @@ def test_division_packs_a_value_equal_copy_of_the_basis_once(monkeypatch):
     for f, g in pairs:
         assert s_pair_reduces_to_zero(f, g, fresh) is dict_s_pair_reduces_to_zero(f, g, fresh)
     assert len(packings) <= 1 and calls == [] and toric._PACKED is pb
+
+
+def test_verify_packs_each_bouquet_once(monkeypatch):
+    # every S-pair of the buchberger column is a pair of members of the
+    # bouquet's generator list, so over the default sweep the list of each
+    # bouquet with n >= 3 (35 of 59; n <= 2 gives no pair) is packed once,
+    # and lead_tail runs once per generator (190), never for an f or g
+    packings, lead_tails = [], []
+
+    class Counted(_PackedBasis):
+        __slots__ = ()
+
+        def __init__(self, basis, *bounds):
+            packings.append(basis)
+            super().__init__(basis, *bounds)
+
+        def lead_tail(self, b):
+            lead_tails.append(b)
+            return super().lead_tail(b)
+
+    monkeypatch.setattr(toric, "_PackedBasis", Counted)
+    bouquets = list(sweep_compositions(5, 8))
+    assert len(bouquets) == 59
+    for c in bouquets:
+        assert verify_composition(c, SweepRange(5, 8))["buchberger"] == "ok"
+    assert len(packings) == sum(c.n >= 3 for c in bouquets) == 35
+    assert len(lead_tails) == sum(math.comb(c.n, 2) for c in bouquets if c.n >= 3) == 190
 
 
 def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():

@@ -234,7 +234,7 @@ def test_json_csv_and_table_rows_agree(table_rows, ks):
 # well under a second: sweeps up to 5/8, Hilbert degree up to 8, and
 # bouquets of at most 16 edges wherever the facets are listed.  Three inputs
 # still run for seconds or more, so none is drawn until a cost model
-# (ROADMAP item 3) rejects them up front:
+# (ROADMAP item 6) rejects them up front:
 # verify --max-n 1 --max-N 1 --hilbert-degree 99999999999999999999,
 # table --max-n 2 --max-N 99999999999999999999, and hvec --method complex on
 # 30 triangles.

@@ -1,7 +1,9 @@
 from itertools import combinations, combinations_with_replacement
+from unittest.mock import patch
 
 import pytest
 
+from oddbouquet import toric
 from oddbouquet.composition import build_from_k, labeled_graph
 from oddbouquet.ringinv import h_closed_form
 from oddbouquet.srcomplex import hilbert_from_h
@@ -128,7 +130,8 @@ def test_s_pair_with_itself_is_zero():
     basis = generators(c)
     assert s_pair_reduces_to_zero(basis[0], basis[0], basis)
     # a zero S-polynomial costs no reduction steps
-    assert s_pair_reduces_to_zero(basis[0], basis[0], basis, max_steps=0)
+    with patch.object(toric, "MAX_STEPS", 0):
+        assert s_pair_reduces_to_zero(basis[0], basis[0], basis)
 
 
 def test_s_pair_coprime_leading_monomials():
@@ -163,8 +166,8 @@ def test_reduction_detects_incomplete_basis():
 def test_reduction_step_cap():
     c = build_from_k([1, 1, 1])
     g01, g02, _ = generators(c)
-    with pytest.raises(RuntimeError, match="reduction did not terminate"):
-        s_pair_reduces_to_zero(g01, g02, generators(c), max_steps=0)
+    with patch.object(toric, "MAX_STEPS", 0), pytest.raises(RuntimeError, match="reduction did not terminate"):
+        s_pair_reduces_to_zero(g01, g02, generators(c))
 
 
 def test_kernel_check_generators():
