@@ -178,9 +178,11 @@ def shelling_h_vector(masks: list[int]) -> tuple[int, ...]:
         raise ValueError("facets of different sizes: complex is not pure")
     e = reduce(or_, masks, 0).bit_length()
     w, low = e + 1, (1 << e) - 1
-    packed = ones = fill = guard = at = 0
+    packed = ones = 0  # facet j's field is at w * j
     counts = [0] * w
     for j, f in enumerate(masks):
+        guard = ones << e
+        fill = guard - ones
         diffs = f * ones & ~packed
         # with no field empty, v & (v - 1) is 0 just in the one-bit fields
         multi = (diffs & diffs - ones) + fill & guard
@@ -194,8 +196,7 @@ def shelling_h_vector(masks: list[int]) -> tuple[int, ...]:
             raise ValueError("repeated facet" if diffs + fill & guard != guard
                              else f"facet order is not a shelling at facet {j + 1}")
         counts[restriction.bit_count()] += 1
-        packed, ones = packed | f << at, ones | 1 << at
-        fill, guard, at = fill | low << at, guard | 1 << at + e, at + w
+        packed, ones = packed | f << w * j, ones | 1 << w * j
     return tuple(counts[:max((i + 1 for i, hi in enumerate(counts) if hi), default=0)])
 
 

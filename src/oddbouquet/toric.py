@@ -129,20 +129,18 @@ class _PackedBasis:
     the copy keeps those ids from being reused.  A basis is packed again,
     not widened, for a pair whose f or g is not a member.
 
-    The key is the term's support among the variables some lead uses: the
-    guard bits of term + nonzero (guard - ones) that lie in used, the guard
-    bits of those variables' fields.  Leads are squarefree, so a lead
-    divides a term iff its variables, as guard bits, lie in the key, and a
-    variable in no lead cannot stop it.
+    A term's absent variables are the guard bits that term + nonzero
+    (guard - ones) leaves clear.  Leads are squarefree, so a lead divides a
+    term iff none of its variables, as guard bits, is absent.
 
     runs splits the leads, in basis order, into maximal runs of consecutive
     leads that share a variable: (the run's common variables as guard bits,
-    [(lead's variables as guard bits, (lead, tail)), ...]).  A run whose
-    common variables are not all in a key holds no divisor of it, so a miss
-    skips it whole.  In a bouquet basis the pairs (i, j) of each cycle
+    [(lead's variables as guard bits, (lead, tail)), ...]).  A run with an
+    absent common variable holds no divisor of the term, so a miss skips
+    it whole.  In a bouquet basis the pairs (i, j) of each cycle
     i < n make one run, whose leads share the odd part of cycle i."""
 
-    __slots__ = ("basis", "width", "top", "guard", "nonzero", "low", "used", "members", "runs", "fields")
+    __slots__ = ("basis", "width", "top", "guard", "nonzero", "low", "members", "runs", "fields")
 
     def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
         self.basis, self.width = list(basis), (2 * deg).bit_length() + 1
@@ -155,11 +153,9 @@ class _PackedBasis:
         self.low = (1 << self.top) - 1
         divisors = [self.lead_tail(b) for b in self.basis]
         self.members = dict(zip(map(id, self.basis), divisors))
-        self.used = 0
         self.runs: list[tuple[int, list[tuple[int, tuple[int, int]]]]] = []
         for lm_tail in divisors:
             vs = (lm_tail[0] + self.nonzero) & self.guard
-            self.used |= vs
             if self.runs and self.runs[-1][0] & vs:
                 common, leads = self.runs[-1]
                 self.runs[-1] = common & vs, leads
@@ -188,11 +184,10 @@ class _PackedBasis:
         xg, xf = lg & ~lf & low, lf & ~lg & low
         return tf + xg + (xg.bit_count() << top), tg + xf + (xf.bit_count() << top)
 
-    def first_divisor(self, key: int) -> tuple[int, int] | None:
+    def first_divisor(self, absent: int) -> tuple[int, int] | None:
         """The first (lead, tail) in basis order whose lead divides the terms
-        with this key: the runs whose common variables are all in the key
+        with these absent variables: the runs with no absent common variable
         are scanned, in order."""
-        absent = self.used ^ key
         for common, leads in self.runs:
             if not common & absent:
                 for vs, lm_tail in leads:
@@ -234,7 +229,8 @@ def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: list[Binomial]) -> b
     and g too, and a non-member f or g is packed on its own (only the
     criterion also looks it up in the list by value).
     Start terms come from the packed leads' bits, and each term's first
-    divisor from the runs of leads (_PackedBasis.start_terms, first_divisor).
+    divisor from its absent variables, the guard bits its fields leave
+    clear, and the runs of leads (_PackedBasis.start_terms, first_divisor).
     The parts are squarefree, but a rewrite can square a variable of a
     term, and the packed ints hold any exponent up to the lcm's degree.
 
@@ -257,9 +253,9 @@ def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: list[Binomial]) -> b
     a, b = pb.start_terms(lf, tf, lg, tg)
     if a < b:
         a, b = b, a
-    used, nonzero, first_divisor, remainder, steps = pb.used, pb.nonzero, pb.first_divisor, False, 0
+    guard, nonzero, first_divisor, remainder, steps = pb.guard, pb.nonzero, pb.first_divisor, False, 0
     while a > b:  # a is the lead; the walk ends when the terms cancel or both are -1
-        hit = first_divisor((a + nonzero) & used)
+        hit = first_divisor(~(a + nonzero) & guard)
         if hit is None:
             remainder = True
             a, b = b, -1

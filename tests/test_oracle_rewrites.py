@@ -1142,9 +1142,9 @@ def test_criterion_settles_a_pair_that_division_leaves_nonzero():
     assert not _all_pairs(s_pair_reduces_to_zero, basis)
 
 
-def _key(pb, m):
-    """The first-divisor key of the monomial m in the packed basis pb."""
-    return (pb.pack(m) + pb.nonzero) & pb.used
+def _absent(pb, m):
+    """The absent variables of the monomial m in the packed basis pb, as guard bits."""
+    return ~(pb.pack(m) + pb.nonzero) & pb.guard
 
 
 def test_division_matches_dicts_on_a_wide_basis():
@@ -1160,13 +1160,13 @@ def test_division_matches_dicts_on_a_wide_basis():
     nonzero = sum(not assert_same_division(f, g, basis)[0] for f, g in combinations(gens, 2))
     assert nonzero > 0
     pb = toric._PACKED
-    assert pb.basis == basis and pb.first_divisor(_key(pb, gens[0].plus)) is None
+    assert pb.basis == basis and pb.first_divisor(_absent(pb, gens[0].plus)) is None
 
 
 def test_division_key_ignores_fields_no_lead_uses():
-    # x4 is in no lead, so x0 x1 and x0 x1 x4 have one key, and the divisor
-    # h1 is found for both; with the unused field in the key they would
-    # not.  Each S-polynomial is t - q with q what h1 turns t into.
+    # x4 is in no lead, so the absent variables of x0 x1 and x0 x1 x4 differ
+    # in x4 alone, which blocks no divisor: h1 is found for both.  Each
+    # S-polynomial is t - q with q what h1 turns t into.
     h1 = Binomial(_squarefree([0, 1]), _squarefree([5, 6]))
     h2 = Binomial(_squarefree([2]), _squarefree([5]))
     basis = [h1, h2]
@@ -1177,9 +1177,10 @@ def test_division_key_ignores_fields_no_lead_uses():
         assert assert_same_division(f, g, basis) == (True, 1)
         assert assert_same_division(g, f, basis) == (True, 1)
         pb = toric._PACKED  # the packing of basis for this pair of non-members
-        keys = [_key(pb, a.plus) for a, _ in pairs]
-        assert keys[0] == keys[1]
-        assert [pb.first_divisor(key) for key in keys] == [pb.lead_tail(h1)] * 2
+        absent = [_absent(pb, a.plus) for a, _ in pairs]
+        leads = reduce(or_, (vs for _, run in pb.runs for vs, _ in run))
+        assert absent[0] & leads == absent[1] & leads and absent[0] ^ absent[1] == pb.fields[4] << pb.width - 1
+        assert [pb.first_divisor(key) for key in absent] == [pb.lead_tail(h1)] * 2
         terms = [pb.pack(a.plus) for a, _ in pairs]
         assert (terms[0] + pb.nonzero) & pb.guard != (terms[1] + pb.nonzero) & pb.guard
 
@@ -1270,9 +1271,8 @@ def _packed_leads(leads, nvars=8):
 
 def _assert_runs_match_a_scan(pb, nvars=8):
     for mask in range(1 << nvars):
-        key = (pb.pack(Monomial(mask)) + pb.nonzero) & pb.used
         want = next((pb.lead_tail(b) for b in pb.basis if b.plus.mask & ~mask == 0), None)
-        assert pb.first_divisor(key) == want, (pb.basis, mask)
+        assert pb.first_divisor(_absent(pb, Monomial(mask))) == want, (pb.basis, mask)
 
 
 def test_run_lookup_matches_a_basis_order_scan():
@@ -1748,6 +1748,24 @@ def test_packed_shelling_matches_pairs_on_edited_orders():
         assert _outcome(edits[-1]) == h_closed_form(c), order
     assert sorted(kinds) == ["facet order is not a shelling", "repeated facet", "shelling"]
     assert min(kinds.values()) > 300, kinds
+
+
+def test_packed_shelling_matches_pairs_on_the_wide_sweep_reordered():
+    # the 226 complexes of 6/12, where some span several hundred fields:
+    # the closed-form order reversed is a shelling with the same h, and a
+    # seeded shuffle gets the same answer or message from both checks
+    rng = random.Random(34)
+    bouquets = list(sweep_compositions(6, 12))
+    assert len(bouquets) == 226
+    kinds, widest = {}, 0
+    for c in bouquets:
+        facets = list(srcomplex.facets_closed_form(c).facets)
+        widest = max(widest, len(facets))
+        assert _outcome(facets[::-1]) == h_closed_form(c), c.k
+        rng.shuffle(facets)
+        kind = _kind(_outcome(facets))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert sorted(kinds) == ["facet order is not a shelling", "shelling"] and widest == 665, kinds
 
 
 def test_packed_shelling_matches_pairs_on_random_families():
