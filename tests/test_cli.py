@@ -769,13 +769,16 @@ GOLDEN_REPORT_BOUQUETS = ["3,2,1", "2,1,1", "1", "1,1,1,1", "4,3"]
 
 
 def report_transcript(tmp_path):
-    """Stdout and exit code of hvec and classify in every format on each of
-    GOLDEN_REPORT_BOUQUETS, then those of a small table and its CSV file."""
+    """Stdout and exit code of hvec, classify, facets and gens in every format
+    on each of GOLDEN_REPORT_BOUQUETS, of the oracle's facets on one of them,
+    then those of a small table and its CSV file."""
     calls = []
     for k in GOLDEN_REPORT_BOUQUETS:
         calls += [["hvec", "--k", k, "--method", m] for m in ("all", "formula", "complex")]
         calls += [["hvec", "--k", k, "--format", f] for f in ("json", "csv")]
         calls += [["classify", "--k", k, "--format", f] for f in ("text", "json", "csv")]
+        calls += [[cmd, "--k", k, "--format", f] for cmd in ("facets", "gens") for f in ("text", "json")]
+    calls.append(["facets", "--k", "2,1,1", "--method", "brute"])
     out_path = tmp_path / "table.csv"
     calls.append(["table", "--max-n", "3", "--max-N", "5", "--out", str(out_path)])
     parts = []
