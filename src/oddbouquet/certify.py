@@ -1,9 +1,11 @@
 """Per-bouquet certificates: the h routes, the report and the verify checks.
 
-``bouquet_report`` is the one computation behind hvec, classify and table;
-``verify_composition`` takes its routes and its characterization verdict and
-adds every consistency check on the algebra underneath.  This module is the
-one place that says pass or fail; ringinv and srcomplex only compute.
+``bouquet_report`` is the one computation behind hvec, classify and table,
+and ``bouquet_head`` the head of every single-bouquet payload, facets' and
+gens' too.  ``verify_composition`` takes the report's routes and its
+characterization verdict and adds every consistency check on the algebra
+underneath.  This module is the one place that says pass or fail; ringinv and
+srcomplex only compute.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
             for N in range(n, max_N + 1) for ks in descending(N, n, N)]
 
 
+def bouquet_head(c: OddCycleComposition) -> dict:
+    """The keys every single-bouquet payload opens with."""
+    return {"r": list(c.r), "n": c.n, "N": c.N}
+
+
 def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
     """Classify one bouquet once and run the named routes on it.
 
@@ -69,9 +76,7 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
     rep = classify(c)
     hs = {name: rep.h if name == "formula" else ROUTES[name](c) for name in routes}
     payload = {
-        "r": list(c.r),
-        "n": c.n,
-        "N": c.N,
+        **bouquet_head(c),
         "h": list(rep.h),
         "s": rep.s,
         "facets": multiplicity(c),

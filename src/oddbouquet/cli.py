@@ -29,7 +29,8 @@ import sys
 import time
 from contextlib import suppress
 
-from .certify import CHECK_NAMES, ROUTES, bouquet_report, sweep_compositions, verify_composition
+from .certify import CHECK_NAMES, ROUTES, bouquet_head, bouquet_report
+from .certify import sweep_compositions, verify_composition
 from .composition import OddCycleComposition, bits, build_from_k, build_from_r
 from .record import Record, _set
 from .srcomplex import facets_brute_force, facets_closed_form
@@ -100,26 +101,30 @@ def _csv_row(payload: dict) -> str:
     return ",".join(_cell(payload[field]) for field in _CSV_FIELDS)
 
 
-def _print_report(c: OddCycleComposition, payload: dict, fmt: str, text_lines: list[str]) -> None:
+def _print_report(payload: dict, fmt: str, text_lines: list[str]) -> None:
+    """The one printer of a single-bouquet command: its payload or its text."""
     if fmt == "json":
         print(canonical_json(payload))
     elif fmt == "csv":
         print(",".join(_CSV_FIELDS))
         print(_csv_row(payload))
     else:
-        print(f"r = {_fmt_ints(c.r)}  k = {_fmt_ints(c.k)}  n = {c.n}  N = {c.N}")
         for line in text_lines:
             print(line)
+
+
+def _title(c: OddCycleComposition) -> str:
+    return f"r = {_fmt_ints(c.r)}  k = {_fmt_ints(c.k)}  n = {c.n}  N = {c.N}"
 
 
 def cmd_hvec(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     payload, hs, _ = bouquet_report(c, ROUTES if args.method == "all" else [args.method])
     agree = payload["methods_agree"]
-    lines = [f"h[{name}] = {_fmt_ints(h)}" for name, h in hs.items()]
+    lines = [_title(c), *(f"h[{name}] = {_fmt_ints(h)}" for name, h in hs.items())]
     if len(hs) > 1:
         lines.append(f"agree = {_cell(agree)}")
-    _print_report(c, payload, args.format, lines)
+    _print_report(payload, args.format, lines)
     if not agree:
         raise ValueError("h-vector routes disagree")
 
@@ -127,7 +132,8 @@ def cmd_hvec(args: argparse.Namespace) -> None:
 def cmd_classify(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
     payload, _, ok = bouquet_report(c, ROUTES)
-    _print_report(c, payload, args.format, [
+    _print_report(payload, args.format, [
+        _title(c),
         f"h = {_fmt_ints(payload['h'])}  s = {payload['s']}",
         f"type = {payload['type']}  e_tilde = {payload['e_tilde']}",
         f"gorenstein = {_cell(payload['gorenstein'])}",
@@ -155,45 +161,27 @@ def cmd_facets(args: argparse.Namespace) -> None:
     else:
         cx = facets_closed_form(c)
     lines = sorted(" ".join(_names(c, f)) for f in cx.facets)
-    if args.format == "json":
-        print(canonical_json({
-            "r": list(c.r),
-            "n": c.n,
-            "N": c.N,
-            "facet_count": len(cx.facets),
-            "facets": [line.split() for line in lines],
-        }))
-    else:
-        for line in lines:
-            print(line)
-        plural = "s" if len(cx.facets) != 1 else ""
-        print(f"total {len(cx.facets)} facet{plural} of size {c.vertex_count}")
+    count = len(lines)
+    plural = "s" if count != 1 else ""
+    payload = {**bouquet_head(c), "facet_count": count,
+               "facets": [line.split() for line in lines]}
+    _print_report(payload, args.format,
+                  [*lines, f"total {count} facet{plural} of size {c.vertex_count}"])
 
 
 def cmd_gens(args: argparse.Namespace) -> None:
     c = composition_from_args(args)
-    gens = generators(c)
-    if args.format == "json":
-        print(canonical_json({
-            "r": list(c.r),
-            "n": c.n,
-            "N": c.N,
-            "generators": [
-                {
-                    "plus": _names(c, g.plus.mask),
-                    "minus": _names(c, g.minus.mask),
-                    "leading": _names(c, leading_monomial(g).mask),
-                }
-                for g in gens
-            ],
-        }))
-    else:
-        if not gens:
-            print("no generators (single cycle)")
-        for g in gens:
-            plus = "*".join(_names(c, g.plus.mask))
-            minus = "*".join(_names(c, g.minus.mask))
-            print(f"{plus} - {minus}")
+    gens = [
+        {
+            "plus": _names(c, g.plus.mask),
+            "minus": _names(c, g.minus.mask),
+            "leading": _names(c, leading_monomial(g).mask),
+        }
+        for g in generators(c)
+    ]
+    lines = [f"{'*'.join(g['plus'])} - {'*'.join(g['minus'])}" for g in gens]
+    _print_report({**bouquet_head(c), "generators": gens}, args.format,
+                  lines or ["no generators (single cycle)"])
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
