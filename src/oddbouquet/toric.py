@@ -24,6 +24,18 @@ closed-form facet enumeration, certify that claim at desk scale:
   vertex exponent vectors of the edge subring, branch by branch at the hub
   (see edge_subring_hilbert_series for the hub lemma).
 
+The hub count works out to the paper's formula.  _path_ends gives a hub
+path with L edges the series (1 - t^j)/(1 - t)^L = [j]/(1 - t)^(L - 1),
+where [j] = 1 + t + ... + t^(j - 1), with j = ceil(L/2) at its runs' low
+ends and j = floor(L/2) at their high ends.  A cycle with L = 2k + 1 edges
+so has [k + 1]/(1 - t)^(2k) and [k]/(1 - t)^(2k), and _run_counts, which
+counts the run tuples whose low ends sum to at most t less those whose
+high ends sum to less than t, yields
+
+    HS(K[G]) = (prod_i [k_i + 1] - t * prod_i [k_i]) / (1 - t)^(2N + 1),
+
+the closed-form h over (1 - t)^V.
+
 A bouquet's generator supports and its validated branch split at the hub
 are computed once per composition instance (see composition.per_bouquet).
 """

@@ -22,14 +22,13 @@ from oddbouquet.ringinv import (
 )
 from oddbouquet.srcomplex import f_vector, facets_closed_form, h_by_complex, verify_decomposition
 from oddbouquet.toric import (
-    Monomial,
     edge_subring_hilbert,
     generators,
     kernel_check,
     s_pair_reduces_to_zero,
     standard_monomial_count,
 )
-from test_oracle_rewrites import poly_reverse
+from reference import mono, poly_reverse
 
 SWEEP = sweep_compositions(4, 6)
 TRIANGLE_EXTRAS = [build_from_k((1,) * n) for n in (5, 6)]
@@ -57,10 +56,6 @@ class _Timer:
         return False
 
 
-def _mono(c, labels):
-    return Monomial(sum(1 << c.flat_index(i, j) for i, j in labels))
-
-
 def _mask(indices):
     return sum(1 << v for v in set(indices))
 
@@ -70,9 +65,9 @@ def test_criterion_1_worked_example():
         c = build_from_k([3, 2, 1])
 
         assert [g.plus for g in generators(c)] == [
-            _mono(c, [(1, 1), (1, 3), (1, 5), (1, 7), (2, 2), (2, 4)]),
-            _mono(c, [(1, 1), (1, 3), (1, 5), (1, 7), (3, 2)]),
-            _mono(c, [(2, 1), (2, 3), (2, 5), (3, 2)]),
+            mono(c, [(1, 1), (1, 3), (1, 5), (1, 7), (2, 2), (2, 4)]),
+            mono(c, [(1, 1), (1, 3), (1, 5), (1, 7), (3, 2)]),
+            mono(c, [(2, 1), (2, 3), (2, 5), (3, 2)]),
         ]
 
         # expected facets, expanded pivot by pivot from the displayed families

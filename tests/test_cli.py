@@ -16,6 +16,7 @@ from oddbouquet.cli import canonical_json, main
 from oddbouquet.composition import LabeledGraph, build_from_k
 from oddbouquet.ringinv import GorensteinReport
 from oddbouquet.srcomplex import SimplicialComplex, facets_closed_form
+from reference import sorted_sweep
 
 
 def run(capsys, *argv):
@@ -33,26 +34,19 @@ def test_sweep_enumeration():
     assert all(len(k) <= 3 and sum(k) <= 5 for k in ks)
     assert all(tuple(sorted(k, reverse=True)) == k for k in ks)
     assert (3, 2) in ks and (1, 1, 1) in ks and (5,) in ks
-    # count agrees with a direct filter over all descending tuples
-    direct = {
-        k
-        for n in range(1, 4)
-        for k in _descending_tuples(n, 5)
-    }
+    # the same set as the sorted-prefix reference
+    direct = set(sorted_sweep(3, 5))
     assert set(ks) == direct
 
 
-def _descending_tuples(length, max_sum):
-    if length == 0:
-        return {()}
-    out = set()
-    for rest in _descending_tuples(length - 1, max_sum):
-        first = rest[0] if rest else max_sum
-        for v in range(1, first + 1):
-            cand = (v,) + rest
-            if sum(cand) <= max_sum:
-                out.add(tuple(sorted(cand, reverse=True)))
-    return out
+def test_sweep_matches_the_sorted_prefixes():
+    sizes = set()
+    for max_n in range(10):
+        for max_N in range(19):
+            ks = [c.k for c in sweep_compositions(max_n, max_N)]
+            assert ks == sorted_sweep(max_n, max_N), (max_n, max_N)
+            sizes.add(len(ks))
+    assert max(sizes) == 1409 and 0 in sizes
 
 
 def test_hvec_all_methods(capsys):

@@ -21,6 +21,7 @@ from oddbouquet.toric import (
     edge_subring_hilbert_series,
     generators,
 )
+from reference import defined_parts
 
 SWEEP = sweep_compositions(8, 16)  # 794 bouquets, up to 40 edges
 
@@ -181,17 +182,9 @@ def test_size_identities():
 # Per-bouquet structure: computed once per instance, equal to what its
 # definition gives, and invisible to the value semantics.
 
-def _defined_parts(c, i):
-    """Cycle i's odd and even parts, by label position through flat_index."""
-    ki = c.k[i - 1]
-    odd = sum(1 << c.flat_index(i, j) for j in range(1, 2 * ki + 2, 2))
-    even = sum(1 << c.flat_index(i, j) for j in range(2, 2 * ki + 1, 2))
-    return odd, even
-
-
 def test_cached_parts_and_pair_supports_match_their_definitions():
     for c in SWEEP:
-        parts = [_defined_parts(c, i) for i in range(1, c.n + 1)]
+        parts = [defined_parts(c, i) for i in range(1, c.n + 1)]
         assert [(cycle_parts(c, i).odd, cycle_parts(c, i).even) for i in range(1, c.n + 1)] == parts
         pairs = tuple((p[0] | q[1], p[1] | q[0]) for p, q in combinations(parts, 2))
         assert _pair_supports(c) == pairs, c.k

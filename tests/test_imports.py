@@ -1,5 +1,6 @@
 """Every module-level import in the package's modules is used there, and
-every public name they define is read outside its own definition.
+every public name they define is read outside its own definition.  No test
+module imports another: what several share lives in reference.py.
 
 Parsed with ast, so no linter is needed.  __init__.py re-exports names
 without using them and is exempt, as is an import on a line marked
@@ -15,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oddbouquet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,6 +86,28 @@ def test_toric_imports_are_found():
                    "import oddbouquet.toric as t\n", "def f():\n    from oddbouquet.toric import generators\n"):
         assert imports_toric(source), source
     assert not imports_toric("from .composition import bits\nfrom .record import Record\n")
+
+
+def imported_test_modules(source: str) -> list[str]:
+    """The modules named test_* that an import in source may bind, sorted."""
+    return sorted(name for name in imported_modules(source)
+                  if any(part.startswith("test_") for part in name.split(".")))
+
+
+def test_no_test_module_imports_another():
+    # every module under tests/, reference.py among them: a helper that two
+    # modules share lives in reference.py, so moving or renaming a test
+    # never breaks another module
+    paths = sorted(TESTS.glob("*.py"))
+    assert len(paths) > 10
+    assert {p.name: imported_test_modules(p.read_text()) for p in paths} == {p.name: [] for p in paths}
+
+
+def test_test_module_imports_are_found():
+    for source in ("from test_toric import SMALL_KS\n", "import test_cli\n", "from tests import test_ringinv\n",
+                   "def f():\n    from tests.test_srcomplex import SWEEP_KS\n"):
+        assert imported_test_modules(source), source
+    assert imported_test_modules("from reference import trimmed\nimport pytest\n") == []
 
 
 def defined_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:

@@ -18,6 +18,7 @@ from oddbouquet.cli import main  # noqa: E402
 from oddbouquet.composition import build_from_k, build_from_r, labeled_graph  # noqa: E402
 from oddbouquet.ringinv import h_closed_form  # noqa: E402
 from oddbouquet.srcomplex import (  # noqa: E402
+    ORACLE_CAP,
     facets_brute_force,
     facets_closed_form,
     hilbert_from_h,
@@ -30,28 +31,27 @@ from oddbouquet.toric import (  # noqa: E402
     s_pair_reduces_to_zero,
     standard_monomial_count,
 )
-from test_oracle_rewrites import (  # noqa: E402
-    _full_level_series,
-    _graph,
-    _listing_hub_series,
-    _members,
-    _minkowski_run_counts,
-    _negated,
-    _random_binomial,
-    _run_ends,
-    _scan_facets,
-    _settled,
+from reference import (  # noqa: E402
+    criterion_settles,
     dict_s_pair_reduces_to_zero,
+    full_level_series,
+    graph,
+    listing_hub_series,
+    members,
+    minkowski_run_counts,
+    negated,
+    random_binomial,
+    run_ends,
+    scan_facets,
 )
-
-MAX_EDGES = 18  # the brute-force oracle's cap
 
 
 def _fits(ks):
-    """The longest prefix of ks whose bouquet has at most MAX_EDGES edges."""
+    """The longest prefix of ks whose bouquet has at most ORACLE_CAP edges, the
+    brute-force oracle's cap."""
     out, edges = [], 0
     for k in ks:
-        if edges + 2 * k + 1 > MAX_EDGES:
+        if edges + 2 * k + 1 > ORACLE_CAP:
             break
         out.append(k)
         edges += 2 * k + 1
@@ -95,7 +95,7 @@ def test_brute_facets_equal_the_subset_scan(family):
     supports, ground_size = family
     facets = facets_brute_force(supports, ground_size).facets
     assert len(set(facets)) == len(facets)
-    assert {_members(f) for f in facets} == _scan_facets(supports, ground_size)
+    assert {members(f) for f in facets} == scan_facets(supports, ground_size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,21 +108,21 @@ def test_three_hilbert_counters_agree(c, d):
 @settings(max_examples=60, deadline=None)
 @given(bouquets, st.integers(0, 4))
 def test_hub_split_series_equals_whole_graph_levels(c, d):
-    assert edge_subring_hilbert_series(c, d) == _full_level_series(labeled_graph(c).endpoints, d)
+    assert edge_subring_hilbert_series(c, d) == full_level_series(labeled_graph(c).endpoints, d)
 
 
 @st.composite
 def small_graphs(draw):
     nv = draw(st.integers(1, 7))
     pairs = list(combinations(range(nv), 2))
-    return _graph(nv, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return graph(nv, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_graphs(), st.data(), st.integers(0, 5))
 def test_hub_split_of_any_graph_at_any_vertex_equals_whole_graph_levels(g, data, d):
     hub = data.draw(st.integers(0, g.n_vertices - 1))
-    assert _listing_hub_series(g, d, hub) == _full_level_series(g.endpoints, d)
+    assert listing_hub_series(g, d, hub) == full_level_series(g.endpoints, d)
 
 
 @st.composite
@@ -139,7 +139,7 @@ def run_tallies(draw):
 def test_run_ends_count_the_tuples_whose_sum_holds_each_degree(tallies_d):
     # HF(t) = #{X <= t} - #{Y < t}, X and Y the sums of the low and high ends
     tallies, d = tallies_d
-    assert _run_counts([_run_ends(runs, d) for runs in tallies], d) == _minkowski_run_counts(tallies, d)
+    assert _run_counts([run_ends(runs, d) for runs in tallies], d) == minkowski_run_counts(tallies, d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,9 +150,9 @@ def test_packed_division_agrees_with_dicts(c, data):
     basis = [g for g, kept in zip(gens, keep) if kept]  # full or incomplete
     for f, g in combinations(gens, 2):
         want = dict_s_pair_reduces_to_zero(f, g, basis)
-        if _settled(f, g, basis):  # by the criterion; -f with g is divided
+        if criterion_settles(f, g, basis):  # by the criterion; -f with g is divided
             assert s_pair_reduces_to_zero(f, g, basis) is True
-            assert s_pair_reduces_to_zero(_negated(f), g, basis) is want
+            assert s_pair_reduces_to_zero(negated(f), g, basis) is want
         else:
             assert s_pair_reduces_to_zero(f, g, basis) is want
 
@@ -164,13 +164,13 @@ def test_all_pairs_verdict_agrees_with_dicts_on_random_binomials(nvars, size, se
     # by pair, the answer is the criterion's or the division's, also for a
     # binomial outside the list
     rng = random.Random(seed)
-    basis = [_random_binomial(rng, nvars) for _ in range(size)]
+    basis = [random_binomial(rng, nvars) for _ in range(size)]
     verdict = all(s_pair_reduces_to_zero(f, g, basis) for f, g in combinations(basis, 2))
     assert verdict is all(dict_s_pair_reduces_to_zero(f, g, basis) for f, g in combinations(basis, 2))
-    pool = [*basis, _random_binomial(rng, nvars)]
+    pool = [*basis, random_binomial(rng, nvars)]
     for f in pool:
         for g in pool:
-            want = _settled(f, g, basis) or dict_s_pair_reduces_to_zero(f, g, basis)
+            want = criterion_settles(f, g, basis) or dict_s_pair_reduces_to_zero(f, g, basis)
             assert s_pair_reduces_to_zero(f, g, basis) is want
 
 

@@ -1,9 +1,10 @@
 import gc
+import random
 import tracemalloc
 
 import pytest
 
-from oddbouquet import ringinv
+from oddbouquet import ringinv, srcomplex
 from oddbouquet.certify import sweep_compositions
 from oddbouquet.composition import build_from_k, build_from_r
 from oddbouquet.ringinv import (
@@ -15,16 +16,17 @@ from oddbouquet.ringinv import (
     h_recursive,
     multiplicity,
 )
-from test_oracle_rewrites import poly_reverse
-
-
-def _e_tilde_partial_sums(h):
-    """Oracle: the defining aggregate of top-minus-bottom partial sums."""
-    s = len(h) - 1
-    total = 0
-    for i in range(s + 1):
-        total += sum(h[s - i:]) - sum(h[: i + 1])
-    return total
+from oddbouquet.srcomplex import h_from_f
+from reference import (
+    e_tilde_partial_sums,
+    poly_e_tilde_from_h,
+    poly_h_closed_form,
+    poly_h_recursive,
+    poly_report,
+    poly_reverse,
+    product_facets,
+    trimmed,
+)
 
 
 def test_h_closed_form_single_cycles():
@@ -107,7 +109,7 @@ def test_e_tilde_from_h_examples():
 def test_e_tilde_matches_partial_sum_oracle():
     for c in sweep_compositions(4, 6):
         h = h_closed_form(c)
-        assert e_tilde_from_h(h)[0] == _e_tilde_partial_sums(h), c.k
+        assert e_tilde_from_h(h)[0] == e_tilde_partial_sums(h), c.k
 
 
 def test_e_tilde_from_h_validates_input():
@@ -193,3 +195,91 @@ def test_gorenstein_flag_is_the_symmetry_of_h(monkeypatch, coeffs, symmetric):
     # an end coefficient or shifts the reversal from the symmetry itself
     monkeypatch.setattr(ringinv, "h_closed_form", lambda c: coeffs)
     assert classify(build_from_k([2, 1])).is_gorenstein is symmetric
+
+
+# ------------------------------------------------------------------ closed forms against the tuple references
+
+# every bouquet with n <= 7 and N <= 14, cycles in descending order and shuffled
+SWEEP_14 = sweep_compositions(7, 14)
+
+
+def _descending_and_shuffled():
+    rng = random.Random(2025)
+    for c in SWEEP_14:
+        shuffled = list(c.k)
+        rng.shuffle(shuffled)
+        yield c
+        yield build_from_k(shuffled)
+
+
+def test_closed_forms_match_the_tuple_references_on_the_sweep():
+    assert len(SWEEP_14) == 432
+    shuffled = 0
+    for c in _descending_and_shuffled():
+        shuffled += list(c.k) != sorted(c.k, reverse=True)
+        rep = classify(c)
+        assert rep == poly_report(c), c.k
+        assert h_recursive(c) == rep.h == poly_h_recursive(c), c.k
+        assert srcomplex.facets_closed_form(c).facets == product_facets(c), c.k
+    assert shuffled > 300
+
+
+def test_closed_form_matches_intpoly_on_random_half_lengths():
+    rng = random.Random(31)
+    for _ in range(300):
+        c = build_from_k([rng.randint(1, 30) for _ in range(rng.randint(1, 12))])
+        h = h_closed_form(c)
+        assert h == poly_h_closed_form(c), c.k
+        assert e_tilde_from_h(h) == poly_e_tilde_from_h(h), c.k
+
+
+def test_e_tilde_matches_intpoly_on_random_polynomials():
+    # anything with constant term 1 and h(1) != 0 is read; the rest raises
+    rng = random.Random(32)
+    kinds = {}
+    for _ in range(2000):
+        p = trimmed(rng.randint(-3, 3) for _ in range(rng.randint(0, 7)))
+        outcomes = []
+        for read in (e_tilde_from_h, poly_e_tilde_from_h):
+            try:
+                outcomes.append(read(p))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], p
+        kinds[type(outcomes[0])] = kinds.get(type(outcomes[0]), 0) + 1
+    assert min(kinds.values()) > 100 and len(kinds) == 2, kinds
+
+
+@pytest.mark.parametrize("k", [(200, 200), (600, 600)])
+def test_recursion_matches_intpoly_on_two_long_cycles(k):
+    c = build_from_k(k)
+    assert h_recursive(c) == poly_h_recursive(c) == h_closed_form(c)
+
+
+def _assert_trimmed(h, case):
+    assert type(h) is tuple and h and h[-1], (case, h)
+
+
+def test_h_routes_use_no_intpoly_arithmetic():
+    # every producer returns h as a plain tuple that ends in a nonzero entry;
+    # untrimmed, a single cycle's closed form, the shelling counts and the
+    # f-to-h transform would end in zeros.  The 5/8 sweep holds the single
+    # cycles (1,) .. (8,), whose complex is one facet: a full simplex
+    for c in sweep_compositions(5, 8):
+        cx = srcomplex.facets_closed_form(c)
+        for h in (h_closed_form(c), h_recursive(c), srcomplex.h_by_complex(c),
+                  srcomplex.shelling_h_vector(cx.facets)):
+            _assert_trimmed(h, c.k)
+        if c.edge_count <= 16:  # f_vector lists every subset of every facet
+            _assert_trimmed(h_from_f(srcomplex.f_vector(cx), c.vertex_count), c.k)
+    for ground in (0, 3, 7):
+        simplex = srcomplex.SimplicialComplex(ground, ((1 << ground) - 1,))
+        for h in (srcomplex.shelling_h_vector(simplex.facets), h_from_f(srcomplex.f_vector(simplex), ground)):
+            _assert_trimmed(h, ground)
+            assert h == (1,)
+    # the closed form and the recursion check each other, so neither may run
+    # on a kernel that a fault would share: both compute on plain lists
+    cases = SWEEP_14[::7] + [build_from_k(k) for k in [(2, 30, 1), (12, 9, 9, 1, 1), (200, 200)]]
+    expected = [(poly_h_closed_form(c), poly_h_recursive(c), poly_report(c)) for c in cases]
+    for c, (h, h_rec, report) in zip(cases, expected):
+        assert (h_closed_form(c), h_recursive(c), classify(c)) == (h, h_rec, report), c.k
