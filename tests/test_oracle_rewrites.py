@@ -13,12 +13,11 @@ standard_monomial_series sums the face numbers of the Stanley-Reisner
 complex, counted by a recursion over bitmask supports that branches only
 at live variables, h_from_f sums
 binomials, the shelling check tests a set against a family packed into
-one int, a field per facet, the decomposition's intersection check looks
-each set plus one element up in a set of facets, and sweep_compositions
-builds the descending k-tuples in the order verify prints them.
-The references here are the plain versions: a scan over all 2^E subsets
-and the include/exclude search that decides every edge on every path and
-tests the supports with any(...) at every node,
+one int, a field per facet, and the decomposition's intersection check looks
+each set plus one element up in a set of facets.
+The references, in reference.py, are the plain versions: a scan over all
+2^E subsets and the include/exclude search that decides every edge on
+every path and tests the supports with any(...) at every node,
 breadth-first searches over whole-graph exponent tuples and over whole
 levels of whole-graph packed ints, the hub split of any graph at any
 vertex with each branch's vectors listed and a DP over degree masks,
@@ -26,32 +25,23 @@ division on dicts of exponent tuples in graded lex order and the first
 divisor by a scan of the basis in order (a pair the criterion settles must
 be True at zero steps, and its S-polynomial, as -f with g, is divided by
 both; Buchberger's verdict over all pairs of a basis must be the dicts'), the
-unmemoised recursion over frozenset supports, the f-to-h transform by
+unmemoised recursion over frozenset supports and the recursion memoised on
+(variable, degree left, live supports), the f-to-h transform by
 polynomial powers, the decomposition check by maximal pairwise
 intersections, and the per-pair loops that the packed checks replaced:
-_pairwise_shelling_h_vector lists every difference F_j - G,
-_pairwise_intersection_ok makes one subset test per (a - {x}, b) pair,
-and _sorted_sweep lists every k-prefix and sorts the list.
-The two kernels the Hilbert series were summed by before are kept as
-references too: the DP over sets of reachable degrees that shifts whole
-runs (_minkowski), and the recursion memoised on (variable, degree left,
-live supports).  Apart from the two facet searches and the
-degree memo, which take the bitmask supports, the references hold
-squarefree sets as frozensets and meet the bitmask results only at the
-comparison.  The h closed form, the recursion and e~ run on coefficient
-lists and are checked against the same steps in the reference polynomial
-arithmetic below, on coefficient tuples, since the package has none; the
-closed-form facets, built from prefix and suffix products of one-edge
-drops, against one reduce over a product tuple per facet.
+pairwise_shelling_h_vector lists every difference F_j - G and
+pairwise_intersection_ok makes one subset test per (a - {x}, b) pair.
+Apart from the two facet searches and the degree memo, which take the
+bitmask supports, the references hold squarefree sets as frozensets and
+meet the bitmask results only at the comparison.
 """
 
 import math
 import random
-import sys
-import types
-from functools import cache, reduce
-from itertools import accumulate, combinations, permutations, product, zip_longest
+from functools import reduce
+from itertools import combinations, permutations, product
 from operator import or_
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -59,15 +49,9 @@ import pytest
 from oddbouquet import srcomplex, toric
 from oddbouquet.certify import sweep_compositions, verify_composition
 from oddbouquet.cli import SweepRange
-from oddbouquet.composition import CycleParts, LabeledGraph, bits, build_from_k, cycle_parts, labeled_graph
-from oddbouquet.ringinv import GorensteinReport, classify, cm_type, e_tilde_from_h, h_closed_form, h_recursive
-from oddbouquet.srcomplex import (
-    DecompositionReport,
-    FVector,
-    facets_brute_force,
-    h_from_f,
-    verify_decomposition,
-)
+from oddbouquet.composition import CycleParts, build_from_k, cycle_parts, labeled_graph
+from oddbouquet.ringinv import h_closed_form
+from oddbouquet.srcomplex import FVector, facets_brute_force, h_from_f, verify_decomposition
 from oddbouquet.toric import (
     Binomial,
     Monomial,
@@ -84,184 +68,53 @@ from oddbouquet.toric import (
     s_pair_reduces_to_zero,
     standard_monomial_count,
     standard_monomial_series,
-    vertex_exponent_vector,
+)
+from reference import (
+    MONOMIAL_ONE,
+    calls_to,
+    criterion_settles,
+    degree_memo_counts,
+    dict_s_pair_reduces_to_zero,
+    every_order,
+    exponent_tuple,
+    f_from_h,
+    facet_sets,
+    frozenset_standard_count,
+    full_level_series,
+    graph,
+    grlex_key,
+    mask_tally,
+    maximal,
+    maximal_decomposition,
+    members,
+    minkowski_hub_counts,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomial_quotient,
+    negated,
+    pack_exponents,
+    pairwise_intersection_ok,
+    pairwise_shelling_h_vector,
+    path_edges,
+    plain_facet_search,
+    power_h_from_f,
+    random_binomial,
+    run_ends,
+    scan_facets,
+    squarefree,
+    tuple_hilbert,
 )
 
 # every cycle order of every bouquet with at most 14 edges
-ORDERS = sorted({
-    order
-    for c in sweep_compositions(7, 7)
-    if c.edge_count <= 14
-    for order in permutations(c.k)
-})
+ORDERS = every_order(c for c in sweep_compositions(7, 7) if c.edge_count <= 14)
 
 
-# The reference polynomial arithmetic takes coefficient tuples, index i
-# holding the coefficient of t^i, and returns them with trailing zeros trimmed.
-
-
-def _trimmed(coeffs):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def poly_mul(a, b):
-    """Schoolbook product."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _trimmed(out)
-
-
-def poly_add(a, b):
-    return _trimmed(x + y for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def poly_sub(a, b):
-    return _trimmed(x - y for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def poly_reverse(a, s):
-    """t^s * a(1/t): coefficient i is a's coefficient s - i; s must bound deg a."""
-    if s < 0 or s < len(_trimmed(a)) - 1:
-        raise ValueError("reversal bound too small")
-    return _trimmed(a[s - i] if s - i < len(a) else 0 for i in range(s + 1))
-
-
-def poly_div_one_minus_t(a):
-    """a / (1 - t), the partial sums of a's coefficients; a(1) must be 0."""
-    if sum(a):
-        raise ValueError("not divisible by (1-t)")
-    return _trimmed(accumulate(a))
-
-
-MONOMIAL_ONE = Monomial(0)
-
-# The reference arithmetic takes monomials of any exponents as exponent
-# tuples ((variable, exponent), ...), variables ascending, exponents >= 1,
-# as a Monomial's exps gives them for a squarefree one.
-
-
-def _exponent_tuple(exps):
-    return tuple(sorted((i, e) for i, e in exps.items() if e))
-
-
-def monomial_mul(a, b):
-    out = dict(a)
-    for i, e in b:
-        out[i] = out.get(i, 0) + e
-    return _exponent_tuple(out)
-
-
-def monomial_divides(a, b):
-    """True iff a divides b."""
-    it = dict(b)
-    return all(it.get(i, 0) >= e for i, e in a)
-
-
-def monomial_lcm(a, b):
-    out = dict(a)
-    for i, e in b:
-        out[i] = max(out.get(i, 0), e)
-    return _exponent_tuple(out)
-
-
-def monomial_quotient(a, b):
-    """a / b; b must divide a."""
-    out = dict(a)
-    for i, e in b:
-        have = out.get(i, 0)
-        if have < e:
-            raise ValueError("quotient is not a monomial")
-        out[i] = have - e
-    return _exponent_tuple(out)
-
-
-def grlex_key(m):
-    """Sort key of an exponent tuple in graded lex order, x0 largest: after
-    the degree, the first pair that differs decides, and there the smaller
-    variable or, for the same variable, the larger exponent wins."""
-    return sum(e for _, e in m), tuple((-i, e) for i, e in m)
-
-
-def _squarefree(indices):
-    return Monomial(sum(1 << v for v in set(indices)))
-
+# ------------------------------------------------------------------ facet searches
 
 def _plus_supports(c):
     """The initial ideal's supports, from the generators' plus parts."""
     return [g.plus.mask for g in generators(c)]
-
-
-def _members(mask):
-    """The frozenset of the bit positions set in mask."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
-def _facet_sets(cx):
-    """The facets of a complex as a set of frozensets."""
-    return {_members(f) for f in cx.facets}
-
-
-def _scan_facets(supports, ground_size):
-    """All subsets as bitmasks; faces contain no support, facets extend to none."""
-    faces = {mask for mask in range(1 << ground_size)
-             if all(mask & s != s for s in supports)}
-    return {
-        frozenset(v for v in range(ground_size) if mask >> v & 1)
-        for mask in faces
-        if not any(not mask >> v & 1 and mask | 1 << v in faces for v in range(ground_size))
-    }
-
-
-def _tuple_hilbert(c, d):
-    """Breadth-first closure over vertex exponent tuples."""
-    g = labeled_graph(c)
-    edge_vecs = [vertex_exponent_vector(Monomial(1 << i), g) for i in range(c.edge_count)]
-    level = {(0,) * g.n_vertices}
-    for _ in range(d):
-        level = {tuple(v + e for v, e in zip(vec, evec)) for vec in level for evec in edge_vecs}
-    return len(level)
-
-
-def _full_level_series(endpoints, d):
-    """Breadth-first closure over whole-graph vectors packed into ints that
-    adds every edge to every vector."""
-    w = max(d, 1).bit_length()
-    edges = [(1 << w * a) + (1 << w * b) for a, b in endpoints]
-    level, series = {0}, [1]
-    for _ in range(d):
-        level = {v + e for v in level for e in edges}
-        series.append(len(level))
-    return series
-
-
-def _plain_facet_search(supports, ground_size):
-    """The include/exclude search that tests the supports through v with
-    any(...) at every node and the blocked vertices at every leaf."""
-    if 0 in supports:
-        return ()
-    through = [[s for s in supports if s >> v & 1] for v in range(ground_size)]
-    facets = []
-
-    def search(v, inside, outside):
-        if v == ground_size:
-            if all(any(s & ~inside == 1 << u for s in through[u])
-                   for u in range(ground_size) if outside >> u & 1):
-                facets.append(inside)
-            return
-        bit = 1 << v
-        grown = inside | bit
-        if not any(s & ~grown == 0 for s in through[v]):
-            search(v + 1, grown, outside)
-        if any(s & outside == 0 for s in through[v]):
-            search(v + 1, inside, outside | bit)
-
-    search(0, 0, 0)
-    return tuple(facets)
 
 
 def _random_supports(rng, ground_size):
@@ -273,7 +126,7 @@ def _random_supports(rng, ground_size):
             supports.append(0)
         else:
             size = rng.choice((1, 1, 2, 2, 3, 4))
-            supports.append(_squarefree(rng.sample(pool, min(size, len(pool)))).mask)
+            supports.append(squarefree(rng.sample(pool, min(size, len(pool)))).mask)
     return supports
 
 
@@ -287,54 +140,38 @@ def test_facet_search_matches_scan_every_order():
         c = build_from_k(order)
         supports = _plus_supports(c)
         brute = facets_brute_force(supports, c.edge_count)
-        assert len(brute.facets) == len(_facet_sets(brute)), order
-        assert _facet_sets(brute) == _scan_facets(supports, c.edge_count), order
+        assert len(brute.facets) == len(facet_sets(brute)), order
+        assert facet_sets(brute) == scan_facets(supports, c.edge_count), order
 
 
 @pytest.mark.parametrize("monomials, ground_size", [
     ([], 0),
     ([], 4),
-    ([_squarefree([2])], 4),
-    ([_squarefree([0])], 1),
+    ([squarefree([2])], 4),
+    ([squarefree([0])], 1),
     ([MONOMIAL_ONE], 0),
     ([MONOMIAL_ONE], 3),
-    ([_squarefree([0, 1]), MONOMIAL_ONE], 3),
-    ([_squarefree([0, 1]), _squarefree([1, 2]), _squarefree([0, 2])], 3),
+    ([squarefree([0, 1]), MONOMIAL_ONE], 3),
+    ([squarefree([0, 1]), squarefree([1, 2]), squarefree([0, 2])], 3),
     # the leaf {2} (0 and 1 excluded) is a face but not maximal
-    ([_squarefree([0, 1]), _squarefree([1, 2])], 3),
-    ([_squarefree([0, 5])], 3),  # a support reaching past the ground set
+    ([squarefree([0, 1]), squarefree([1, 2])], 3),
+    ([squarefree([0, 5])], 3),  # a support reaching past the ground set
 ])
 def test_facet_search_matches_scan_by_hand(monomials, ground_size):
     supports = [m.mask for m in monomials]
     brute = facets_brute_force(supports, ground_size)
-    assert len(brute.facets) == len(_facet_sets(brute))
-    assert _facet_sets(brute) == _scan_facets(supports, ground_size)
+    assert len(brute.facets) == len(facet_sets(brute))
+    assert facet_sets(brute) == scan_facets(supports, ground_size)
 
 
 def _brute_facets(supports, ground_size):
     return facets_brute_force(supports, ground_size).facets
 
 
-def _calls(name, fn, *args):
-    """fn(*args) and the number of calls it makes to functions named name."""
-    calls = 0
-
-    def tally(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code.co_name == name
-
-    sys.setprofile(tally)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return result, calls
-
-
 def _traced(search, supports, ground_size):
     """The facet tuple search returns and the number of calls it makes to
     its nested function named search, one per node of its search tree."""
-    return _calls("search", search, supports, ground_size)
+    return calls_to("search", search, supports, ground_size)
 
 
 def _same_facets(supports, ground_size):
@@ -342,7 +179,7 @@ def _same_facets(supports, ground_size):
     duplicates and, sorted, equal the plain search's."""
     facets, nodes = _traced(_brute_facets, supports, ground_size)
     assert len(set(facets)) == len(facets), (supports, ground_size)
-    assert sorted(facets) == sorted(_plain_facet_search(supports, ground_size)), (supports, ground_size)
+    assert sorted(facets) == sorted(plain_facet_search(supports, ground_size)), (supports, ground_size)
     return nodes
 
 
@@ -359,7 +196,7 @@ def test_facet_search_matches_plain_search_on_the_sweep():
     assert len(searchable) == 44
     assert sum(len(_brute_facets(_plus_supports(c), c.edge_count)) for c in searchable) == 602
     assert sum(_same_facets(_plus_supports(c), c.edge_count) for c in searchable) == 856
-    assert sum(_traced(_plain_facet_search, _plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
+    assert sum(_traced(plain_facet_search, _plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
 
 
 def test_facet_search_matches_plain_search_on_random_families():
@@ -390,7 +227,7 @@ def test_facet_search_matches_plain_search_on_random_families():
 ])
 def test_facet_search_edge_cases(supports, ground_size, facets):
     assert sorted(_brute_facets(supports, ground_size)) == facets
-    assert {_members(f) for f in facets} == _scan_facets(supports, ground_size)
+    assert {members(f) for f in facets} == scan_facets(supports, ground_size)
 
 
 def test_facet_search_empty_ground_and_constant_monomial():
@@ -401,11 +238,13 @@ def test_facet_search_empty_ground_and_constant_monomial():
     assert facets_brute_force([0, 0b10], 2).facets == ()
 
 
+# ------------------------------------------------------------------ Hilbert series
+
 def test_packed_hilbert_matches_tuples_every_order():
     for order in ORDERS:
         c = build_from_k(order)
         for d in (0, 1, 3, 4):
-            assert edge_subring_hilbert(c, d) == _tuple_hilbert(c, d), (order, d)
+            assert edge_subring_hilbert(c, d) == tuple_hilbert(c, d), (order, d)
 
 
 @pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (1, 2)])
@@ -413,11 +252,11 @@ def test_packed_hilbert_matches_tuples_across_bit_widths(k):
     # w = bit_length(max(d, 1)) is 1, 1, 2, 3, 3, 4 at these degrees
     c = build_from_k(k)
     for d in (0, 1, 3, 4, 7, 8):
-        assert edge_subring_hilbert(c, d) == _tuple_hilbert(c, d), (k, d)
+        assert edge_subring_hilbert(c, d) == tuple_hilbert(c, d), (k, d)
 
 
 def _series(c, d):
-    return _full_level_series(labeled_graph(c).endpoints, d)
+    return full_level_series(labeled_graph(c).endpoints, d)
 
 
 def test_hilbert_series_matches_full_levels_every_order():
@@ -452,207 +291,18 @@ def test_hub_split_matches_full_levels_to_degree_seven(k):
         assert edge_subring_hilbert_series(c, d) == expected[:d + 1], d
 
 
-def _graph(n_vertices, endpoints):
-    return LabeledGraph(n_vertices, tuple(endpoints))
-
-
-def _random_graphs(count, seed=0):
-    """Simple graphs on at most 8 vertices, with edges kept at a random density."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        nv, keep = rng.randint(1, 8), rng.random()
-        yield _graph(nv, [e for e in combinations(range(nv), 2) if rng.random() < keep]), rng.randint(0, 5)
-
-
-SHAPED_GRAPHS = [
-    _graph(5, []),  # edgeless
-    _graph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]),  # disconnected, isolated 3
-    _graph(4, list(combinations(range(4), 2))),  # K4: no cut vertex
-    _graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # a pentagon with a chord
-    _graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (4, 5), (5, 6)]),  # a bow tie with a tail
-]
-
-
-def _mask_tally(edges, d):
-    """For each degree mask D, the number of vectors u whose degree-0..d
-    occurrences as sums of the packed edge vectors are the degrees in D,
-    found by listing every vector.
-
-    Level t maps each degree-t vector v to m(v), the least largest edge
-    index of an edge multiset with image v.  Edge j is added only where
-    m(v) <= j: no vector is missed, as dropping the largest edge e of a
-    multiset leaves an image with m <= e.  Edges run last to first, so the
-    least j reaching a vector is its m.
-    """
-    level, seen = {0: 0}, {0: 1}
-    for t in range(1, d + 1):
-        by_m = [[] for _ in edges]
-        for v, m in level.items():
-            by_m[m].append(v)
-        order, ends = [], []
-        for bucket in by_m:
-            order += bucket
-            ends.append(len(order))
-        level = {}
-        for j in range(len(edges) - 1, -1, -1):
-            level.update(dict.fromkeys([v + edges[j] for v in order[:ends[j]]], j))
-        again = level.keys() & seen.keys()
-        seen.update(dict.fromkeys(level.keys() - again, 1 << t))
-        for v in again:
-            seen[v] |= 1 << t
-    tally = {}
-    for mask in seen.values():
-        tally[mask] = tally.get(mask, 0) + 1
-    return tally
-
-
-def _mask_minkowski(states, tally, d):
-    """One branch step of the hub DP on degree masks: each counted set S and
-    each counted mask M give the union of S << t over t in M, cut at d."""
-    full, out = (1 << d + 1) - 1, {}
-    shifts = [(bits(mask), k) for mask, k in tally.items()]
-    for s, n in states.items():
-        for ts, k in shifts:
-            reach = 0
-            for t in ts:
-                reach |= s << t
-            reach &= full
-            out[reach] = out.get(reach, 0) + n * k
-    return out
-
-
-def _run_masks(runs):
-    """A tally of runs (t, m) as a tally of the degree masks [t, t + m]."""
-    return {(1 << m + 1) - 1 << t: k for (t, m), k in runs.items()}
-
-
-def _path_tally(L, d):
-    """For each run (t, m), the number of vectors u on the inner vertices of
-    a hub-to-hub path with L >= 2 edges whose degrees of occurrence up to d
-    are the interval [t, t + m]: the binomial tally the run DP was fed.
-
-    Take the a with odd positions of minimum 0, its sum t and the minimum m
-    of its even positions.  For L = 2k + 1, D(u) = [t, t + m], cut at d, and
-    C(s + 2k, 2k) - C(s + k - 1, 2k) of the u with sum t have m >= m0,
-    s = t - k*m0.  For L = 2k, D(u) = {t}, for C(t + L - 1, L - 1) -
-    C(t + k - 1, L - 1) u's.
-    """
-    k = L // 2
-
-    def comb(n, r):
-        return math.comb(n, r) if n >= 0 else 0
-
-    if L % 2 == 0:
-        return {(t, 0): comb(t + L - 1, L - 1) - comb(t + k - 1, L - 1) for t in range(d + 1)}
-    tally = {}
-    for t in range(d + 1):
-        at_least = [comb(s + 2 * k, 2 * k) - comb(s + k - 1, 2 * k) for s in range(t, t - k * (d - t + 1), -k)]
-        for m, (n, above) in enumerate(zip(at_least, at_least[1:] + [0])):
-            if n > above:
-                tally[t, m] = n - above
-    return tally
-
-
-def _run_ends(runs, d):
-    """A tally of runs (t, m), t + m <= d, as its counts of low and high ends."""
-    lo, hi = [0] * (d + 1), [0] * (d + 1)
-    for (t, m), n in runs.items():
-        lo[t] += n
-        hi[t + m] += n
-    return lo, hi
-
-
-def _minkowski(states, runs, d):
-    """One branch step of the run DP the hub counts were first summed by:
-    each counted set S of reachable degrees and each counted run (t, m) give
-    the union of S << t' over t' in [t, t + m], truncated at d, counted by
-    the product of the two counts.  Per S, spread[m] = S | S << 1 | ... |
-    S << m serves every run."""
-    full, out = (1 << d + 1) - 1, {}
-    widest = max((m for _, m in runs), default=0)
-    for s, n in states.items():
-        spread = [s]
-        for _ in range(widest):
-            spread.append(spread[-1] | spread[-1] << 1)
-        for (t, m), k in runs.items():
-            reach = spread[m] << t & full
-            out[reach] = out.get(reach, 0) + n * k
-    return out
-
-
-def _minkowski_run_counts(tallies, d):
-    """The run DP: each set of degrees a tuple of runs reaches, truncated at
-    d, mapped to its number of tuples; HF(t) sums the sets that hold t."""
-    states = {1: 1}
-    for runs in tallies:
-        states = _minkowski(states, runs, d)
-    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
-
-
-def _minkowski_hub_counts(lengths, d):
-    return _minkowski_run_counts([_path_tally(L, d) for L in lengths], d)
-
-
-def _listing_hub_series(g, d, hub):
-    """The hub split of any graph at any vertex: each component of g - hub,
-    with the edges that join it to the hub, gives the listed tally of its
-    degree masks (hub coordinate dropped), and the DP combines them.
-    Coordinates are packed w = bit_length(max(d, 1)) bits per branch vertex,
-    so sums never carry."""
-    parent = list(range(g.n_vertices))
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for a, b in g.endpoints:
-        if hub not in (a, b):
-            parent[root(a)] = root(b)
-    branches = {}
-    for a, b in g.endpoints:
-        branches.setdefault(root(b if a == hub else a), []).append((a, b))
-    w, states = max(d, 1).bit_length(), {1: 1}
-    for ends in branches.values():
-        slot = {v: w * i for i, v in enumerate(sorted({v for e in ends for v in e} - {hub}))}
-        edges = [sum(1 << slot[v] for v in e if v != hub) for e in ends]
-        states = _mask_minkowski(states, _mask_tally(edges, d), d)
-    return [sum(n for s, n in states.items() if s >> t & 1) for t in range(d + 1)]
-
-
-def _path_edges(length, d):
-    """The edges of a hub-to-hub path with the given number of edges, packed
-    as _listing_hub_series packs them, hub coordinate dropped."""
-    w = max(d, 1).bit_length()
-    return [sum(1 << w * (v - 1) for v in (j, j + 1) if 0 < v < length) for j in range(length)]
-
-
-def test_path_tally_matches_the_listing():
-    for length in range(2, 16):
-        for d in range(9):
-            expected = _mask_tally(_path_edges(length, d), d)
-            assert _run_masks(_path_tally(length, d)) == expected, (length, d)
-
-
 def test_path_ends_match_the_listing():
     # listed to degree d + 1, every run that ends at d or below shows its end
     for length in range(2, 16):
         for d in range(8):
             lo, hi = [0] * (d + 1), [0] * (d + 1)
-            for mask, n in _mask_tally(_path_edges(length, d + 1), d + 1).items():
+            for mask, n in mask_tally(path_edges(length, d + 1), d + 1).items():
                 low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
                 if low <= d:
                     lo[low] += n
                 if high <= d:
                     hi[high] += n
             assert _path_ends(length, d) == (lo, hi), (length, d)
-
-
-def test_hub_split_matches_full_levels_on_graphs_at_every_vertex():
-    for g, d in [*((g, 5) for g in SHAPED_GRAPHS), *_random_graphs(300)]:
-        expected = _full_level_series(g.endpoints, d)
-        for hub in range(g.n_vertices):
-            assert _listing_hub_series(g, d, hub) == expected, (g.endpoints, d, hub)
 
 
 def _glued_cycles(lengths, rng):
@@ -667,7 +317,7 @@ def _glued_cycles(lengths, rng):
     label = rng.sample(range(nv), nv)
     endpoints = [(label[a], label[b])[::rng.choice((1, -1))] for a, b in endpoints]
     rng.shuffle(endpoints)
-    return _graph(nv, endpoints)
+    return graph(nv, endpoints)
 
 
 def test_hub_split_of_glued_cycles_matches_full_levels():
@@ -678,7 +328,7 @@ def test_hub_split_of_glued_cycles_matches_full_levels():
             lengths.pop()
         g = _glued_cycles(lengths, rng)
         d = rng.randint(0, 5)
-        assert _hub_counts(_hub_branches(g), d) == _full_level_series(g.endpoints, d), (g.endpoints, d)
+        assert _hub_counts(_hub_branches(g), d) == full_level_series(g.endpoints, d), (g.endpoints, d)
 
 
 @pytest.mark.parametrize("endpoints", [
@@ -690,42 +340,21 @@ def test_hub_split_of_glued_cycles_matches_full_levels():
     [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],  # a triangle apart from the hub
 ])
 def test_hub_split_rejects_a_branch_that_is_not_a_hub_path(endpoints):
-    g = _graph(1 + max(v for e in endpoints for v in e), endpoints)
+    g = graph(1 + max(v for e in endpoints for v in e), endpoints)
     with pytest.raises(ValueError, match="not a path from the hub back to the hub"):
         _hub_branches(g)
 
 
 def test_edgeless_graph_has_only_the_constants():
     for d in range(6):
-        assert _hub_counts(_hub_branches(_graph(3, [])), d) == [1] + [0] * d
-
-
-def test_minkowski_step_shifts_truncates_and_multiplies():
-    # {0, 1} + [1, 2] = {1, 2, 3}, cut to {1, 2} at d = 2; {0, 1} + [0, 0] = {0, 1}
-    assert _minkowski({0b11: 2}, {(1, 1): 3, (0, 0): 5}, 2) == {0b110: 6, 0b11: 10}
-    # two reachable-degree sets that meet one run in the same set add up
-    assert _minkowski({0b1: 1, 0b11: 4}, {(0, 1): 1}, 1) == {0b11: 5}
-
-
-def test_minkowski_runs_match_masks_on_random_interval_tallies():
-    rng = random.Random(13)
-    for _ in range(500):
-        d = rng.randint(0, 9)
-        full = (1 << d + 1) - 1
-        states = {rng.randint(1, full): rng.randint(1, 9) for _ in range(rng.randint(1, 6))}
-        runs = {}
-        for _ in range(rng.randint(0, 6)):
-            t = rng.randint(0, d)
-            runs[t, rng.randint(0, d - t)] = rng.randint(1, 9)
-        expected = _mask_minkowski(states, _run_masks(runs), d)
-        assert _minkowski(states, runs, d) == expected, (states, runs, d)
+        assert _hub_counts(_hub_branches(graph(3, [])), d) == [1] + [0] * d
 
 
 def test_run_ends_count_the_runs_by_hand():
     # runs [0, 1] (twice) and [1, 1], then [0, 0] and [1, 2], at d = 3:
     # sums [0, 1] x2, [1, 3] x2, [1, 1] and [2, 3]
     ends = [([2, 1, 0, 0], [0, 3, 0, 0]), ([1, 1, 0, 0], [1, 0, 1, 0])]
-    assert ends == [_run_ends({(0, 1): 2, (1, 0): 1}, 3), _run_ends({(0, 0): 1, (1, 1): 1}, 3)]
+    assert ends == [run_ends({(0, 1): 2, (1, 0): 1}, 3), run_ends({(0, 0): 1, (1, 1): 1}, 3)]
     assert _run_counts(ends, 3) == [2, 5, 3, 3]
     assert _run_counts([], 2) == [1, 0, 0]
     assert _run_counts([([0, 0, 0], [0, 0, 0])], 2) == [0, 0, 0]
@@ -737,7 +366,7 @@ def test_run_ends_match_the_run_dp_on_every_order_of_the_sweep():
         for order in set(permutations(c.k)):
             lengths = _hub_branches(labeled_graph(build_from_k(order)))
             assert sorted(lengths) == sorted(2 * k + 1 for k in order), order
-            expected = _minkowski_hub_counts(lengths, V)
+            expected = minkowski_hub_counts(lengths, V)
             for d in range(V + 1):
                 assert _hub_counts(lengths, d) == expected[:d + 1], (order, d)
 
@@ -748,132 +377,12 @@ def test_run_ends_match_the_run_dp_on_random_path_lengths():
     for _ in range(150):
         lengths = [rng.randint(2, 9) for _ in range(rng.randint(0, 5))]
         top = min(1 + sum(L - 1 for L in lengths), 20)  # V, at most 20
-        expected = _minkowski_hub_counts(lengths, top)
+        expected = minkowski_hub_counts(lengths, top)
         for d in range(top + 1):
             assert _hub_counts(lengths, d) == expected[:d + 1], (lengths, d)
 
 
 # ------------------------------------------------------------------ toric certificates
-
-def _as_poly(b):
-    return {b.plus.exps: 1, b.minus.exps: -1}
-
-
-def _lead(poly):
-    return max(poly, key=grlex_key)
-
-
-def _s_polynomial(f, g):
-    fp, gp = _as_poly(f), _as_poly(g)
-    lf, lg = _lead(fp), _lead(gp)
-    lcm = monomial_lcm(lf, lg)
-    uf, ug = monomial_quotient(lcm, lf), monomial_quotient(lcm, lg)
-    out = {}
-    # leading coefficients are +-1, so dividing by them is multiplying by them
-    for m, cm in fp.items():
-        key = monomial_mul(m, uf)
-        out[key] = out.get(key, 0) + cm * fp[lf]
-    for m, cm in gp.items():
-        key = monomial_mul(m, ug)
-        out[key] = out.get(key, 0) - cm * gp[lg]
-    return {m: cv for m, cv in out.items() if cv}
-
-
-def dict_s_pair_reduces_to_zero(f, g, basis, max_steps=10_000, leads=None):
-    """Division on dicts keyed by exponent tuples; the lead is the grlex_key
-    maximum.  Each lead the walk meets is appended to leads if given."""
-    prepared = [(_lead(hp), hp) for hp in map(_as_poly, basis)]
-    work = _s_polynomial(f, g)
-    remainder = {}
-    steps = 0
-    while work:
-        lead = _lead(work)
-        if leads is not None:
-            leads.append(lead)
-        c = work[lead]
-        for lm, hp in prepared:
-            if monomial_divides(lm, lead):
-                steps += 1
-                if steps > max_steps:
-                    raise RuntimeError("reduction did not terminate")
-                u = monomial_quotient(lead, lm)
-                factor = c * hp[lm]  # == c / leading coefficient, both signs +-1
-                for m, cm in hp.items():
-                    key = monomial_mul(m, u)
-                    nv = work.get(key, 0) - factor * cm
-                    if nv:
-                        work[key] = nv
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[lead] = c
-            del work[lead]
-    return not remainder
-
-
-def _frozenset_standard_count(c, d, monomials=None):
-    """The unmemoised recursion over frozenset supports."""
-    nvars = c.edge_count
-    if monomials is None:
-        monomials = [g.plus for g in generators(c)]
-    supports = tuple(frozenset(i for i, _ in m.exps) for m in monomials)
-    if frozenset() in supports:
-        return 0  # the monomial 1 divides every monomial
-
-    def count(idx, rem, alive):
-        if rem == 0:
-            return 1
-        if idx == nvars:
-            return 0
-        if not alive:
-            return math.comb(nvars - idx + rem - 1, rem)
-        total = count(idx + 1, rem, tuple(s for s in alive if idx not in s))
-        pos_alive = []
-        for s in alive:
-            if idx in s:
-                s2 = s - {idx}
-                if not s2:
-                    return total  # variable idx completes a generator
-                pos_alive.append(s2)
-            else:
-                pos_alive.append(s)
-        pos = tuple(pos_alive)
-        for e in range(1, rem + 1):
-            total += count(idx + 1, rem - e, pos)
-        return total
-
-    return count(0, d, supports)
-
-
-def _degree_memo_counts(nvars, degrees, supports):
-    """The recursion over the variables that the standard counts were first
-    summed by, memoised for all the degrees on (variable, degree left, what
-    each live support lacks as a bitmask); a support that lacks more
-    variables than the degree left leaves the key, and once none is left,
-    stars and bars count the rest."""
-
-    def fits(alive, rem):
-        return tuple(s for s in alive if s.bit_count() <= rem)
-
-    @cache
-    def count(idx, rem, alive):
-        if rem == 0:
-            return 1
-        if idx == nvars:
-            return 0
-        if not alive:
-            return math.comb(nvars - idx + rem - 1, rem)
-        bit = 1 << idx
-        total = count(idx + 1, rem, tuple(s for s in alive if not s & bit))
-        if bit in alive:
-            return total
-        pos = [s & ~bit for s in alive]
-        return total + sum(count(idx + 1, r, fits(pos, r)) for r in range(rem))
-
-    alive = tuple(supports)
-    return [0 if 0 in alive else count(0, j, fits(alive, j)) for j in degrees]
-
 
 def _steps(fn, f, g, basis):
     """fn's result and the smallest max_steps at which it does not raise."""
@@ -894,20 +403,6 @@ def _steps(fn, f, g, basis):
             lo = mid + 1
     return fn(f, g, basis, max_steps=lo), lo
 
-
-def _settled(f, g, basis):
-    """True iff Buchberger's first criterion settles the pair: f and g are
-    in the basis, by value, and their leading monomials share no variable."""
-    lf, lg = _lead(_as_poly(f)), _lead(_as_poly(g))
-    return f in basis and g in basis and not {i for i, _ in lf} & {i for i, _ in lg}
-
-
-def _negated(b):
-    """-b: the same lead and tail, so the same S-polynomials, but no member
-    of a basis that holds b and not -b."""
-    return Binomial(b.minus, b.plus)
-
-
 def _capped(f, g, basis, cap):
     """s_pair_reduces_to_zero with its step cap toric.MAX_STEPS set to cap."""
     with patch.object(toric, "MAX_STEPS", cap):
@@ -920,10 +415,10 @@ def assert_same_division(f, g, basis):
     checked as below unless -f is in the basis too.  For every other pair:
     the same result and the same step count, and raising at one step fewer,
     for both."""
-    if _settled(f, g, basis):
+    if criterion_settles(f, g, basis):
         assert _capped(f, g, basis, 0) is True
-        if _negated(f) not in basis:
-            assert_same_division(_negated(f), g, basis)
+        if negated(f) not in basis:
+            assert_same_division(negated(f), g, basis)
         return True, 0
     result, steps = _steps(dict_s_pair_reduces_to_zero, f, g, basis)
     assert _capped(f, g, basis, steps) is result
@@ -934,12 +429,7 @@ def assert_same_division(f, g, basis):
 
 
 # every cycle order of every bouquet with at most 16 edges and two or more cycles
-PAIR_ORDERS = sorted({
-    order
-    for c in sweep_compositions(8, 8)
-    if c.edge_count <= 16 and c.n >= 2
-    for order in permutations(c.k)
-})
+PAIR_ORDERS = every_order(c for c in sweep_compositions(8, 8) if c.edge_count <= 16 and c.n >= 2)
 
 
 def test_pair_orders_cover_the_bouquets():
@@ -955,7 +445,7 @@ def test_packed_division_matches_dicts_every_pair_every_order():
             result, steps = assert_same_division(f, g, basis)
             assert result, (order, f, g)
             total_steps += steps
-            settled += _settled(f, g, basis)
+            settled += criterion_settles(f, g, basis)
     assert total_steps > 0  # some pairs need division, not just the product criterion
     assert settled > 0
 
@@ -969,7 +459,7 @@ def test_packed_division_matches_dicts_incomplete_bases():
             for f, g in combinations(gens, 2):  # f or g may be the dropped generator
                 result, _ = assert_same_division(f, g, basis)
                 nonzero += not result
-                settled += _settled(f, g, basis)
+                settled += criterion_settles(f, g, basis)
     assert nonzero > 0 and settled > 0
 
 
@@ -977,13 +467,6 @@ def test_packed_division_matches_dicts_on_the_worked_incomplete_basis():
     g01, g02, _ = generators(build_from_k([1, 1, 1]))
     assert assert_same_division(g01, g02, [g01, g02])[0] is False
     assert assert_same_division(g02, g01, [g02, g01])[0] is False
-
-
-def _random_binomial(rng, nvars):
-    while True:
-        a, b = Monomial(rng.getrandbits(nvars)), Monomial(rng.getrandbits(nvars))
-        if a != b:
-            return Binomial(a, b)
 
 
 def _meets_a_square(f, g, basis):
@@ -999,14 +482,14 @@ def test_packed_division_matches_dicts_on_random_binomials():
     nonzero = reducing = squares = settled = 0
     for _ in range(300):
         nvars = rng.randint(1, 6)
-        basis = [_random_binomial(rng, nvars) for _ in range(rng.randint(0, 5))]
-        pool = basis + [_random_binomial(rng, nvars + rng.randint(0, 2)) for _ in range(2)]
+        basis = [random_binomial(rng, nvars) for _ in range(rng.randint(0, 5))]
+        pool = basis + [random_binomial(rng, nvars + rng.randint(0, 2)) for _ in range(2)]
         f, g = rng.choice(pool), rng.choice(pool)
         result, steps = assert_same_division(f, g, basis)
         nonzero += not result
         reducing += steps > 0
-        settled += _settled(f, g, basis)
-        walked = not _settled(f, g, basis) or _negated(f) not in basis  # settled: -f with g walked
+        settled += criterion_settles(f, g, basis)
+        walked = not criterion_settles(f, g, basis) or negated(f) not in basis  # settled: -f with g walked
         squares += walked and _meets_a_square(f, g, basis)
     assert nonzero > 0 and reducing > 0 and squares > 0 and settled > 0
 
@@ -1017,11 +500,11 @@ def test_packed_division_rewrites_a_squared_variable():
     # x2 x3, and h divides x2^2 to x2 x3 as well, where the terms cancel.
     # The leads x0 and x1 of f and g share no variable, so the criterion
     # settles the pair; -f, no member, walks the same S-polynomial.
-    f, h, g = (Binomial(_squarefree([i]), _squarefree([j])) for i, j in ((0, 2), (2, 3), (1, 2)))
+    f, h, g = (Binomial(squarefree([i]), squarefree([j])) for i, j in ((0, 2), (2, 3), (1, 2)))
     assert assert_same_division(f, g, [f, h, g]) == (True, 0)
-    assert assert_same_division(_negated(f), g, [f, h, g]) == (True, 4)
+    assert assert_same_division(negated(f), g, [f, h, g]) == (True, 4)
     leads = []
-    dict_s_pair_reduces_to_zero(_negated(f), g, [f, h, g], leads=leads)
+    dict_s_pair_reduces_to_zero(negated(f), g, [f, h, g], leads=leads)
     assert leads == [((0, 1), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (3, 1)), ((2, 2),)]
 
 
@@ -1031,10 +514,10 @@ def test_packed_division_holds_exponents_above_the_basis_degree():
     # exponent 4 only fields sized for twice the largest degree hold.  Its
     # key is new, and the divisibility scan finds x7 in it.  The other term,
     # x3 x4 x5 x8 x11 x12, has no divisor and goes to the remainder first.
-    f = Binomial(_squarefree([0, 1, 2]), _squarefree([8, 11, 12]))
-    g = Binomial(_squarefree([3, 4, 5]), _squarefree([6, 7, 8]))
-    hs = [Binomial(_squarefree([i]), _squarefree([9])) for i in (0, 1, 2, 6)]
-    hs.append(Binomial(_squarefree([7]), _squarefree([10])))
+    f = Binomial(squarefree([0, 1, 2]), squarefree([8, 11, 12]))
+    g = Binomial(squarefree([3, 4, 5]), squarefree([6, 7, 8]))
+    hs = [Binomial(squarefree([i]), squarefree([9])) for i in (0, 1, 2, 6)]
+    hs.append(Binomial(squarefree([7]), squarefree([10])))
     assert assert_same_division(f, g, hs) == (False, 5)
     leads = []
     dict_s_pair_reduces_to_zero(f, g, hs, leads=leads)
@@ -1133,11 +616,11 @@ def test_criterion_settles_a_pair_that_division_leaves_nonzero():
     gens = generators(build_from_k([1, 1, 1, 1]))
     basis = gens[:3] + gens[4:]
     f, g = gens[0], gens[5]
-    assert _settled(f, g, basis) and _steps(dict_s_pair_reduces_to_zero, f, g, basis) == (False, 2)
+    assert criterion_settles(f, g, basis) and _steps(dict_s_pair_reduces_to_zero, f, g, basis) == (False, 2)
     assert _capped(f, g, basis, 0) is True
     assert _capped(g, f, basis, 0) is True
     assert _capped(_copy(f), _copy(g), [*map(_copy, basis)], 0) is True
-    assert assert_same_division(_negated(f), g, basis) == (False, 2)
+    assert assert_same_division(negated(f), g, basis) == (False, 2)
     assert assert_same_division(f, g, basis[:-1]) == (False, 2)  # g is no member there
     assert not _all_pairs(s_pair_reduces_to_zero, basis)
 
@@ -1167,12 +650,12 @@ def test_division_key_ignores_fields_no_lead_uses():
     # x4 is in no lead, so the absent variables of x0 x1 and x0 x1 x4 differ
     # in x4 alone, which blocks no divisor: h1 is found for both.  Each
     # S-polynomial is t - q with q what h1 turns t into.
-    h1 = Binomial(_squarefree([0, 1]), _squarefree([5, 6]))
-    h2 = Binomial(_squarefree([2]), _squarefree([5]))
+    h1 = Binomial(squarefree([0, 1]), squarefree([5, 6]))
+    h2 = Binomial(squarefree([2]), squarefree([5]))
     basis = [h1, h2]
-    top = _squarefree(range(7, 14))  # the lead of every f and g below
-    pairs = [(Binomial(_squarefree([0, 1]), top), Binomial(_squarefree([5, 6]), top)),
-             (Binomial(_squarefree([0, 1, 4]), top), Binomial(_squarefree([4, 5, 6]), top))]
+    top = squarefree(range(7, 14))  # the lead of every f and g below
+    pairs = [(Binomial(squarefree([0, 1]), top), Binomial(squarefree([5, 6]), top)),
+             (Binomial(squarefree([0, 1, 4]), top), Binomial(squarefree([4, 5, 6]), top))]
     for f, g in pairs:
         assert assert_same_division(f, g, basis) == (True, 1)
         assert assert_same_division(g, f, basis) == (True, 1)
@@ -1247,10 +730,10 @@ def test_division_sends_one_term_to_the_remainder_and_reduces_the_other():
     # to the remainder, and x1 x2 goes on alone, to x2 x4 by h1 and x4 x5
     # by h2, where no lead divides it either.  With one step fewer allowed,
     # the cap is reached after the remainder is nonzero.
-    h1 = Binomial(_squarefree([1]), _squarefree([4]))
-    h2 = Binomial(_squarefree([2]), _squarefree([5]))
-    top = _squarefree(range(6, 13))
-    f, g = Binomial(_squarefree([0, 3]), top), Binomial(_squarefree([1, 2]), top)
+    h1 = Binomial(squarefree([1]), squarefree([4]))
+    h2 = Binomial(squarefree([2]), squarefree([5]))
+    top = squarefree(range(6, 13))
+    f, g = Binomial(squarefree([0, 3]), top), Binomial(squarefree([1, 2]), top)
     assert assert_same_division(f, g, [h1, h2]) == (False, 2)
     assert assert_same_division(g, f, [h1, h2]) == (False, 2)
     assert assert_same_division(f, g, [h2, h1]) == (False, 2)
@@ -1309,14 +792,8 @@ def test_bouquet_basis_splits_into_a_run_per_cycle(k):
     assert [len(run) for _, run in pb.runs] == list(range(n - 1, 0, -1))
 
 
-def _pack(m, width, nvars):
-    """The exponent tuple m packed as _PackedBasis packs a monomial, with fields
-    width bits wide: the degree on top, then x_0's exponent and so on."""
-    return (sum(e for _, e in m) << width * nvars) + sum(e << width * (nvars - 1 - i) for i, e in m)
-
-
 def _random_exponents(rng, nvars, max_exp):
-    return _exponent_tuple({i: rng.randint(0, max_exp) for i in rng.sample(range(nvars), rng.randint(0, nvars))})
+    return exponent_tuple({i: rng.randint(0, max_exp) for i in rng.sample(range(nvars), rng.randint(0, nvars))})
 
 
 def test_packed_lcm_matches_monomial_lcm():
@@ -1332,15 +809,15 @@ def test_packed_lcm_matches_monomial_lcm():
         for lf, lg in product(range(1 << nvars), repeat=2):
             tf, tg = rng.randrange(1 << nvars), rng.randrange(1 << nvars)
             lcm = monomial_lcm(exps[lf], exps[lg])
-            want = tuple(_pack(monomial_mul(exps[t], monomial_quotient(lcm, exps[lead])), w, nvars)
+            want = tuple(pack_exponents(monomial_mul(exps[t], monomial_quotient(lcm, exps[lead])), w, nvars)
                          for lead, t in ((lf, tf), (lg, tg)))
-            got = packed.start_terms(*(_pack(exps[m], w, nvars) for m in (lf, tf, lg, tg)))
+            got = packed.start_terms(*(pack_exponents(exps[m], w, nvars) for m in (lf, tf, lg, tg)))
             assert got == want, (nvars, lf, tf, lg, tg)
     for deg, nvars in product(range(7), range(8)):
         packed = _PackedBasis((), deg, nvars)
         w = packed.width
         for mask in range(1 << nvars):
-            assert packed.pack(Monomial(mask)) == _pack(Monomial(mask).exps, w, nvars), (deg, nvars, mask)
+            assert packed.pack(Monomial(mask)) == pack_exponents(Monomial(mask).exps, w, nvars), (deg, nvars, mask)
 
 
 def test_packed_order_divisibility_and_product_agree_with_monomials():
@@ -1352,29 +829,32 @@ def test_packed_order_divisibility_and_product_agree_with_monomials():
         # fields for twice the larger degree hold the product's exponents
         packed = _PackedBasis((), max(sum(e for _, e in m) for m in (a, b)), nvars)
         w, guard = packed.width, packed.guard
-        pa, pb = _pack(a, w, nvars), _pack(b, w, nvars)
+        pa, pb = pack_exponents(a, w, nvars), pack_exponents(b, w, nvars)
         assert (pa > pb) - (pa < pb) == (grlex_key(a) > grlex_key(b)) - (grlex_key(a) < grlex_key(b)), (a, b)
         assert (not (pb - pa) & guard) == monomial_divides(a, b), (a, b)
         assert (not (pa - pb) & guard) == monomial_divides(b, a), (a, b)
-        assert pa + pb == _pack(monomial_mul(a, b), w, nvars), (a, b)
+        assert pa + pb == pack_exponents(monomial_mul(a, b), w, nvars), (a, b)
         if max_exp == 1:
             ma, mb = (Monomial(sum(1 << i for i, _ in m)) for m in (a, b))
             assert (packed.pack(ma), packed.pack(mb)) == (pa, pb), (a, b)
             assert (pa > pb) - (pa < pb) == grlex_cmp(ma, mb), (a, b)
 
 
+
+# ------------------------------------------------------------------ standard monomial counts
+
 def test_memoised_standard_count_matches_frozensets_every_order():
     for order in ORDERS:
         c = build_from_k(order)
         for d in range(6):
-            assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (order, d)
+            assert standard_monomial_count(c, d) == frozenset_standard_count(c, d), (order, d)
 
 
 @pytest.mark.parametrize("k", [(1,), (4, 3), (2, 2, 1, 1, 1, 1), (3, 1, 1, 1, 1, 1, 1, 1, 1)])
 def test_memoised_standard_count_matches_frozensets_deep_and_wide(k):
     c = build_from_k(k)
     for d in (0, 1, 2, 3, 7) if c.n < 6 else (0, 2, 3):
-        assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (k, d)
+        assert standard_monomial_count(c, d) == frozenset_standard_count(c, d), (k, d)
 
 
 def test_standard_series_matches_counts_every_order():
@@ -1388,7 +868,7 @@ def test_standard_series_matches_counts_every_order():
 def test_degree_pruned_count_matches_frozensets_to_degree_seven(k):
     c = build_from_k(k)
     for d in range(8):
-        assert standard_monomial_count(c, d) == _frozenset_standard_count(c, d), (k, d)
+        assert standard_monomial_count(c, d) == frozenset_standard_count(c, d), (k, d)
 
 
 def test_degree_pruned_series_matches_frozensets_on_random_families():
@@ -1398,11 +878,11 @@ def test_degree_pruned_series_matches_frozensets_on_random_families():
         c = build_from_k(rng.choice([(1,), (2,), (1, 1), (2, 1)]))
         nvars = c.edge_count
         sizes = [min(rng.choice((1, 1, 2, 3, 5, 8, 9)), nvars) for _ in range(rng.randint(0, 5))]
-        monomials = [_squarefree(rng.sample(range(nvars), size)) for size in sizes]
+        monomials = [squarefree(rng.sample(range(nvars), size)) for size in sizes]
         if rng.random() < 0.1:
             monomials.append(MONOMIAL_ONE)
         rng.shuffle(monomials)
-        expected = [_frozenset_standard_count(c, d, monomials) for d in range(8)]
+        expected = [frozenset_standard_count(c, d, monomials) for d in range(8)]
         assert _standard_counts(c, range(8), [m.mask for m in monomials]) == expected, (c.k, monomials)
 
 
@@ -1411,7 +891,7 @@ def test_standard_counts_count_the_supports_they_are_given():
     c = build_from_k((2, 1, 1))
     inits = [g.plus for g in generators(c)][::-1][:2]
     assert _standard_counts(c, range(5), [m.mask for m in inits]) == [
-        _frozenset_standard_count(c, d, inits) for d in range(5)]
+        frozenset_standard_count(c, d, inits) for d in range(5)]
     assert _standard_counts(c, range(4), [MONOMIAL_ONE.mask]) == [0, 0, 0, 0]
     with pytest.raises(ValueError, match="nonnegative"):
         _standard_counts(c, [-1], [m.mask for m in inits])
@@ -1424,7 +904,7 @@ def test_face_counts_match_the_degree_memo_on_every_order_of_the_sweep():
         V = c.vertex_count
         for order in set(permutations(c.k)):
             supports = [plus for plus, _ in toric._pair_supports(build_from_k(order))]
-            expected = _degree_memo_counts(c.edge_count, range(V + 1), supports)
+            expected = degree_memo_counts(c.edge_count, range(V + 1), supports)
             assert _standard_counts(c, range(V + 1), supports) == expected, order
             for d in range(V + 1):
                 assert _standard_counts(c, [d], supports) == expected[d:d + 1], (order, d)
@@ -1437,7 +917,7 @@ def test_face_counts_branch_only_at_live_variables():
     # every variable made 909
     sweep = sweep_compositions(5, 8)
     assert len(sweep) == 59
-    assert sum(_calls("faces", standard_monomial_count, c, 4)[1] for c in sweep) == 424
+    assert sum(calls_to("faces", standard_monomial_count, c, 4)[1] for c in sweep) == 424
 
 
 @pytest.mark.parametrize("k, supports", [
@@ -1452,7 +932,7 @@ def test_face_counts_branch_only_at_live_variables():
 def test_face_counts_with_free_runs_match_the_degree_memo(k, supports):
     c = build_from_k(k)
     nvars, V = c.edge_count, c.vertex_count
-    expected = _degree_memo_counts(nvars, range(V + 1), supports)
+    expected = degree_memo_counts(nvars, range(V + 1), supports)
     for d in range(V + 1):
         assert _standard_counts(c, range(d + 1), supports) == expected[:d + 1], d
         assert _standard_counts(c, [d], supports) == expected[d:d + 1], d
@@ -1477,7 +957,7 @@ def test_face_counts_match_the_degree_memo_on_random_families():
         if rng.random() < 0.05:
             supports.append(0)
         rng.shuffle(supports)
-        expected = _degree_memo_counts(nvars, range(V + 1), supports)
+        expected = degree_memo_counts(nvars, range(V + 1), supports)
         for d in range(V + 1):
             assert _standard_counts(c, range(d + 1), supports) == expected[:d + 1], (c.k, supports, d)
 
@@ -1488,60 +968,16 @@ def test_face_counts_match_the_degree_memo_on_random_families():
 SMALL = sweep_compositions(4, 8)
 
 
-def f_from_h(h, d):
-    """The face counts of a shellable complex with facets of size d: a facet whose
-    restriction has r elements adds the C(d - r, i - r) faces of size i above it."""
-    return FVector(tuple(sum(hr * math.comb(d - r, i - r) for r, hr in enumerate(h[:i + 1]))
-                         for i in range(d + 1)))
-
-
-def _power_h_from_f(fv, d):
-    """Sum of counts[i] * t^i * (1-t)^(d-i) by polynomial powers."""
-    acc = ()
-    for i, fi in enumerate(fv.counts):
-        if fi:
-            acc = poly_add(acc, reduce(poly_mul, [(1, -1)] * (d - i), (0,) * i + (fi,)))
-    return acc
-
-
 def test_h_from_f_matches_polynomial_powers():
     for c in SMALL:
         fv = f_from_h(h_closed_form(c), c.vertex_count)
         for d in (c.vertex_count, c.vertex_count + 2):
-            assert h_from_f(fv, d) == _power_h_from_f(fv, d), (c.k, d)
+            assert h_from_f(fv, d) == power_h_from_f(fv, d), (c.k, d)
     rng = random.Random(3)
     for _ in range(200):
         fv = FVector(tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 6))))
         d = fv.max_cardinality + rng.randint(0, 3)
-        assert h_from_f(fv, d) == _power_h_from_f(fv, d), (fv, d)
-
-
-def _maximal(sets):
-    return {s for s in sets if not any(s < t for t in sets)}
-
-
-def _maximal_decomposition(c):
-    """The decomposition check by maximal sets, through the same module names."""
-    k, n = c.k, c.n
-    x = c.flat_index(1, 2 * k[0] + 1)
-    y = c.flat_index(1, 2 * k[0])
-    target = _facet_sets(srcomplex.facets_closed_form(c))
-    shorter = build_from_k((k[0] - 1,) + k[1:])
-    relabel = [c.flat_index(i, j) for (i, j) in shorter.edge_labels]
-    cone = {frozenset(relabel[v] for v in f) | {x, y}
-            for f in _facet_sets(srcomplex.facets_closed_form(shorter))}
-    dropped_facets = [frozenset()]
-    if n >= 2:
-        dropped = build_from_k(k[1:])
-        relabel = [c.flat_index(i + 1, j) for (i, j) in dropped.edge_labels]
-        dropped_facets = [frozenset(relabel[v] for v in f)
-                          for f in _facet_sets(srcomplex.facets_closed_form(dropped))]
-    parts = srcomplex.cycle_parts(c, 1)
-    odd, even = _members(parts.odd), _members(parts.even)
-    join = {f | (odd - {x}) | even for f in dropped_facets}
-    union_ok = (_maximal(cone | join) if n == 1 else cone | join) == target
-    pairwise = {a & b for a in cone for b in join}
-    return DecompositionReport(union_ok, _maximal(pairwise) == {f - {x} for f in cone})
+        assert h_from_f(fv, d) == power_h_from_f(fv, d), (fv, d)
 
 
 def test_decomposition_matches_maximal_sets():
@@ -1549,7 +985,7 @@ def test_decomposition_matches_maximal_sets():
     assert len(checked) == 48
     for c in checked:
         rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
-        assert rep.ok and rep == _maximal_decomposition(c), c.k
+        assert rep.ok and rep == maximal_decomposition(c), c.k
 
 
 def _count_deciders(deciders, cone, join, x):
@@ -1585,7 +1021,7 @@ def test_intersection_subset_test_matches_maximal_sets_on_random_families():
             join.add(max(cone, key=sorted) - {x} | {6})
         expected = {a - {x} for a in cone}
         pairwise = {a & b for a in cone for b in join}
-        reference = _maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
+        reference = maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
         cone_masks, join_masks = {sum(1 << v for v in a) for a in cone}, {sum(1 << v for v in b) for b in join}
         result = srcomplex._intersection_ok(cone_masks, join_masks, x)
         assert result == reference, (cone, join)
@@ -1598,7 +1034,7 @@ def test_intersection_subset_test_matches_maximal_sets_on_random_families():
 def _intersection_oks(c):
     """intersection_ok of verify_decomposition and of the maximal-set reference."""
     rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
-    return rep.intersection_ok, _maximal_decomposition(c).intersection_ok
+    return rep.intersection_ok, maximal_decomposition(c).intersection_ok
 
 
 def _patch_facets(monkeypatch, k, edit):
@@ -1609,7 +1045,7 @@ def _patch_facets(monkeypatch, k, edit):
         cx = original(comp)
         if comp.k != k:
             return cx
-        return types.SimpleNamespace(facets=edit(cx.facets))
+        return SimpleNamespace(facets=edit(cx.facets))
 
     monkeypatch.setattr(srcomplex, "facets_closed_form", patched)
 
@@ -1643,7 +1079,7 @@ def test_decomposition_catches_a_join_facet_outside_the_cone(monkeypatch, k):
     c = build_from_k(k)
     _patch_join_facets(monkeypatch, c, c.edge_count)
     assert not verify_decomposition(c, srcomplex.facets_closed_form(c)).union_ok
-    assert not _maximal_decomposition(c).union_ok
+    assert not maximal_decomposition(c).union_ok
 
 
 @pytest.mark.parametrize("k", [(2, 1), (2, 1, 1), (3, 2, 1)])
@@ -1665,39 +1101,10 @@ def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
 
 # ------------------------------------------------------------------ shelling and intersection checks
 
-def _pairwise_shelling_h_vector(masks):
-    """The shelling check pair by pair: every difference F_j - G in a list."""
-    if len({m.bit_count() for m in masks}) > 1:
-        raise ValueError("facets of different sizes: complex is not pure")
-    counts = []
-    for j, f in enumerate(masks):
-        diffs = [f & ~g for g in masks[:j]]
-        restriction = 0
-        for diff in diffs:
-            if not diff:
-                raise ValueError("repeated facet")
-            if diff & (diff - 1) == 0:
-                restriction |= diff
-        if not all(diff & restriction for diff in diffs):
-            raise ValueError(f"facet order is not a shelling at facet {j + 1}")
-        size = restriction.bit_count()
-        counts.extend([0] * (size + 1 - len(counts)))
-        counts[size] += 1
-    return tuple(counts)
-
-
-def _pairwise_intersection_ok(cone, join, x):
-    """The intersection check with one subset test per (a - {x}, b) pair."""
-    xbit = 1 << x
-    expected = {a & ~xbit for a in cone}
-    return (not any(b & xbit for b in join) and len({e.bit_count() for e in expected}) == 1
-            and all(any(not e & ~b for b in join) for e in expected))
-
-
 def _outcome(masks):
     """The h of both shelling checks, or the message of the ValueError each raises."""
     outcomes = []
-    for check in (srcomplex.shelling_h_vector, _pairwise_shelling_h_vector):
+    for check in (srcomplex.shelling_h_vector, pairwise_shelling_h_vector):
         try:
             outcomes.append(check(masks))
         except ValueError as exc:
@@ -1711,7 +1118,7 @@ def _kind(outcome):
 
 
 # every cycle order of every bouquet with n <= 5 and N <= 8
-SWEEP_ORDERS = sorted({order for c in sweep_compositions(5, 8) for order in permutations(c.k)})
+SWEEP_ORDERS = every_order(sweep_compositions(5, 8))
 
 
 def test_packed_shelling_matches_pairs_every_order_of_the_sweep():
@@ -1802,7 +1209,7 @@ def test_intersection_matches_pairs_on_random_families():
         if join and rng.random() < 0.1:
             join.add(join.pop() | xbit)
         result = srcomplex._intersection_ok(cone, join, x)
-        assert result == _pairwise_intersection_ok(cone, join, x), (cone, join, x)
+        assert result == pairwise_intersection_ok(cone, join, x), (cone, join, x)
         agree[result] += 1
         _count_deciders(deciders, cone, join, x)
     assert min(agree.values()) > 500, agree
@@ -1816,7 +1223,7 @@ def test_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
     def checked(cone, join, x):
         calls.append(len(cone) * len(join))
         result = lookups(cone, join, x)
-        assert result == _pairwise_intersection_ok(cone, join, x)
+        assert result == pairwise_intersection_ok(cone, join, x)
         return result
 
     monkeypatch.setattr(srcomplex, "_intersection_ok", checked)
@@ -1825,185 +1232,3 @@ def test_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
     for c in decomposable:
         assert verify_decomposition(c, srcomplex.facets_closed_form(c)).ok, c.k
     assert len(calls) == 220 and max(calls) > 10_000
-
-
-# ------------------------------------------------------------------ closed forms on coefficient lists
-
-def _poly_h_closed_form(c):
-    """The closed form as products and powers of coefficient tuples, one power per cycle length."""
-    first = second = (1,)
-    for j, rj in enumerate(c.r, start=1):
-        first = reduce(poly_mul, [(1,) * (j + 1)] * rj, first)
-        second = reduce(poly_mul, [(1,) * j] * rj, second)
-    return poly_sub(first, poly_mul((0, 1), second))
-
-
-def _poly_h_rec(ks, memo):
-    """The recursion with t * h + h(dropped) and (1 + t)^n - t on coefficient tuples."""
-    chain = []
-    while ks not in memo and len(ks) > 1 and ks[0] > 1:
-        chain.append(ks)
-        ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
-    h = memo.get(ks)
-    if h is None:
-        h = memo[ks] = (1,) if len(ks) == 1 else poly_sub(reduce(poly_mul, [(1, 1)] * len(ks)), (0, 1))
-    for link in reversed(chain):
-        h = memo[link] = poly_add(poly_mul((0, 1), h), _poly_h_rec(link[1:], memo))
-    return h
-
-
-def _poly_h_recursive(c):
-    return _poly_h_rec(tuple(sorted(c.k, reverse=True)), {})
-
-
-def _poly_e_tilde_from_h(h):
-    """e~ and h' with the reversal, the difference and the division on coefficient tuples."""
-    if h[:1] != (1,) or sum(h) == 0:
-        raise ValueError("not an h-polynomial")
-    s = len(h) - 1
-    h_prime = poly_div_one_minus_t(poly_sub(poly_reverse(h, s), h))
-    padded = h_prime + (0,) * (s + 1 - len(h_prime))
-    return sum(padded), padded
-
-
-def _poly_report(c):
-    """classify's report from the coefficient-tuple references."""
-    h = _poly_h_closed_form(c)
-    e_tilde, h_prime = _poly_e_tilde_from_h(h)
-    return GorensteinReport(h=h, s=len(h) - 1, cm_type=cm_type(c), e_tilde=e_tilde, h_prime=h_prime,
-                            is_gorenstein=poly_reverse(h, len(h) - 1) == h,
-                            is_almost_gorenstein=cm_type(c) - 1 == e_tilde)
-
-
-def _product_facets(c):
-    """The closed-form facets with one reduce over a product tuple per facet."""
-    n = c.n
-    parts = [cycle_parts(c, i) for i in range(1, n + 1)]
-    facets = []
-    for j in range(1, n + 1):
-        fixed = parts[0].even | parts[n - 1].odd
-        for i in range(2, j + 1):
-            fixed |= parts[i - 1].even
-        for i in range(j, n):
-            fixed |= parts[i - 1].odd
-        trimmed = [p.odd for p in parts[:j - 1]] + [p.even for p in parts[j:]]
-        choice_lists = [[part & ~(1 << v) for v in reversed(bits(part))] for part in trimmed]
-        facets += [reduce(or_, combo, fixed) for combo in product(*choice_lists)]
-    return tuple(facets)
-
-
-# every bouquet with n <= 7 and N <= 14, cycles in descending order and shuffled
-SWEEP_14 = sweep_compositions(7, 14)
-
-
-def _descending_and_shuffled():
-    rng = random.Random(2025)
-    for c in SWEEP_14:
-        shuffled = list(c.k)
-        rng.shuffle(shuffled)
-        yield c
-        yield build_from_k(shuffled)
-
-
-def test_closed_forms_match_intpoly_references_on_the_sweep():
-    assert len(SWEEP_14) == 432
-    shuffled = 0
-    for c in _descending_and_shuffled():
-        shuffled += list(c.k) != sorted(c.k, reverse=True)
-        rep = classify(c)
-        assert rep == _poly_report(c), c.k
-        assert h_recursive(c) == rep.h == _poly_h_recursive(c), c.k
-        assert srcomplex.facets_closed_form(c).facets == _product_facets(c), c.k
-    assert shuffled > 300
-
-
-def test_closed_form_matches_intpoly_on_random_half_lengths():
-    rng = random.Random(31)
-    for _ in range(300):
-        c = build_from_k([rng.randint(1, 30) for _ in range(rng.randint(1, 12))])
-        h = h_closed_form(c)
-        assert h == _poly_h_closed_form(c), c.k
-        assert e_tilde_from_h(h) == _poly_e_tilde_from_h(h), c.k
-
-
-def test_e_tilde_matches_intpoly_on_random_polynomials():
-    # anything with constant term 1 and h(1) != 0 is read; the rest raises
-    rng = random.Random(32)
-    kinds = {}
-    for _ in range(2000):
-        p = _trimmed(rng.randint(-3, 3) for _ in range(rng.randint(0, 7)))
-        outcomes = []
-        for read in (e_tilde_from_h, _poly_e_tilde_from_h):
-            try:
-                outcomes.append(read(p))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], p
-        kinds[type(outcomes[0])] = kinds.get(type(outcomes[0]), 0) + 1
-    assert min(kinds.values()) > 100 and len(kinds) == 2, kinds
-
-
-@pytest.mark.parametrize("k", [(200, 200), (600, 600)])
-def test_recursion_matches_intpoly_on_two_long_cycles(k):
-    c = build_from_k(k)
-    assert h_recursive(c) == _poly_h_recursive(c) == h_closed_form(c)
-
-
-def _assert_trimmed(h, case):
-    assert type(h) is tuple and h and h[-1], (case, h)
-
-
-def test_h_routes_use_no_intpoly_arithmetic():
-    # every producer returns h as a plain tuple that ends in a nonzero entry;
-    # untrimmed, a single cycle's closed form, the shelling counts and the
-    # f-to-h transform would end in zeros.  The 5/8 sweep holds the single
-    # cycles (1,) .. (8,), whose complex is one facet: a full simplex
-    for c in sweep_compositions(5, 8):
-        cx = srcomplex.facets_closed_form(c)
-        for h in (h_closed_form(c), h_recursive(c), srcomplex.h_by_complex(c),
-                  srcomplex.shelling_h_vector(cx.facets)):
-            _assert_trimmed(h, c.k)
-        if c.edge_count <= 16:  # f_vector lists every subset of every facet
-            _assert_trimmed(h_from_f(srcomplex.f_vector(cx), c.vertex_count), c.k)
-    for ground in (0, 3, 7):
-        simplex = srcomplex.SimplicialComplex(ground, ((1 << ground) - 1,))
-        for h in (srcomplex.shelling_h_vector(simplex.facets), h_from_f(srcomplex.f_vector(simplex), ground)):
-            _assert_trimmed(h, ground)
-            assert h == (1,)
-    # the closed form and the recursion check each other, so neither may run
-    # on a kernel that a fault would share: both compute on plain lists
-    cases = SWEEP_14[::7] + [build_from_k(k) for k in [(2, 30, 1), (12, 9, 9, 1, 1), (200, 200)]]
-    expected = [(_poly_h_closed_form(c), _poly_h_recursive(c), _poly_report(c)) for c in cases]
-    for c, (h, h_rec, report) in zip(cases, expected):
-        assert (h_closed_form(c), h_recursive(c), classify(c)) == (h, h_rec, report), c.k
-
-
-# ------------------------------------------------------------------ the sweep's order
-
-def _sorted_sweep(max_n, max_N):
-    """Every descending k-prefix within the budget, listed, then sorted by n, N and k."""
-    found = []
-
-    def extend(prefix, budget, cap):
-        if prefix:
-            found.append(tuple(prefix))
-        if len(prefix) == max_n:
-            return
-        for v in range(min(cap, budget), 0, -1):
-            prefix.append(v)
-            extend(prefix, budget - v, v)
-            prefix.pop()
-
-    extend([], max_N, max_N)
-    found.sort(key=lambda ks: (len(ks), sum(ks), ks))
-    return found
-
-
-def test_sweep_matches_the_sorted_prefixes():
-    sizes = set()
-    for max_n in range(10):
-        for max_N in range(19):
-            ks = [c.k for c in sweep_compositions(max_n, max_N)]
-            assert ks == _sorted_sweep(max_n, max_N), (max_n, max_N)
-            sizes.add(len(ks))
-    assert max(sizes) == 1409 and 0 in sizes

@@ -6,7 +6,7 @@ import pytest
 
 from oddbouquet import certify, srcomplex
 from oddbouquet.certify import sweep_compositions
-from oddbouquet.composition import CycleParts, build_from_k, cycle_parts
+from oddbouquet.composition import build_from_k, cycle_parts
 from oddbouquet.ringinv import h_closed_form, multiplicity
 from oddbouquet.srcomplex import (
     FVector,
@@ -20,23 +20,7 @@ from oddbouquet.srcomplex import (
     verify_decomposition,
 )
 from oddbouquet.toric import generators
-from reference import (
-    MONOMIAL_ONE,
-    calls_to,
-    every_order,
-    f_from_h,
-    facet_sets,
-    maximal,
-    maximal_decomposition,
-    members,
-    pairwise_intersection_ok,
-    pairwise_shelling_h_vector,
-    plain_facet_search,
-    power_h_from_f,
-    scan_facets,
-    squarefree,
-    trimmed,
-)
+from reference import f_from_h, trimmed
 
 SWEEP_KS = [
     (1,), (2,), (3,),
@@ -370,407 +354,3 @@ def test_shelling_rejects_repeated_and_impure_facets():
         shelling_h_vector([0b011, 0b110, 0b011])
     with pytest.raises(ValueError, match="not pure"):
         shelling_h_vector([0b011, 0b100])
-
-
-# ------------------------------------------------------------------ facet searches
-
-# every cycle order of every bouquet with at most 14 edges
-ORDERS = every_order(c for c in sweep_compositions(7, 7) if c.edge_count <= 14)
-
-
-def _plus_supports(c):
-    """The initial ideal's supports, from the generators' plus parts."""
-    return [g.plus.mask for g in generators(c)]
-
-
-def _random_supports(rng, ground_size):
-    """A few supports on up to two vertices past the ground set, some of one
-    element, now and then the empty one of the monomial 1."""
-    pool, supports = range(ground_size + 2), []
-    for _ in range(rng.randint(0, 7)):
-        if rng.random() < 0.03:
-            supports.append(0)
-        else:
-            size = rng.choice((1, 1, 2, 2, 3, 4))
-            supports.append(squarefree(rng.sample(pool, min(size, len(pool)))).mask)
-    return supports
-
-
-def test_orders_cover_the_small_bouquets():
-    assert len(ORDERS) == 36
-    assert max(build_from_k(order).edge_count for order in ORDERS) == 14
-
-
-def test_facet_search_matches_scan_every_order():
-    for order in ORDERS:
-        c = build_from_k(order)
-        supports = _plus_supports(c)
-        brute = facets_brute_force(supports, c.edge_count)
-        assert len(brute.facets) == len(facet_sets(brute)), order
-        assert facet_sets(brute) == scan_facets(supports, c.edge_count), order
-
-
-@pytest.mark.parametrize("monomials, ground_size", [
-    ([], 0),
-    ([], 4),
-    ([squarefree([2])], 4),
-    ([squarefree([0])], 1),
-    ([MONOMIAL_ONE], 0),
-    ([MONOMIAL_ONE], 3),
-    ([squarefree([0, 1]), MONOMIAL_ONE], 3),
-    ([squarefree([0, 1]), squarefree([1, 2]), squarefree([0, 2])], 3),
-    # the leaf {2} (0 and 1 excluded) is a face but not maximal
-    ([squarefree([0, 1]), squarefree([1, 2])], 3),
-    ([squarefree([0, 5])], 3),  # a support reaching past the ground set
-])
-def test_facet_search_matches_scan_by_hand(monomials, ground_size):
-    supports = [m.mask for m in monomials]
-    brute = facets_brute_force(supports, ground_size)
-    assert len(brute.facets) == len(facet_sets(brute))
-    assert facet_sets(brute) == scan_facets(supports, ground_size)
-
-
-def _brute_facets(supports, ground_size):
-    return facets_brute_force(supports, ground_size).facets
-
-
-def _traced(search, supports, ground_size):
-    """The facet tuple search returns and the number of calls it makes to
-    its nested function named search, one per node of its search tree."""
-    return calls_to("search", search, supports, ground_size)
-
-
-def _same_facets(supports, ground_size):
-    """The search's node count, after checking that its facets have no
-    duplicates and, sorted, equal the plain search's."""
-    facets, nodes = _traced(_brute_facets, supports, ground_size)
-    assert len(set(facets)) == len(facets), (supports, ground_size)
-    assert sorted(facets) == sorted(plain_facet_search(supports, ground_size)), (supports, ground_size)
-    return nodes
-
-
-def test_facet_search_matches_plain_search_every_order():
-    for order in ORDERS:
-        c = build_from_k(order)
-        _same_facets(_plus_supports(c), c.edge_count)
-
-
-def test_facet_search_matches_plain_search_on_the_sweep():
-    # 602 facets: the plain search decides all E edges on every path, while
-    # MMCS chooses only the n - 1 edges that a facet leaves out
-    searchable = [c for c in sweep_compositions(5, 8) if c.edge_count <= srcomplex.ORACLE_CAP]
-    assert len(searchable) == 44
-    assert sum(len(_brute_facets(_plus_supports(c), c.edge_count)) for c in searchable) == 602
-    assert sum(_same_facets(_plus_supports(c), c.edge_count) for c in searchable) == 856
-    assert sum(_traced(plain_facet_search, _plus_supports(c), c.edge_count)[1] for c in searchable) == 7119
-
-
-def test_facet_search_matches_plain_search_on_random_families():
-    rng = random.Random(14)
-    for _ in range(2000):
-        ground_size = rng.randint(0, 10)
-        _same_facets(_random_supports(rng, ground_size), ground_size)
-
-
-@pytest.mark.parametrize("supports, ground_size, facets", [
-    # a support past the ground set lies in no subset of it: dropped
-    ([0b1001], 3, [0b111]),
-    ([0b0011, 0b1100], 3, [0b101, 0b110]),
-    # a duplicate changes nothing, though both copies are critical to one vertex
-    ([0b011, 0b011], 3, [0b101, 0b110]),
-    ([0b011, 0b110, 0b011, 0b110], 3, [0b010, 0b101]),
-    # a singleton leaves its vertex out of every facet, and a support
-    # through it is met already
-    ([0b001, 0b100], 3, [0b010]),
-    ([0b001, 0b011], 3, [0b110]),
-    ([0b010, 0b011, 0b110], 3, [0b101]),
-    # the empty support of the monomial 1 lies in every set: no facets
-    ([0], 3, []),
-    ([0b100, 0], 2, []),
-    # no supports: the ground set is the one facet
-    ([], 4, [0b1111]),
-    ([0b10000], 4, [0b1111]),
-])
-def test_facet_search_edge_cases(supports, ground_size, facets):
-    assert sorted(_brute_facets(supports, ground_size)) == facets
-    assert {members(f) for f in facets} == scan_facets(supports, ground_size)
-
-
-def test_facet_search_empty_ground_and_constant_monomial():
-    # the empty set is the one facet on no vertices, unless the monomial 1
-    # (empty support) excludes every set, the empty one too
-    assert facets_brute_force([], 0).facets == (0,)
-    assert facets_brute_force([0], 0).facets == ()
-    assert facets_brute_force([0, 0b10], 2).facets == ()
-
-
-# ------------------------------------------------------------------ f-to-h and decomposition
-
-# every bouquet with n <= 4 and N <= 8
-SMALL = sweep_compositions(4, 8)
-
-
-def test_h_from_f_matches_polynomial_powers():
-    for c in SMALL:
-        fv = f_from_h(h_closed_form(c), c.vertex_count)
-        for d in (c.vertex_count, c.vertex_count + 2):
-            assert h_from_f(fv, d) == power_h_from_f(fv, d), (c.k, d)
-    rng = random.Random(3)
-    for _ in range(200):
-        fv = FVector(tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 6))))
-        d = fv.max_cardinality + rng.randint(0, 3)
-        assert h_from_f(fv, d) == power_h_from_f(fv, d), (fv, d)
-
-
-def test_decomposition_matches_maximal_sets():
-    checked = [c for c in SMALL if c.k[0] >= 2]
-    assert len(checked) == 48
-    for c in checked:
-        rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
-        assert rep.ok and rep == maximal_decomposition(c), c.k
-
-
-def _count_deciders(deciders, cone, join, x):
-    """Count the sets e = a - {x} that _intersection_ok tests against join, by what decides each.
-
-    "lookup": some b in join is e or e plus one element; "scan": only a b
-    with two or more elements beyond e holds e; "none": no b holds e.
-    """
-    xbit = 1 << x
-    expected = {a & ~xbit for a in cone}
-    if any(b & xbit for b in join) or len({e.bit_count() for e in expected}) != 1:
-        return
-    for e in expected:
-        extras = [(b & ~e).bit_count() for b in join if not e & ~b]
-        deciders["lookup" if extras and min(extras) <= 1 else "scan" if extras else "none"] += 1
-
-
-def test_intersection_subset_test_matches_maximal_sets_on_random_families():
-    # for cone facets through x, the subset test holds iff the maximal
-    # intersections are the cone facets minus x and those have one size
-    rng = random.Random(5)
-    x = 0
-    agree, deciders = {True: 0, False: 0}, {"lookup": 0, "scan": 0, "none": 0}
-    for _ in range(3000):
-        size = rng.randint(1, 4)
-        cone = {frozenset(rng.sample(range(1, 7), size - 1)) | {x}
-                for _ in range(rng.randint(1, 4))}
-        if rng.random() < 0.3:
-            cone.add(frozenset(rng.sample(range(1, 7), size)) | {x})
-        join = {frozenset(rng.sample(range(1 - (rng.random() < 0.2), 7), rng.randint(0, 5)))
-                for _ in range(rng.randint(1, 4))}
-        if rng.random() < 0.5:
-            join.add(max(cone, key=sorted) - {x} | {6})
-        expected = {a - {x} for a in cone}
-        pairwise = {a & b for a in cone for b in join}
-        reference = maximal(pairwise) == expected and len({len(e) for e in expected}) == 1
-        cone_masks, join_masks = {sum(1 << v for v in a) for a in cone}, {sum(1 << v for v in b) for b in join}
-        result = srcomplex._intersection_ok(cone_masks, join_masks, x)
-        assert result == reference, (cone, join)
-        agree[result] += 1
-        _count_deciders(deciders, cone_masks, join_masks, x)
-    assert min(agree.values()) > 100
-    assert min(deciders.values()) > 100, deciders
-
-
-def _intersection_oks(c):
-    """intersection_ok of verify_decomposition and of the maximal-set reference."""
-    rep = verify_decomposition(c, srcomplex.facets_closed_form(c))
-    return rep.intersection_ok, maximal_decomposition(c).intersection_ok
-
-
-def _patch_facets(monkeypatch, k, edit):
-    """facets_closed_form with the facet tuple of bouquet k passed through edit."""
-    original = srcomplex.facets_closed_form
-
-    def patched(comp):
-        cx = original(comp)
-        if comp.k != k:
-            return cx
-        return SimpleNamespace(facets=edit(cx.facets))
-
-    monkeypatch.setattr(srcomplex, "facets_closed_form", patched)
-
-
-def _patch_join_facets(monkeypatch, c, extra):
-    """Add extra to cycle 1's even part of c, hence to every join facet.
-
-    The bouquet's own facets are computed before the patch.
-    """
-    own, original = srcomplex.facets_closed_form(c), srcomplex.facets_closed_form
-    monkeypatch.setattr(srcomplex, "facets_closed_form",
-                        lambda comp: own if comp is c else original(comp))
-
-    def patched(comp, i):
-        parts = cycle_parts(comp, i)
-        return CycleParts(parts.odd, parts.even | 1 << extra) if comp is c and i == 1 else parts
-
-    monkeypatch.setattr(srcomplex, "cycle_parts", patched)
-
-
-@pytest.mark.parametrize("k", [(2,), (3, 1), (2, 2, 1)])
-def test_decomposition_catches_x_in_a_join_facet(monkeypatch, k):
-    c = build_from_k(k)
-    _patch_join_facets(monkeypatch, c, c.flat_index(1, 2 * k[0] + 1))
-    assert _intersection_oks(c) == (False, False)
-
-
-@pytest.mark.parametrize("k", [(2,), (4,)])
-def test_decomposition_catches_a_join_facet_outside_the_cone(monkeypatch, k):
-    # one cycle: the join facet must lie inside the cone facet
-    c = build_from_k(k)
-    _patch_join_facets(monkeypatch, c, c.edge_count)
-    assert not verify_decomposition(c, srcomplex.facets_closed_form(c)).union_ok
-    assert not maximal_decomposition(c).union_ok
-
-
-@pytest.mark.parametrize("k", [(2, 1), (2, 1, 1), (3, 2, 1)])
-def test_decomposition_catches_a_missing_intersection(monkeypatch, k):
-    # with a join facet gone, some cone facet minus x is no intersection
-    _patch_facets(monkeypatch, k[1:], lambda facets: facets[1:])
-    assert _intersection_oks(build_from_k(k)) == (False, False)
-
-
-@pytest.mark.parametrize("k", [(2,), (2, 1), (3, 1, 1)])
-def test_decomposition_catches_expected_sets_of_two_sizes(monkeypatch, k):
-    # a cone facet shrunk by one edge also gives a shrunk intersection, so
-    # every expected set is still an intersection but one lies in another
-    shorter = (k[0] - 1,) + k[1:]
-    _patch_facets(monkeypatch, shorter,
-                  lambda facets: facets + (facets[0] & facets[0] - 1,))
-    assert _intersection_oks(build_from_k(k)) == (False, False)
-
-
-# ------------------------------------------------------------------ shelling and intersection checks
-
-def _outcome(masks):
-    """The h of both shelling checks, or the message of the ValueError each raises."""
-    outcomes = []
-    for check in (srcomplex.shelling_h_vector, pairwise_shelling_h_vector):
-        try:
-            outcomes.append(check(masks))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1], masks
-    return outcomes[0]
-
-
-def _kind(outcome):
-    return outcome.split(" at facet ")[0] if isinstance(outcome, str) else "shelling"
-
-
-# every cycle order of every bouquet with n <= 5 and N <= 8
-SWEEP_ORDERS = every_order(sweep_compositions(5, 8))
-
-
-def test_packed_shelling_matches_pairs_every_order_of_the_sweep():
-    assert len(SWEEP_ORDERS) == 218
-    for order in SWEEP_ORDERS:
-        c = build_from_k(order)
-        assert _outcome(list(srcomplex.facets_closed_form(c).facets)) == h_closed_form(c), order
-
-
-def _edits(rng, facets):
-    """facets with two neighbours swapped, a facet repeated at the end, one dropped, all
-    shuffled, and all reversed."""
-    swapped, dropped, shuffled = list(facets), list(facets), list(facets)
-    if len(facets) > 1:
-        i = rng.randrange(len(facets) - 1)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    del dropped[rng.randrange(len(facets))]
-    rng.shuffle(shuffled)
-    return [swapped, [*facets, rng.choice(facets)], dropped, shuffled, facets[::-1]]
-
-
-def test_packed_shelling_matches_pairs_on_edited_orders():
-    rng = random.Random(24)
-    kinds = {}
-    for order in SWEEP_ORDERS:
-        c = build_from_k(order)
-        facets = srcomplex.facets_closed_form(c).facets
-        for _ in range(3):
-            edits = _edits(rng, facets)
-            for masks in edits:
-                kind = _kind(_outcome(masks))
-                kinds[kind] = kinds.get(kind, 0) + 1
-        # the closed-form order read backwards is a shelling too, with the same h
-        assert _outcome(edits[-1]) == h_closed_form(c), order
-    assert sorted(kinds) == ["facet order is not a shelling", "repeated facet", "shelling"]
-    assert min(kinds.values()) > 300, kinds
-
-
-def test_packed_shelling_matches_pairs_on_the_wide_sweep_reordered():
-    # the 226 complexes of 6/12, where some span several hundred fields:
-    # the closed-form order reversed is a shelling with the same h, and a
-    # seeded shuffle gets the same answer or message from both checks
-    rng = random.Random(34)
-    bouquets = list(sweep_compositions(6, 12))
-    assert len(bouquets) == 226
-    kinds, widest = {}, 0
-    for c in bouquets:
-        facets = list(srcomplex.facets_closed_form(c).facets)
-        widest = max(widest, len(facets))
-        assert _outcome(facets[::-1]) == h_closed_form(c), c.k
-        rng.shuffle(facets)
-        kind = _kind(_outcome(facets))
-        kinds[kind] = kinds.get(kind, 0) + 1
-    assert sorted(kinds) == ["facet order is not a shelling", "shelling"] and widest == 665, kinds
-
-
-def test_packed_shelling_matches_pairs_on_random_families():
-    # random facets on at most 8 vertices, of one size or of several
-    rng = random.Random(25)
-    families = [[], [0], [0, 0], [0b1011], [0b11, 0b11], [0b1, 0b10, 0b100]]
-    for _ in range(4000):
-        ground = rng.randint(0, 8)
-        size = rng.randint(0, ground)
-        family = [sum(1 << v for v in rng.sample(range(ground), size)) for _ in range(rng.randint(1, 9))]
-        if rng.random() < 0.2:
-            family.insert(rng.randrange(len(family) + 1), rng.getrandbits(ground))
-        families.append(family)
-    kinds = {}
-    for family in families:
-        kind = _kind(_outcome(family))
-        kinds[kind] = kinds.get(kind, 0) + 1
-    assert len(kinds) == 4 and min(kinds.values()) > 200, kinds
-
-
-def test_intersection_matches_pairs_on_random_families():
-    # an empty join, x inside a join facet, and join facets of several sizes
-    rng = random.Random(26)
-    agree, deciders = {True: 0, False: 0}, {"lookup": 0, "scan": 0, "none": 0}
-    for _ in range(5000):
-        ground = rng.randint(1, 8)
-        x = rng.randrange(ground)
-        xbit = 1 << x
-        cone = {rng.getrandbits(ground) | xbit for _ in range(rng.randint(0, 4))}
-        join = set() if rng.random() < 0.1 else {
-            rng.getrandbits(ground) & ~xbit for _ in range(rng.randint(1, 5))}
-        if cone and rng.random() < 0.6:  # a join facet over some cone facet minus x
-            join.add(rng.choice(sorted(cone)) & ~xbit | rng.getrandbits(ground) & ~xbit)
-        if join and rng.random() < 0.1:
-            join.add(join.pop() | xbit)
-        result = srcomplex._intersection_ok(cone, join, x)
-        assert result == pairwise_intersection_ok(cone, join, x), (cone, join, x)
-        agree[result] += 1
-        _count_deciders(deciders, cone, join, x)
-    assert min(agree.values()) > 500, agree
-    assert min(deciders.values()) > 100, deciders
-
-
-def test_intersection_matches_pairs_on_the_decomposable_bouquets(monkeypatch):
-    # the cone and join families that verify_decomposition builds at n <= 6, N <= 12
-    lookups, calls = srcomplex._intersection_ok, []
-
-    def checked(cone, join, x):
-        calls.append(len(cone) * len(join))
-        result = lookups(cone, join, x)
-        assert result == pairwise_intersection_ok(cone, join, x)
-        return result
-
-    monkeypatch.setattr(srcomplex, "_intersection_ok", checked)
-    decomposable = [c for c in sweep_compositions(6, 12) if c.k[0] >= 2]
-    assert len(decomposable) == 220
-    for c in decomposable:
-        assert verify_decomposition(c, srcomplex.facets_closed_form(c)).ok, c.k
-    assert len(calls) == 220 and max(calls) > 10_000
