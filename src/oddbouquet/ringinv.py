@@ -7,8 +7,9 @@ The h-polynomial comes in two forms that must agree:
   1 + ... + t^(k_i) and 1 + ... + t^(k_i - 1), each a running window sum,
 * recursion over bouquets: shrink one non-triangle cycle by two edges, with
   h(bouquet) = t * h(shrunk) + h(cycle dropped), down to the base cases of a
-  single cycle (h = 1) and of all triangles (h = (1+t)^n - t, binomials),
-  each step a shift and an add.
+  single cycle (h = 1) and of all triangles (h = (1+t)^n - t, binomials):
+  one loop over the longer cycles keeps a row of h's, one per count of
+  triangles, and grows each cycle by shift-and-add steps; no call recurses.
 
 On top of h sit the Cohen-Macaulay type (n - 1 for n >= 2), the asymmetry
 aggregate e~ obtained from the reversed-minus-original h-vector divided by
@@ -50,25 +51,23 @@ def h_closed_form(c: OddCycleComposition) -> tuple[int, ...]:
 
 
 def h_recursive(c: OddCycleComposition) -> tuple[int, ...]:
-    """h-vector by the two-edge shrinking recursion, memoised on k
-    multisets for the length of the call only."""
-    return tuple(_h_rec(tuple(sorted(c.k, reverse=True)), {}))
-
-
-def _h_rec(ks: tuple[int, ...], memo: dict[tuple[int, ...], list[int]]) -> list[int]:
-    """Walk the chain of shrunk tuples down to a memoised or base case, then
-    climb it back; only the dropped-cycle terms recurse, n levels deep at most."""
-    chain = []
-    while ks not in memo and len(ks) > 1 and ks[0] > 1:
-        chain.append(ks)
-        ks = tuple(sorted((ks[0] - 1,) + ks[1:], reverse=True))
-    h = memo.get(ks)
-    if h is None:
-        n = len(ks)  # one cycle: 1; all triangles: (1 + t)^n - t
-        h = memo[ks] = [1] if n == 1 else [comb(n, i) - (i == 1) for i in range(n + 1)]
-    for link in reversed(chain):
-        h = memo[link] = [a + b for a, b in zip_longest([0, *h], _h_rec(link[1:], memo), fillvalue=0)]
-    return h
+    """h-vector by the two-edge shrinking recursion, a loop over the longer
+    cycles g_1 .. g_m from last to first: rows[j] holds the h of r1 + j
+    triangles and the cycles after g_i, and g_i grows from a triangle."""
+    r1 = c.k.count(1)
+    longer = [ki for ki in c.k if ki > 1]
+    # all triangles: (1 + t)^n - t, or 1 for a single one
+    rows = [[comb(n, i) - (i == 1) for i in range(n + 1)] if n != 1 else [1]
+            for n in range(r1, r1 + len(longer) + 1)]
+    for i in reversed(range(len(longer))):
+        for j in range(i + 1):
+            h = rows[j + 1]  # g_i as a triangle
+            if r1 + j or i + 1 < len(longer):  # else g_i is alone, and h = 1 at any length
+                for _ in range(longer[i] - 1):  # h <- t * h + h(g_i dropped)
+                    h = [a + b for a, b in zip_longest([0, *h], rows[j], fillvalue=0)]
+            rows[j] = h
+        rows.pop()
+    return tuple(rows[0])
 
 
 def multiplicity(c: OddCycleComposition) -> int:

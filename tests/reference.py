@@ -46,12 +46,17 @@ searches and the degree memo, which take the bitmask supports, the
 references hold squarefree sets as frozensets and meet the bitmask results
 only at the comparison.
 
-The h closed form, the recursion and e~ run on coefficient lists in the
-package, and are checked against the same steps in the polynomial
-arithmetic below, on coefficient tuples, since the package has none; e~
-also against its defining partial sums; the closed-form facets, built from
-prefix and suffix products of one-edge drops, against one reduce over a
-product tuple per facet; the cached cycle parts against flat_index.
+The h closed form and e~ run on coefficient lists in the package, and are
+checked against the same steps in the polynomial arithmetic below, on
+coefficient tuples, since the package has none; e~ also against its
+defining partial sums.  The package runs the recursion as one loop that
+grows the longer cycles in their given order over a row of h's, one per
+count of triangles; the reference is the recursion memoised on sorted
+k-tuples, which shrinks the longest cycle first and recurses into each
+dropped cycle, in the same tuple arithmetic.  The closed-form facets,
+built from prefix and suffix products of one-edge drops, are checked
+against one reduce over a product tuple per facet, and the cached cycle
+parts against flat_index.
 """
 
 import math

@@ -403,8 +403,8 @@ def test_recursion_error_is_usage_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("m", [500, 600])
 def test_recursion_route_on_long_cycles(capsys, m):
-    # the recursion loops over the shrinking of the longest cycle, so two long
-    # cycles do not reach the stack limit; h of (m, m) is 2m + 1 ones
+    # the recursion grows each cycle in a loop of shift-and-add steps, so a
+    # long cycle costs steps, not stack; h of (m, m) is 2m + 1 ones
     code, out, err = run(capsys, "hvec", "--k", f"{m},{m}", "--method", "recursion")
     assert (code, err) == (0, "")
     _, formula, _ = run(capsys, "hvec", "--k", f"{m},{m}", "--method", "formula")
@@ -412,21 +412,26 @@ def test_recursion_route_on_long_cycles(capsys, m):
     assert out.splitlines()[1] == f"h[recursion] = ({', '.join(['1'] * (2 * m + 1))})"
 
 
-def test_huge_cycle_exits_2_under_memory_cap():
-    # the derived cycle counts r have max(k) entries; under a 1 GiB
-    # address-space cap their first use fails at once with MemoryError, which
-    # must end in exit 2
+def _run_capped(mib, *argv, timeout):
+    """The CLI in a child process under an address-space cap of mib MiB."""
     resource = pytest.importorskip("resource")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "oddbouquet.cli", "hvec", "--k", "99999999999"],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "oddbouquet.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
     )
+
+
+def test_huge_cycle_exits_2_under_memory_cap():
+    # the derived cycle counts r have max(k) entries; under a 1 GiB
+    # address-space cap their first use fails at once with MemoryError, which
+    # must end in exit 2
+    proc = _run_capped(1024, "hvec", "--k", "99999999999", timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: instance too large\n")
 
 
@@ -557,20 +562,18 @@ def test_overflowing_instance_exits_2(capsys, argv):
 def test_hilbert_degree_14_on_long_cycles_fits_in_512_mb():
     # one or two cycles, up to 29 edges in one cycle, counted to degree 14: the
     # hub split counts each cycle's degree masks without listing its vectors
-    resource = pytest.importorskip("resource")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "oddbouquet.cli", "verify", "--max-n", "2", "--max-N", "14",
-         "--hilbert-degree", "14"],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
-    )
+    proc = _run_capped(512, "verify", "--max-n", "2", "--max-N", "14", "--hilbert-degree", "14",
+                       timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith("all checks passed\n")
+
+
+def test_recursion_on_300_short_cycles_fits_in_512_mb():
+    # (2^300): the recursion keeps a row of 301 h's at most
+    proc = _run_capped(512, "hvec", "--k", ",".join(["2"] * 300), "--method", "recursion",
+                       "--format", "json", timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["h"] == list(ringinv.h_closed_form(build_from_k([2] * 300)))
 
 
 @pytest.mark.parametrize("argv, classifications, closed_forms", [

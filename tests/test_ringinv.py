@@ -51,7 +51,7 @@ def test_h_recursive_matches_closed_form():
 
 
 def test_h_recursive_retains_nothing():
-    # the memo lives for one call: once its result is dropped, the memory
+    # the rows live for one call: once its result is dropped, the memory
     # traced over the call is back where it started
     h_recursive(build_from_k([3, 2]))
     c = build_from_k([200, 200])
@@ -224,7 +224,7 @@ def test_closed_forms_match_the_tuple_references_on_the_sweep():
     assert shuffled > 300
 
 
-def test_closed_form_matches_intpoly_on_random_half_lengths():
+def test_closed_form_matches_the_tuple_reference_on_random_half_lengths():
     rng = random.Random(31)
     for _ in range(300):
         c = build_from_k([rng.randint(1, 30) for _ in range(rng.randint(1, 12))])
@@ -233,7 +233,7 @@ def test_closed_form_matches_intpoly_on_random_half_lengths():
         assert e_tilde_from_h(h) == poly_e_tilde_from_h(h), c.k
 
 
-def test_e_tilde_matches_intpoly_on_random_polynomials():
+def test_e_tilde_matches_the_tuple_reference_on_random_polynomials():
     # anything with constant term 1 and h(1) != 0 is read; the rest raises
     rng = random.Random(32)
     kinds = {}
@@ -250,8 +250,11 @@ def test_e_tilde_matches_intpoly_on_random_polynomials():
     assert min(kinds.values()) > 100 and len(kinds) == 2, kinds
 
 
-@pytest.mark.parametrize("k", [(200, 200), (600, 600)])
-def test_recursion_matches_intpoly_on_two_long_cycles(k):
+@pytest.mark.parametrize("k", [(200, 200), (600, 600), (1,) * 40, (3,) + (1,) * 20, (2,) * 25,
+                               (5, 4, 3, 2, 1) * 3])
+def test_recursion_matches_the_tuple_reference_on_long_inputs(k):
+    # many triangles, many short cycles and a few long ones: the package grows
+    # the cycles in their given order, the reference memoises longest first
     c = build_from_k(k)
     assert h_recursive(c) == poly_h_recursive(c) == h_closed_form(c)
 
@@ -260,7 +263,7 @@ def _assert_trimmed(h, case):
     assert type(h) is tuple and h and h[-1], (case, h)
 
 
-def test_h_routes_use_no_intpoly_arithmetic():
+def test_h_routes_return_trimmed_tuples_from_plain_lists():
     # every producer returns h as a plain tuple that ends in a nonzero entry;
     # untrimmed, a single cycle's closed form, the shelling counts and the
     # f-to-h transform would end in zeros.  The 5/8 sweep holds the single
