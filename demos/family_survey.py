@@ -15,12 +15,11 @@ from oddbouquet.certify import bouquet_report, sweep_compositions
 
 
 def main():
-    comps = sweep_compositions(4, 6)
     header = f"{'k':<14}{'n':>3}{'N':>3}  {'h-vector':<24}{'type':>5}{'e~':>4}  {'Gor':<6}{'aGor':<6}"
     print(header)
     print("-" * len(header))
     ag = []
-    for c in comps:
+    for c in sweep_compositions(4, 6):
         report, _, matches = bouquet_report(c, ("formula", "complex"))
         assert report["methods_agree"] and matches
         kstr = ",".join(str(v) for v in c.k)

@@ -10,6 +10,7 @@ srcomplex only compute.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from itertools import combinations
 
@@ -40,12 +41,13 @@ ROUTES = {
 }
 
 
-def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
-    """All descending k-tuples with n <= max_n and N <= max_N.
+def sweep_compositions(max_n: int, max_N: int) -> Iterator[OddCycleComposition]:
+    """Yield the bouquet of every descending k-tuple with n <= max_n and N <= max_N.
 
-    They come in the order verify prints: by n, then by N, then by k
-    ascending.  A tuple's first part is at least its share of the sum, so
-    each first part tried leads to at least one tuple.
+    They come one at a time, in the order verify prints: by n, then by N,
+    then by k ascending, so a consumer holds only the bouquet it is on.  A
+    tuple's first part is at least its share of the sum, so each first part
+    tried leads to at least one tuple.
     """
     def descending(total: int, n: int, cap: int):
         if n == 1:
@@ -55,8 +57,8 @@ def sweep_compositions(max_n: int, max_N: int) -> list[OddCycleComposition]:
             for rest in descending(total - v, n - 1, v):
                 yield (v, *rest)
 
-    return [build_from_k(ks) for n in range(1, min(max_n, max_N) + 1)
-            for N in range(n, max_N + 1) for ks in descending(N, n, N)]
+    return (build_from_k(ks) for n in range(1, min(max_n, max_N) + 1)
+            for N in range(n, max_N + 1) for ks in descending(N, n, N))
 
 
 def bouquet_head(c: OddCycleComposition) -> dict:
@@ -68,7 +70,9 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
     """Classify one bouquet once and run the named routes on it.
 
     Returns the payload, the h of each named route (the formula route is the
-    h that classify computed) and the characterization verdict, the only one
+    h that classify computed, and the payload's) and the characterization
+    verdict.  methods_agree says each named route gave the payload's h, so a
+    route run alone is still checked.  The verdict is the only one
     in the package: almost Gorenstein iff n <= 2 or N = n, for n >= 3 e~
     equal to its closed form, Gorenstein iff n <= 2, and for n >= 2
     h_1 = n - 1 and s = N.
@@ -84,7 +88,7 @@ def bouquet_report(c: OddCycleComposition, routes) -> tuple[dict, dict, bool]:
         "e_tilde": rep.e_tilde,
         "gorenstein": rep.is_gorenstein,
         "almost_gorenstein": rep.is_almost_gorenstein,
-        "methods_agree": len(set(hs.values())) == 1,
+        "methods_agree": all(h == rep.h for h in hs.values()),
     }
     n = c.n
     ok = (

@@ -14,10 +14,11 @@ mathematical disagreement; 2 a usage or I/O error (a closed stdout included)
 or an instance too large (MemoryError, OverflowError, RecursionError).  Every
 nonzero exit writes one ``error:`` line on stderr, after the command's output;
 a stderr that cannot be written loses the line, not the code.
-A disagreement is a route that raises ValueError, or: in hvec, routes that
-disagree; in classify, that or a verdict against the characterization; in
-verify, a FAIL; in table, a bouquet that fails as classify would.  Commands
-render, then raise.  All numeric output is exact decimal integers.
+A disagreement is a route that raises ValueError, or: in hvec, a route that
+disagrees with the report's h; in classify, that or a verdict against the
+characterization; in verify, a FAIL; in table, a bouquet that fails as
+classify would.  Commands render, then raise.  All numeric output is exact
+decimal integers.
 """
 
 from __future__ import annotations
@@ -186,14 +187,11 @@ def cmd_gens(args: argparse.Namespace) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> None:
     rng = SweepRange(args.max_n, args.max_N, args.hilbert_degree)
-    comps = sweep_compositions(rng.max_n, rng.max_N)[::-1]
-    count = len(comps)
     failures: list[tuple[tuple[int, ...], str]] = []
     started = time.perf_counter()
     header = f"{'k':<22}" + "".join(f"{name:>12}" for name in CHECK_NAMES)
     print(header)
-    while comps:
-        c = comps.pop()  # each bouquet and its cached structure go after its row
+    for count, c in enumerate(sweep_compositions(rng.max_n, rng.max_N), 1):
         results = verify_composition(c, rng)
         row = f"{_fmt_ints(c.k):<22}" + "".join(f"{results[name]:>12}" for name in CHECK_NAMES)
         print(row)
@@ -212,10 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def cmd_table(args: argparse.Namespace) -> None:
     rng = SweepRange(max_n=args.max_n, max_N=args.max_N)
-    comps = sweep_compositions(rng.max_n, rng.max_N)
     lines = [",".join(_CSV_FIELDS)]
     failed = []
-    for c in comps:
+    for c in sweep_compositions(rng.max_n, rng.max_N):
         payload, _, ok = bouquet_report(c, ROUTES)
         lines.append(_csv_row(payload))
         if not (payload["methods_agree"] and ok):
@@ -226,8 +223,9 @@ def cmd_table(args: argparse.Namespace) -> None:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {args.out}: {exc}") from None
-    plural = "s" if len(comps) != 1 else ""
-    print(f"wrote {len(comps)} row{plural} to {args.out}")
+    count = len(lines) - 1
+    plural = "s" if count != 1 else ""
+    print(f"wrote {count} row{plural} to {args.out}")
     if failed:
         raise ValueError(f"h-vector routes disagree or the characterization fails for {failed}")
 

@@ -360,13 +360,23 @@ def _path_ends(L: int, d: int) -> tuple[list[int], list[int]]:
     hub-to-hub path with L >= 2 edges whose run D(u) of degrees of
     occurrence starts at t, and whose run ends at t.
 
-    With edge multiplicities a_1..a_L, u_i = a_i + a_{i+1}, so a_1 fixes a
+    Step 1 of the hub lemma (see edge_subring_hilbert_series): D(u) is an
+    interval, and these are the numbers of its ends.  With edge
+    multiplicities a_1..a_L, u_i = a_i + a_{i+1}, so a_1 fixes the a of a
     given u: one step up in it raises the odd-position a's and lowers the
-    even ones, which adds 1 to the sum for odd L and 0 for even L.  So D(u)
-    is an interval from the sum of the a with some odd-position a_i = 0 to
-    the sum of the a with some even-position a_i = 0, and of the
-    C(t + L - 1, L - 1) a of sum t, all but C(t + L - 1 - j, L - 1) have a
-    zero among j given positions.
+    even ones, which adds 1 to the sum for odd L and 0 for even L.  The a_1
+    that keep every a_i >= 0 form an interval, so D(u) is one too (a point
+    for even L).  It starts at the sum of the one a of u with some
+    odd-position a_i = 0, where a_1 can step down no further, and ends at
+    the sum of the one a of u with some even-position a_i = 0.  So the u
+    whose run starts at t are as many as the a of sum t with a zero among
+    the j = ceil(L/2) odd positions: of the C(t + L - 1, L - 1) a of sum t,
+    all but the C(t + L - 1 - j, L - 1) with each of those positions >= 1.
+    The high ends are the same count with j = floor(L/2).  Tested against a
+    listing of every u for L <= 15 and d <= 7
+    (test_oracle_rewrites.py::test_path_ends_match_the_listing), and
+    against the series [j]/(1 - t)^(L - 1) for L <= 41 and d = 60
+    (test_toric.py::test_path_ends_are_the_hub_path_series).
     """
     low, high = ([math.comb(t + L - 1, L - 1) - math.comb(t + L - 1 - j, L - 1) for t in range(d + 1)]
                  for j in (L - L // 2, L // 2))
@@ -449,6 +459,19 @@ def edge_subring_hilbert_series(c: OddCycleComposition, d: int) -> list[int]:
     since the hub's exponent is 2t - sum |u_i|; and it exists iff t lies in
     the Minkowski sum D(u_1) + ... + D(u_n), where D(u) is the set of
     degrees at which u is the image of an edge multiset of its branch.
+
+    Proof, in two steps.  Step 1 (_path_ends): each D(u) is an interval,
+    and _path_ends counts the u of a branch by the low and by the high end
+    of D(u).  Step 2: every edge lies on exactly one branch, so a multiset
+    of t edges splits into one multiset per branch, of sizes t_i with sum
+    t, and the branch-i part alone gives the exponents on branch i's inner
+    vertices.  So a vector with projections u_i exists in degree t iff
+    t = t_1 + ... + t_n with each t_i in D(u_i), that is iff t lies in the
+    Minkowski sum, which for intervals [x_i, y_i] is the interval
+    [sum x_i, sum y_i]; _run_counts counts the tuples of u whose interval
+    holds t.  Tested against whole graphs listed level by level: 1 to 6
+    cycles glued at a vertex, to degree 8
+    (test_oracle_rewrites.py::test_hub_split_of_glued_cycles_matches_full_levels).
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")

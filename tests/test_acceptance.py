@@ -30,7 +30,7 @@ from oddbouquet.toric import (
 )
 from reference import mono, poly_reverse
 
-SWEEP = sweep_compositions(4, 6)
+SWEEP = list(sweep_compositions(4, 6))
 TRIANGLE_EXTRAS = [build_from_k((1,) * n) for n in (5, 6)]
 
 

@@ -26,10 +26,12 @@ def run(capsys, *argv):
 
 
 def test_sweep_enumeration():
-    comps = sweep_compositions(1, 1)
+    comps = list(sweep_compositions(1, 1))
     assert [c.k for c in comps] == [(1,)]
-    comps = sweep_compositions(3, 5)
-    ks = [c.k for c in comps]
+    # a stream, not a list: a consumer holds only the bouquet it is on
+    stream = sweep_compositions(3, 5)
+    assert iter(stream) is stream
+    ks = [c.k for c in stream]
     assert len(ks) == len(set(ks))
     assert all(len(k) <= 3 and sum(k) <= 5 for k in ks)
     assert all(tuple(sorted(k, reverse=True)) == k for k in ks)
@@ -205,7 +207,7 @@ def test_verify_releases_each_bouquet_after_its_row(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_composition", verify)
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-N", "4")
     assert code == 0 and "all checks passed" in out
-    assert out.count("\n") == len(sweep_compositions(3, 4)) + 3
+    assert out.count("\n") == len(list(sweep_compositions(3, 4))) + 3
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -260,7 +262,7 @@ def test_verify_runs_each_route_once_per_bouquet(monkeypatch):
     monkeypatch.setitem(ROUTES, "recursion", counted(ringinv.h_recursive))
     for name in ("classify", "shelling_h_vector", "facets_closed_form"):
         monkeypatch.setattr(certify, name, counted(getattr(certify, name)))
-    comps = sweep_compositions(3, 5)
+    comps = list(sweep_compositions(3, 5))
     for c in comps:
         assert set(certify.verify_composition(c, cli.SweepRange(3, 5))
                    .values()) <= {"ok", "skip"}, c.k
@@ -412,18 +414,23 @@ def test_recursion_route_on_long_cycles(capsys, m):
     assert out.splitlines()[1] == f"h[recursion] = ({', '.join(['1'] * (2 * m + 1))})"
 
 
-def _run_capped(mib, *argv, timeout):
-    """The CLI in a child process under an address-space cap of mib MiB."""
+def _capped(mib):
+    """A preexec_fn that caps the child's address space at mib MiB."""
     resource = pytest.importorskip("resource")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
+    return cap
+
+
+def _run_capped(mib, *argv, timeout):
+    """The CLI in a child process under an address-space cap of mib MiB."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "oddbouquet.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
+        capture_output=True, text=True, env=env, preexec_fn=_capped(mib), timeout=timeout,
     )
 
 
@@ -452,13 +459,22 @@ def test_closed_stdout_exits_2(capsys, monkeypatch, stderr_closed):
     assert (code, err) == (2, "" if stderr_closed else "error: stdout closed\n")
 
 
-def test_closed_pipe_exits_2_without_traceback():
-    # 540 KB of facets: a write after the reader closes the pipe fails
+VERIFY_HEADER = f"{'k':<22}" + "".join(f"{name:>12}" for name in cli.CHECK_NAMES) + "\n"
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["facets", "--k", ",".join(["1"] * 12)], "x1,"),  # 540 KB of facets
+    # a sweep that never ends: its rows stream, so the header comes at once
+    (["verify", "--max-n", "2", "--max-N", "99999999999999999999"], VERIFY_HEADER),
+], ids=["facets", "verify"])
+def test_closed_pipe_exits_2_without_traceback(argv, first_line):
+    # a write after the reader closes the pipe fails; the 512 MiB cap keeps a
+    # sweep listed before its first row from taking the host's memory
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     with subprocess.Popen(
-        [sys.executable, "-m", "oddbouquet.cli", "facets", "--k", ",".join(["1"] * 12)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        [sys.executable, "-m", "oddbouquet.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, preexec_fn=_capped(512),
     ) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -466,7 +482,7 @@ def test_closed_pipe_exits_2_without_traceback():
             _, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
-    assert first.startswith("x1,")
+    assert first.startswith(first_line)
     assert "Traceback" not in err
     assert (proc.returncode, err) == (2, "error: stdout closed\n")
 
@@ -569,7 +585,9 @@ def test_hilbert_degree_14_on_long_cycles_fits_in_512_mb():
 
 
 def test_recursion_on_300_short_cycles_fits_in_512_mb():
-    # (2^300): the recursion keeps a row of 301 h's at most
+    # (2^300): the recursion keeps a row of 301 h's at most.  The payload's h
+    # is the closed form's, and a lone route that disagrees with it exits 1,
+    # so exit 0 certifies the recursion's answer too
     proc = _run_capped(512, "hvec", "--k", ",".join(["2"] * 300), "--method", "recursion",
                        "--format", "json", timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -608,7 +626,7 @@ def test_one_classification_per_bouquet(capsys, monkeypatch, tmp_path, argv,
     bouquets = 1
     if argv[0] == "table":
         argv = argv + ["--out", str(tmp_path / "t.csv")]
-        bouquets = len(sweep_compositions(3, 4))
+        bouquets = len(list(sweep_compositions(3, 4)))
     assert run(capsys, *argv)[0] == 0
     assert calls == {"classify": classifications * bouquets,
                      "h_closed_form": closed_forms * bouquets,
@@ -651,7 +669,7 @@ def test_table_exits_1_on_failed_characterization(capsys, monkeypatch, tmp_path)
     out_path = tmp_path / "t.csv"
     code, out, err = run(capsys, "table", "--max-n", "2", "--max-N", "3", "--out", str(out_path))
     assert code == 1
-    assert out == f"wrote {len(sweep_compositions(2, 3))} rows to {out_path}\n"
+    assert out == f"wrote {len(list(sweep_compositions(2, 3)))} rows to {out_path}\n"
     assert "(1,)" in err
     for fmt in ("text", "json", "csv"):
         assert run(capsys, "classify", "--k", "2,1", "--format", fmt)[0] == 1
@@ -686,11 +704,13 @@ def test_hvec_ignores_the_characterization(capsys, monkeypatch):
         assert run(capsys, "hvec", "--k", "2,1", "--format", fmt)[0] == 0
 
 
+@pytest.mark.parametrize("method", ["all", "recursion", "complex"])
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_hvec_names_a_disagreement_in_every_format(capsys, monkeypatch, fmt):
-    # the report goes out as usual, then one line on stderr says why the exit is 1
-    monkeypatch.setitem(ROUTES, "recursion", lambda c: (1, 5))
-    code, out, err = run(capsys, "hvec", "--k", "2,1", "--format", fmt)
+def test_hvec_names_a_disagreement_in_every_format(capsys, monkeypatch, fmt, method):
+    # the report goes out as usual, then one line on stderr says why the exit
+    # is 1; a route run alone is checked against the h the report prints
+    monkeypatch.setitem(ROUTES, "recursion" if method == "all" else method, lambda c: (1, 5))
+    code, out, err = run(capsys, "hvec", "--k", "2,1", "--method", method, "--format", fmt)
     assert (code, err) == (1, "error: h-vector routes disagree\n")
     assert out
 
@@ -805,7 +825,7 @@ def test_table(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     header, rows = lines[0], lines[1:]
     assert header == "r,n,N,h,s,facets,type,e_tilde,gorenstein,almost_gorenstein"
-    assert len(rows) == len(sweep_compositions(3, 5))
+    assert len(rows) == len(list(sweep_compositions(3, 5)))
     triangle_rows = [r for r in rows if r.startswith("3,3,3,")]
     assert len(triangle_rows) == 1
     assert "1;2;3;1" in triangle_rows[0]

@@ -23,7 +23,7 @@ from oddbouquet.toric import (
 )
 from reference import defined_parts
 
-SWEEP = sweep_compositions(8, 16)  # 794 bouquets, up to 40 edges
+SWEEP = list(sweep_compositions(8, 16))  # 794 bouquets, up to 40 edges
 
 
 def test_build_from_r_examples():

@@ -321,14 +321,21 @@ def _glued_cycles(lengths, rng):
 
 
 def test_hub_split_of_glued_cycles_matches_full_levels():
+    # the hub lemma's Minkowski step, against whole graphs listed level by
+    # level to degree 8: 1-6 branches, the 5-6-branch graphs drawn from
+    # branches of 2 and 3 edges so that their levels still list in seconds
     rng = random.Random(1)
+    wide = 0
     for _ in range(200):
-        lengths = [rng.randint(2, 7) for _ in range(rng.randint(1, 4))]
+        branches = rng.randint(1, 6)
+        lengths = [rng.randint(2, 3 if branches >= 5 else 7) for _ in range(branches)]
         while sum(lengths) - len(lengths) > 11:
             lengths.pop()
+        wide += len(lengths) >= 5
         g = _glued_cycles(lengths, rng)
-        d = rng.randint(0, 5)
+        d = rng.randint(0, 8)
         assert _hub_counts(_hub_branches(g), d) == full_level_series(g.endpoints, d), (g.endpoints, d)
+    assert wide >= 50
 
 
 @pytest.mark.parametrize("endpoints", [
@@ -915,7 +922,7 @@ def test_face_counts_branch_only_at_live_variables():
     # free variables before it as one binomial power: 424 calls of faces
     # over the 59 bouquets of the 5/8 sweep at d = 4, where a step through
     # every variable made 909
-    sweep = sweep_compositions(5, 8)
+    sweep = list(sweep_compositions(5, 8))
     assert len(sweep) == 59
     assert sum(calls_to("faces", standard_monomial_count, c, 4)[1] for c in sweep) == 424
 
@@ -965,7 +972,7 @@ def test_face_counts_match_the_degree_memo_on_random_families():
 # ------------------------------------------------------------------ f-to-h and decomposition
 
 # every bouquet with n <= 4 and N <= 8
-SMALL = sweep_compositions(4, 8)
+SMALL = list(sweep_compositions(4, 8))
 
 
 def test_h_from_f_matches_polynomial_powers():

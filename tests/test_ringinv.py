@@ -200,7 +200,7 @@ def test_gorenstein_flag_is_the_symmetry_of_h(monkeypatch, coeffs, symmetric):
 # ------------------------------------------------------------------ closed forms against the tuple references
 
 # every bouquet with n <= 7 and N <= 14, cycles in descending order and shuffled
-SWEEP_14 = sweep_compositions(7, 14)
+SWEEP_14 = list(sweep_compositions(7, 14))
 
 
 def _descending_and_shuffled():
