@@ -134,13 +134,11 @@ def build_from_r(r) -> OddCycleComposition:
     r = list(map(index, r))
     if any(v < 0 for v in r):
         raise ValueError("negative cycle count")
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
-        raise ValueError("empty composition")
     k = []
     for j in range(len(r), 0, -1):
         k.extend([j] * r[j - 1])
+    if not k:
+        raise ValueError("empty composition")
     return OddCycleComposition(k)
 
 

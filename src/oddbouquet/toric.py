@@ -13,9 +13,9 @@ closed-form facet enumeration, certify that claim at desk scale:
 * Buchberger's test on every generator pair: a pair whose leading
   monomials share no variable is settled by Buchberger's first criterion,
   and every other S-pair must reduce to zero by division on monomials
-  packed into ints, at most MAX_STEPS steps per pair, the list packed once
-  while every pair is a pair of its members (see s_pair_reduces_to_zero
-  and _PackedBasis),
+  packed into ints, at most MAX_STEPS steps per pair, the sequence packed
+  once while every pair is a pair of its members (see
+  s_pair_reduces_to_zero and _PackedBasis),
 * membership of every generator in the kernel of the edge map (each edge
   variable goes to the sum of its endpoint vertices),
 * equality of two Hilbert series, each summed from one-dimensional
@@ -136,10 +136,11 @@ class _PackedBasis:
     monomial of degree <= 2 deg that sums of packed ones make fits, squares
     included.  guard is the top bit of each exponent field: a divides b iff
     b - a sets none of them, and term + nonzero sets the guard bit of each
-    variable in term.  basis is a copy of the list it was packed from;
-    members maps each element's id to its packed (lead, tail), and holding
-    the copy keeps those ids from being reused.  A basis is packed again,
-    not widened, for a pair whose f or g is not a member.
+    variable in term.  basis is a copy of the sequence it was packed from,
+    basis[:], so a list is copied and a tuple is its own copy; members maps
+    each element's id to its packed (lead, tail), and holding the copy keeps
+    those ids from being reused.  A basis is packed again, not widened, for
+    a pair whose f or g is not a member.
 
     A term's absent variables are the guard bits that term + nonzero
     (guard - ones) leaves clear.  Leads are squarefree, so a lead divides a
@@ -154,8 +155,8 @@ class _PackedBasis:
 
     __slots__ = ("basis", "width", "top", "guard", "nonzero", "low", "members", "runs", "fields")
 
-    def __init__(self, basis: Iterable[Binomial], deg: int, nvars: int) -> None:
-        self.basis, self.width = list(basis), (2 * deg).bit_length() + 1
+    def __init__(self, basis: Sequence[Binomial], deg: int, nvars: int) -> None:
+        self.basis, self.width = basis[:], (2 * deg).bit_length() + 1
         w = self.width
         self.top = w * nvars
         self.fields = [1 << self.top - w * (i + 1) for i in range(nvars)]
@@ -212,7 +213,7 @@ _PACKED = _PackedBasis((), 0, 0)
 MAX_STEPS = 10_000  # division steps per S-pair before RuntimeError
 
 
-def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: list[Binomial]) -> bool:
+def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: Sequence[Binomial]) -> bool:
     """True iff the S-polynomial of f and g is settled by Buchberger's first
     criterion or divides by the basis to remainder 0.
 
@@ -236,10 +237,10 @@ def s_pair_reduces_to_zero(f: Binomial, g: Binomial, basis: list[Binomial]) -> b
     remainder.
 
     Monomials are packed ints (see _PackedBasis).  While f and g, by
-    identity, are members of a packed copy equal to the list, nothing is
-    set up.  Else the list is packed again, with fields wide enough for f
-    and g too, and a non-member f or g is packed on its own (only the
-    criterion also looks it up in the list by value).
+    identity, are members of a packed copy equal to the sequence, nothing
+    is set up.  Else the sequence is packed again, with fields wide enough
+    for f and g too, and a non-member f or g is packed on its own (only the
+    criterion also looks it up in the sequence by value).
     Start terms come from the packed leads' bits, and each term's first
     divisor from its absent variables, the guard bits its fields leave
     clear, and the runs of leads (_PackedBasis.start_terms, first_divisor).

@@ -705,6 +705,34 @@ def test_division_packs_a_value_equal_copy_of_the_basis_once(monkeypatch):
     assert len(packings) <= 1 and calls == [] and toric._PACKED is pb
 
 
+
+def test_division_packs_a_basis_once_whatever_sequence_holds_it(monkeypatch):
+    # every pair of a 28-generator basis, divided by it as tuple(gens), then
+    # as a fresh value-equal tuple of other objects, then as the list itself:
+    # each run packs once, on its first pair (the list too, since no list
+    # equals the packed tuple), and reuses the packed copy for its other 377
+    k = (2, 2, 1, 1, 1, 1, 1, 1)
+    gens = generators(build_from_k(k))
+    fresh = tuple(generators(build_from_k(k)))
+    assert fresh == tuple(gens) and not any(f is g for f, g in zip(fresh, gens))
+    packings = []
+    packed = _PackedBasis
+
+    def counted(basis, *bounds):
+        packings.append(basis)
+        return packed(basis, *bounds)
+
+    monkeypatch.setattr(toric, "_PackedBasis", counted)
+    counts = []
+    for basis in (tuple(gens), fresh, gens):
+        packings.clear()
+        pairs = list(combinations(basis, 2))
+        assert len(pairs) == 378
+        for f, g in pairs:
+            assert s_pair_reduces_to_zero(f, g, basis) is dict_s_pair_reduces_to_zero(f, g, basis)
+        counts.append(len(packings))
+    assert counts == [1, 1, 1]
+
 def test_verify_packs_each_bouquet_once(monkeypatch):
     # every S-pair of the buchberger column is a pair of members of the
     # bouquet's generator list, so over the default sweep the list of each
